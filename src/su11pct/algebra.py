@@ -8,6 +8,24 @@ operator proportional to (H - shift); the deformed ladder generators are
 first-order shift cores A_[+-] dressed with scalar factors built from the
 delta spectrum.
 
+The three realizations are one algebra: its deformed invariants depend
+only on the Jacobi parameters (pa, pb) of the states, its constant-mass
+ones only on the Laguerre parameter la (``systems`` maps a spec to them).
+With d = 2pa + 1 and c-(n) = c+(n - 1) throughout:
+
+    delta_n = 2n + pa + pb + 1,  mu_n = (delta_n^2 - pa^2 - pb^2 + 1/2) / (2d),
+    Casimir = ((pa^2 - 1)(pb^2 - 1) - 9/16) / d^2,  alpha/Lam = 2/d,
+    c+(n) = (2/d) sqrt((n + 1)(n + pb + 1)(n + pa + 1)(n + pa + pb + 1));
+    constant mass: k = (la + 1)/2,  mu_n = n + k,  Casimir = k (k - 1),
+    c+(n) = sqrt((n + 1)(n + la + 1)).
+
+The deformed shift core is A_[+-] = c0 + c1 d/dq with c1 = -16 alpha g/g'
+and c0 = -8 alpha rho - 4 alpha (1 -+ delta_n) t + 4 alpha (pa^2 - pb^2) /
+(1 +- delta_n), where t = 1 - 2/f and rho = g g''/g'^2 is 1/2, 1 or 0 for
+g = r^2, e^-x or R.  Coordinate-specific and per family are the gauge and
+inner potential of the zero generator and the constant-mass ladder
+operators.
+
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
 state ladder it reduces to the scalar delta_n of the state a factor meets:
@@ -25,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, operators, systems
-from .errors import NotApplicableError, ParameterError
+from .errors import ParameterError
 
 PLUS, MINUS, ZERO = "plus", "minus", "zero"
 
@@ -59,12 +77,10 @@ class GeneratorSet:
 
     @property
     def w_const(self):
-        """Denominator constant of the deformed structure relations."""
-        if self.family == "ho":
-            return 2.0 * self.spec.lam
-        if self.family == "morse":
-            return 4.0 * self.spec.lam_abs - self.alpha
-        return 4.0 * self.spec.sqrt_energy + self.alpha
+        """Structure-relation denominator: alpha (2pa + 1), or 2c at constant mass."""
+        if self.deformed:
+            return self.alpha * (2.0 * systems.jacobi_params(self.spec)[0] + 1.0)
+        return 2.0 * systems.laguerre_params(self.spec)[1]
 
     @property
     def lam_scale(self):
@@ -77,34 +93,18 @@ class GeneratorSet:
 
     @property
     def zero_pref(self):
-        if self.family == "ho":
-            return 0.5 / self.w_const
-        return 2.0 / self.w_const
+        return (0.5 if self.family == "ho" else 2.0) / self.w_const
 
     @property
     def shift(self):
-        if self.family == "ho":
-            return 0.0
-        if self.family == "morse":
-            return self.spec.epsilon
-        return self.spec.energy
+        """Fixed energy of the Morse/Coulomb hierarchy; 0 for the oscillator."""
+        return 0.0 if self.family == "ho" else systems.energy(self.spec, 0)
 
     @property
     def q_const(self):
-        """Scalar numerator of the 1/(1 +- delta) term in the shift cores."""
-        a = self.alpha
-        if a == 0:
-            raise NotApplicableError("shift cores exist only for alpha > 0")
-        if self.family == "ho":
-            ra = self.spec.lam / a
-            return (ra - self.spec.L - 1.0) * (ra + self.spec.L)
-        if self.family == "morse":
-            ra2 = 2.0 * self.spec.lam_abs / a
-            s2 = 2.0 * self.spec.sqrt_eps
-            return (ra2 - s2 - 1.0) * (ra2 + s2 - 1.0)
-        ra2 = 2.0 * self.spec.sqrt_energy / a
-        lc = self.spec.Lcal
-        return (ra2 - 2.0 * lc - 1.0) * (ra2 + 2.0 * lc + 1.0)
+        """Numerator pa^2 - pb^2 of the 1/(1 +- delta) term in the shift cores."""
+        pa, pb = systems.jacobi_params(self.spec)
+        return (pa - pb) * (pa + pb)
 
 
 def generator_set(spec):
@@ -131,96 +131,44 @@ class DeltaSpectrum:
 def unirrep(gs):
     """Unirrep data of the realization.
 
-    The weight formulas below hold for every alpha and reduce exactly to
-    k + n at alpha = 0; k is always the lowest weight mu(0).
+    k is always the lowest weight mu(0).  The deformed weights tend to
+    k + n as alpha -> 0, where pa grows without bound and pb tends to la.
     """
-    spec = gs.spec
-    a = gs.alpha
-    if gs.family == "ho":
-        lam, L = spec.lam, spec.L
+    if not gs.deformed:
+        la = systems.laguerre_params(gs.spec)[0]
+        k = 0.5 * (la + 1.0)
+        return UnirrepLabel(k=k, mu_of_n=lambda n: n + k, casimir=k * (k - 1.0))
+    pa, pb = systems.jacobi_params(gs.spec)
+    d = 2.0 * pa + 1.0
 
-        def mu(n):
-            return systems.energy(spec, n) / (4.0 * lam)
+    def mu(n):
+        # (delta_n^2 - pa^2 - pb^2 + 1/2) / (2d), expanded free of cancellation
+        return (
+            2.0 * pa * (2.0 * n + pb + 1.0)
+            + (2.0 * n + 1.0) * (2.0 * n + 2.0 * pb + 1.0)
+            + 0.5
+        ) / (2.0 * d)
 
-        cas = 0.25 * (1.0 - a / lam) * (L + 1.5) * (L - 0.5) - (
-            3.0 * a * a / (16.0 * lam * lam)
-        ) * L * (L + 1.0)
-    elif gs.family == "morse":
-        lam, w = spec.lam_abs, gs.w_const
-        gb = (2.0 * spec.A0 + 1.0) * spec.B
-        abs_eps = -spec.epsilon
-
-        def mu(n):
-            return (
-                2.0
-                / w
-                * (
-                    gb
-                    + 2.0 * lam * n
-                    + a * (n * (n - 1.0) + n * gb / lam - 0.125)
-                )
-            )
-
-        cas = (1.0 - 2.0 * a / w) * (abs_eps - 0.25) - (3.0 * a * a / (w * w)) * (
-            abs_eps - 0.0625
-        )
-    else:
-        lc, z0, w = spec.Lcal, spec.Z0, gs.w_const
-        denom = 4.0 * z0 - a * (lc + 1.0)
-
-        def mu(n):
-            return (
-                2.0
-                / denom
-                * (
-                    2.0 * z0 * (n + lc + 1.0)
-                    + a * (lc + 1.0) * (n * (n + 2.0 * lc + 1.0) - 0.125)
-                )
-            )
-
-        cas = (1.0 - 2.0 * a / w - 3.0 * a * a / (w * w)) * lc * (lc + 1.0) - (
-            9.0 * a * a / (16.0 * w * w)
-        )
+    cas = ((pa - 1.0) * (pa + 1.0) * (pb - 1.0) * (pb + 1.0) - 0.5625) / (d * d)
     return UnirrepLabel(k=mu(0), mu_of_n=mu, casimir=cas)
 
 
 def delta_spectrum(gs):
     """Closed-form delta eigenvalues; requires alpha > 0."""
-    if not gs.deformed:
-        raise NotApplicableError("delta is defined only for deformed realizations")
-    spec, a = gs.spec, gs.alpha
-    if gs.family == "ho":
-        base = spec.lam / a + spec.L + 1.0
-    elif gs.family == "morse":
-        base = 2.0 * spec.lam_abs / a + 2.0 * spec.sqrt_eps
-    else:
-        base = 2.0 * spec.sqrt_energy / a + 2.0 * spec.Lcal + 2.0
-
+    pa, pb = systems.jacobi_params(gs.spec)
+    base = pa + pb + 1.0
     return DeltaSpectrum(delta_of_n=lambda n: 2.0 * n + base)
 
 
 def delta_eigenvalue(gs, n):
     """delta_n through the square-root definition on the weight eigenvalue.
 
-    Must agree with the closed form of ``delta_spectrum`` to rounding.
+    delta_n^2 = 2 (2pa + 1) mu_n + pa^2 + pb^2 - 1/2.  Must agree with the
+    closed form of ``delta_spectrum`` to rounding.
     """
-    if not gs.deformed:
-        raise NotApplicableError("delta is defined only for deformed realizations")
-    spec, a = gs.spec, gs.alpha
+    pa, pb = systems.jacobi_params(gs.spec)
     mu = unirrep(gs).mu_of_n(n)
-    if gs.family == "ho":
-        ra = spec.lam / a
-        const = ra * (ra - 1.0) + spec.L * (spec.L + 1.0)
-    elif gs.family == "morse":
-        ra = spec.lam_abs / a
-        const = 4.0 * ra * (ra - 1.0) + 4.0 * (-spec.epsilon) + 0.5
-    else:
-        const = (
-            4.0 / (a * a) * (-spec.energy)
-            + 4.0 * spec.Lcal * (spec.Lcal + 1.0)
-            + 0.5
-        )
-    return math.sqrt(2.0 * gs.w_const / a * mu + const)
+    return math.sqrt(2.0 * (2.0 * pa + 1.0) * mu + pa * pa + pb * pb - 0.5)
 
 
 def ladder_coefficient(gs, n, direction):
@@ -229,53 +177,16 @@ def ladder_coefficient(gs, n, direction):
         raise ParameterError("n must be non-negative")
     if direction not in (PLUS, MINUS):
         raise ParameterError(f"direction must be 'plus' or 'minus', got {direction}")
-    if direction == MINUS and n == 0:
-        return 0.0
-    spec, a = gs.spec, gs.alpha
-    if gs.family == "ho":
-        L = spec.L
-        if a == 0:
-            if direction == PLUS:
-                return math.sqrt((n + 1.0) * (n + L + 1.5))
-            return math.sqrt(n * (n + L + 0.5))
-        ra = spec.lam / a
-        if direction == PLUS:
-            prod = (n + 1.0) * (n + L + 1.5) * (n + ra + L + 1.0) * (n + ra + 0.5)
-        else:
-            prod = n * (n + L + 0.5) * (n + ra + L) * (n + ra - 0.5)
-        return a / spec.lam * math.sqrt(prod)
-    if gs.family == "morse":
-        if a == 0:
-            a0 = spec.A0
-            if direction == PLUS:
-                return math.sqrt((n + 1.0) * (n + 2.0 * a0 + 1.0))
-            return math.sqrt(n * (n + 2.0 * a0))
-        lam = spec.lam_abs
-        gl = (2.0 * spec.A0 + 1.0) * spec.B / lam
-        if direction == PLUS:
-            poly = (n + 1.0) * (n + gl)
-            brack = (2.0 * lam + a * (n + gl - 1.0)) * (2.0 * lam + a * n)
-        else:
-            poly = n * (n + gl - 1.0)
-            brack = (2.0 * lam + a * (n + gl - 2.0)) * (2.0 * lam + a * (n - 1.0))
-        return 2.0 / gs.w_const * math.sqrt(poly * brack)
-    lc, z0 = spec.Lcal, spec.Z0
-    if a == 0:
-        if direction == PLUS:
-            return math.sqrt((n + 1.0) * (n + 2.0 * lc + 2.0))
-        return math.sqrt(n * (n + 2.0 * lc + 1.0))
-    denom = 4.0 * z0 - a * (lc + 1.0)
-    if direction == PLUS:
-        head = (n + 1.0) * (n + 2.0 * lc + 2.0) * (
-            2.0 * z0 + a * (lc + 1.0) * (n + 2.0 * lc + 1.0)
-        )
-        tail = 2.0 * z0 + a * (lc + 1.0) * n
-    else:
-        head = n * (n + 2.0 * lc + 1.0) * (
-            2.0 * z0 + a * (lc + 1.0) * (n + 2.0 * lc)
-        )
-        tail = 2.0 * z0 + a * (lc + 1.0) * (n - 1.0)
-    return 2.0 / denom * math.sqrt(head * tail)
+    if direction == MINUS:
+        if n == 0:
+            return 0.0
+        n -= 1  # c-(n) = c+(n - 1)
+    if not gs.deformed:
+        la = systems.laguerre_params(gs.spec)[0]
+        return math.sqrt((n + 1.0) * (n + la + 1.0))
+    pa, pb = systems.jacobi_params(gs.spec)
+    prod = (n + 1.0) * (n + pb + 1.0) * (n + pa + 1.0) * (n + pa + pb + 1.0)
+    return 2.0 / (2.0 * pa + 1.0) * math.sqrt(prod)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +197,7 @@ def ladder_coefficient(gs, n, direction):
 def _gauge(gs, p):
     """Gauge factor of the zero generator with two derivatives."""
     if gs.family == "ho":
-        one = np.ones_like(p)
-        return one, 0.0 * p, 0.0 * p
+        return 1.0, 0.0, 0.0
     if gs.family == "morse":
         e = np.exp(p)
         return e, e, e
@@ -327,29 +237,22 @@ def _zero_operator(gs):
     def coeffs(p, m):
         p = np.asarray(p, dtype=float)
         f0, f1, f2, f3, f4 = systems.deforming(gs.spec, p)
-        g0, g1, g2 = _gauge(gs, p)
-        u0, u1, u2 = _inner_potential(gs, p)
-        c2 = -f0 * f0
-        c1 = -2.0 * f0 * f1
-        c0 = -(0.5 * f0 * f2 + 0.25 * f1 * f1) + u0 - shift
-        if m == 0:
-            return (pref * g0 * c0, pref * g0 * c1, pref * g0 * c2)
-        c2p = -2.0 * f0 * f1
-        c1p = -2.0 * (f1 * f1 + f0 * f2)
-        c0p = -(f1 * f2 + 0.5 * f0 * f3) + u1
-        if m == 1:
-            return (
-                pref * (g1 * c0 + g0 * c0p),
-                pref * (g1 * c1 + g0 * c1p),
-                pref * (g1 * c2 + g0 * c2p),
-            )
-        c2pp = -2.0 * (f1 * f1 + f0 * f2)
-        c1pp = -2.0 * (3.0 * f1 * f2 + f0 * f3)
-        c0pp = -(f2 * f2 + 1.5 * f1 * f3 + 0.5 * f0 * f4) + u2
-        return (
-            pref * (g2 * c0 + 2.0 * g1 * c0p + g0 * c0pp),
-            pref * (g2 * c1 + 2.0 * g1 * c1p + g0 * c1pp),
-            pref * (g2 * c2 + 2.0 * g1 * c2p + g0 * c2pp),
+        g = _gauge(gs, p)
+        u = _inner_potential(gs, p)
+        # derivatives 0..2 of c0 = -(f f''/2 + f'^2/4) + u - shift,
+        # c1 = -2 f f' and c2 = -f^2, whose derivative is c1
+        c0 = (
+            -(0.5 * f0 * f2 + 0.25 * f1 * f1) + u[0] - shift,
+            -(f1 * f2 + 0.5 * f0 * f3) + u[1],
+            -(f2 * f2 + 1.5 * f1 * f3 + 0.5 * f0 * f4) + u[2],
+        )
+        c1 = (-2.0 * f0 * f1, -2.0 * (f1 * f1 + f0 * f2), -2.0 * (3.0 * f1 * f2 + f0 * f3))
+        c2 = (-f0 * f0, c1[0], c1[1])
+        binom = ((1.0,), (1.0, 1.0), (1.0, 2.0, 1.0))[m]
+        # m-th derivative of pref * gauge * c by Leibniz
+        return tuple(
+            pref * sum(binom[j] * g[j] * c[m - j] for j in range(m, -1, -1))
+            for c in (c0, c1, c2)
         )
 
     return operators.DiffOperator2(coeffs, order=2)
@@ -410,59 +313,26 @@ def _shift_core_operator(gs, direction, delta_n, scale=1.0):
     """The first-order core A_[+-] with delta frozen to the input eigenvalue."""
     spec, a = gs.spec, gs.alpha
     sgn = 1.0 if direction == PLUS else -1.0
-    q4 = 4.0 * a * gs.q_const / (1.0 + sgn * delta_n)
-    if gs.family == "ho":
+    coord = systems.FAMILIES[gs.family].g
+    g1 = coord(np.float64(1.0))
+    rho = float(g1[0] * g1[2] / (g1[1] * g1[1]))  # constant, so g/g' is linear
+    c0_const = -8.0 * a * rho + 4.0 * a * gs.q_const / (1.0 + sgn * delta_n)
+    c1_slope = -16.0 * a * (1.0 - rho)
+    t_coef = -4.0 * a * (1.0 - sgn * delta_n)
 
-        def coeffs(p, m):
-            p = np.asarray(p, dtype=float)
-            f0 = 1.0 + a * p * p
-            z = np.zeros_like(p)
-            if m == 0:
-                t = (a * p * p - 1.0) / f0
-                c0 = -8.0 * a * a * p * p / f0 + sgn * 4.0 * a * delta_n * t + q4
-                return (scale * c0, scale * (-8.0 * a * p), z)
-            if m == 1:
-                up = -16.0 * a * a * p / f0**2
-                tp = 4.0 * a * p / f0**2
-                return (scale * (up + sgn * 4.0 * a * delta_n * tp), scale * (-8.0 * a) + z, z)
-            upp = -16.0 * a * a * (1.0 - 3.0 * a * p * p) / f0**3
-            tpp = 4.0 * a * (1.0 - 3.0 * a * p * p) / f0**3
-            return (scale * (upp + sgn * 4.0 * a * delta_n * tpp), z, z)
-
-    elif gs.family == "morse":
-        one_m = 1.0 - sgn * delta_n
-
-        def coeffs(p, m):
-            p = np.asarray(p, dtype=float)
-            q = a * np.exp(-p)
-            f0 = 1.0 + q
-            z = np.zeros_like(p)
-            if m == 0:
-                t = (q - 1.0) / f0
-                c0 = -8.0 * a - 4.0 * a * one_m * t + q4
-                return (scale * c0, scale * 16.0 * a + z, z)
-            if m == 1:
-                tp = -2.0 * q / f0**2
-                return (scale * (-4.0 * a * one_m * tp), z, z)
-            tpp = 2.0 * q * (f0 - 2.0 * q) / f0**3
-            return (scale * (-4.0 * a * one_m * tpp), z, z)
-
-    else:
-        one_m = 1.0 - sgn * delta_n
-
-        def coeffs(p, m):
-            p = np.asarray(p, dtype=float)
-            f0 = 1.0 + a * p
-            z = np.zeros_like(p)
-            if m == 0:
-                t = (a * p - 1.0) / f0
-                c0 = -4.0 * a * one_m * t + q4
-                return (scale * c0, scale * (-16.0 * a * p), z)
-            if m == 1:
-                tp = 2.0 * a / f0**2
-                return (scale * (-4.0 * a * one_m * tp), scale * (-16.0 * a) + z, z)
-            tpp = -4.0 * a * a / f0**3
-            return (scale * (-4.0 * a * one_m * tpp), z, z)
+    def coeffs(p, m):
+        p = np.asarray(p, dtype=float)
+        f = systems.deforming(spec, p)
+        z = np.zeros_like(p)
+        if m == 0:
+            g = coord(p)
+            c0 = c0_const + t_coef * (1.0 - 2.0 / f[0])
+            return (scale * c0, scale * (-16.0 * a) * g[0] / g[1], z)
+        if m == 1:
+            tp = 2.0 * f[1] / f[0] ** 2
+            return (scale * t_coef * tp, scale * c1_slope + z, z)
+        tpp = 2.0 * f[2] / f[0] ** 2 - 4.0 * f[1] ** 2 / f[0] ** 3
+        return (scale * t_coef * tpp, z, z)
 
     return operators.DiffOperator2(coeffs, order=1)
 
@@ -558,19 +428,8 @@ def pointwise_grid(spec, n, count=120, density_floor=1e-3):
     domain extremes; restricting to where the state carries its norm keeps
     every point well conditioned for all six families.
     """
-    if spec.family == "morse":
-        probe = np.linspace(-80.0, 300.0, 6001)
-    else:
-        probe = np.geomspace(1e-6, 1e6, 6001)
     weight = measures.family_measure(spec.family).weight
-    with np.errstate(over="ignore"):
-        dens = weight(probe) * systems.bound_state(spec, n)(probe) ** 2
-    dens = np.where(np.isfinite(dens), dens, 0.0)
-    keep = np.nonzero(dens >= density_floor * np.max(dens))[0]
-    lo, hi = probe[keep[0]], probe[keep[-1]]
-    if spec.family == "morse":
-        return np.linspace(lo, hi, count)
-    return np.geomspace(lo, hi, count)
+    return operators.support_grid(spec, n, count, density_floor, weight)
 
 
 @dataclass(frozen=True)
@@ -593,9 +452,25 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2, grid=None):
     """
     if n_max < 1:
         raise ParameterError("n_max must be at least 1")
-    uni = unirrep(gs)
-    mu = uni.mu_of_n
-    ratio = gs.alpha / gs.lam_scale
+    mu = unirrep(gs).mu_of_n
+    if gs.deformed:
+        ratio = gs.alpha / gs.lam_scale
+        delta = delta_spectrum(gs).delta_of_n
+
+        def step(n, sgn):  # mu_{n+sgn} - mu_n = sgn * step
+            return ratio * (delta(n) + sgn)
+
+        def bracket(n):
+            return -ratio * delta(n) * (2.0 * mu(n) + 0.25 * ratio)
+
+    else:
+
+        def step(n, sgn):
+            return 1.0
+
+        def bracket(n):
+            return -2.0 * mu(n)
+
     recs = []
 
     def cplus(n):
@@ -605,30 +480,13 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2, grid=None):
         return ladder_coefficient(gs, n, MINUS)
 
     for n in range(n_max + 1):
-        if not gs.deformed:
-            recs.append(ResidualRecord("mu_spacing_up", n, abs(mu(n + 1) - mu(n) - 1.0)))
-            if n >= 1:
-                recs.append(
-                    ResidualRecord("mu_spacing_down", n, abs(mu(n - 1) - mu(n) + 1.0))
-                )
-            lhs = (cminus(n) * cplus(n - 1) if n >= 1 else 0.0) - cplus(n) * cminus(n + 1)
-            recs.append(ResidualRecord("plus_minus_bracket", n, abs(lhs + 2.0 * mu(n))))
-        else:
-            dn = delta_spectrum(gs).delta_of_n(n)
+        recs.append(ResidualRecord("mu_spacing_up", n, abs(mu(n + 1) - mu(n) - step(n, 1.0))))
+        if n >= 1:
             recs.append(
-                ResidualRecord(
-                    "mu_spacing_up", n, abs(mu(n + 1) - mu(n) - ratio * (dn + 1.0))
-                )
+                ResidualRecord("mu_spacing_down", n, abs(mu(n - 1) - mu(n) + step(n, -1.0)))
             )
-            if n >= 1:
-                recs.append(
-                    ResidualRecord(
-                        "mu_spacing_down", n, abs(mu(n - 1) - mu(n) + ratio * (dn - 1.0))
-                    )
-                )
-            lhs = (cminus(n) * cplus(n - 1) if n >= 1 else 0.0) - cplus(n) * cminus(n + 1)
-            rhs = -ratio * dn * (2.0 * mu(n) + 0.25 * ratio)
-            recs.append(ResidualRecord("plus_minus_bracket", n, abs(lhs - rhs)))
+        lhs = (cminus(n) * cplus(n - 1) if n >= 1 else 0.0) - cplus(n) * cminus(n + 1)
+        recs.append(ResidualRecord("plus_minus_bracket", n, abs(lhs - bracket(n))))
 
     for n in range(min(pointwise_n_max, n_max) + 1):
         state = systems.bound_state(gs.spec, n)
@@ -639,11 +497,7 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2, grid=None):
             lhs = apply_generator_fn(gs, ZERO, ladder_out, n + int(sgn))(pts)
             zero_out = apply_generator(gs, ZERO, state)
             lhs = lhs - apply_generator_fn(gs, which, zero_out, n)(pts)
-            if not gs.deformed:
-                rhs = sgn * ladder_out(pts)
-            else:
-                dn = delta_spectrum(gs).delta_of_n(n)
-                rhs = sgn * ratio * (dn + sgn) * ladder_out(pts)
+            rhs = sgn * step(n, sgn) * ladder_out(pts)
             recs.append(
                 ResidualRecord(
                     f"comm_zero_{which}_pointwise",
@@ -659,11 +513,7 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2, grid=None):
             else np.zeros_like(np.asarray(pts, dtype=float))
         )
         mp = apply_generator_fn(gs, MINUS, plus_out, n + 1)(pts)
-        if not gs.deformed:
-            rhs = -2.0 * mu(n) * state(pts)
-        else:
-            dn = delta_spectrum(gs).delta_of_n(n)
-            rhs = -ratio * dn * (2.0 * mu(n) + 0.25 * ratio) * state(pts)
+        rhs = bracket(n) * state(pts)
         recs.append(
             ResidualRecord(
                 "comm_plus_minus_pointwise",

@@ -76,6 +76,18 @@ def _spec_echo(spec):
     return echo
 
 
+def _closed_levels(spec, count):
+    """The lowest closed-form levels as (n, energy) pairs.
+
+    The oscillator's own spectrum, or that of the fixed Morse/Coulomb
+    potential, which may hold fewer than count levels.
+    """
+    if spec.family == "ho":
+        return [(n, systems.energy(spec, n)) for n in range(count)]
+    params = (spec.A0, spec.B) if spec.family == "morse" else (spec.Z0, spec.Lcal)
+    return systems.spectrum_fixed_potential(spec.family, params, spec.alpha, count)
+
+
 def _tols(override):
     tols = dict(ANALYTIC_TOLS)
     if override is not None:
@@ -156,17 +168,7 @@ def build_report(spec, n_max=5, tol=None, oracle_count=None):
             oracle_count = 4000
     grid = oracle.default_grid(spec, 0, count=oracle_count, k=2)
     levels = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), 2, 1e-9)
-    if spec.family == "ho":
-        closed = [systems.energy(spec, n) for n in (0, 1)]
-    else:
-        params = (
-            (spec.A0, spec.B)
-            if spec.family == "morse"
-            else (spec.Z0, spec.Lcal)
-        )
-        closed = [e for _, e in systems.spectrum_fixed_potential(
-            spec.family, params, spec.alpha, 2
-        )]
+    closed = [e for _, e in _closed_levels(spec, 2)]
     for i, (num, cf) in enumerate(zip(levels, closed)):
         report.add("oracle", f"oracle_level[{i}]", num - cf, oracle_tol)
     return report
@@ -333,15 +335,7 @@ def main(argv=None):
 def _dispatch(parser, args):
     if args.command == "spectrum":
         spec = _spec_from_args(parser, args.family, args)
-        if spec.family == "ho":
-            levels = [(n, systems.energy(spec, n)) for n in range(args.nmax + 1)]
-        else:
-            params = (
-                (spec.A0, spec.B) if spec.family == "morse" else (spec.Z0, spec.Lcal)
-            )
-            levels = systems.spectrum_fixed_potential(
-                spec.family, params, spec.alpha, args.nmax + 1
-            )
+        levels = _closed_levels(spec, args.nmax + 1)
         payload = {
             "command": "spectrum",
             "spec": _spec_echo(spec),
@@ -434,17 +428,8 @@ def _dispatch(parser, args):
     k = args.nmax + 1
     if k > 10:
         parser.error("oracle-compare supports at most 10 levels")
-    if spec.family == "ho":
-        closed = [systems.energy(spec, n) for n in range(k)]
-    else:
-        params = (spec.A0, spec.B) if spec.family == "morse" else (spec.Z0, spec.Lcal)
-        closed = [
-            e
-            for _, e in systems.spectrum_fixed_potential(
-                spec.family, params, spec.alpha, k
-            )
-        ]
-        k = len(closed)
+    closed = [e for _, e in _closed_levels(spec, k)]
+    k = len(closed)
     if args.grid_min is not None and args.grid_max is not None:
         grid = oracle.GridSpec(args.grid_min, args.grid_max, args.grid_count)
     else:

@@ -161,13 +161,27 @@ def default_residual_grid(spec, n, count=200, rel_floor=1e-5):
     from the extreme edges where high-order derivative assembly of composed
     operators loses digits to cancellation.
     """
-    if spec.family == "morse":
-        probe = np.linspace(-80.0, 300.0, 6001)
-    else:
-        probe = np.geomspace(1e-6, 1e6, 6001)
-    v = np.abs(systems.bound_state(spec, n)(probe))
+    return support_grid(spec, n, count, rel_floor)
+
+
+def support(spec, n, rel_floor, weight=None, probe_count=6001):
+    """Probe interval (lo, hi) where the n-th state carries its weight.
+
+    The family's probe interval is scanned on probe_count points, spaced
+    like its grids; kept are the points where |psi_n|, or
+    weight * psi_n^2 when a measure weight is given, reaches rel_floor of
+    its peak.
+    """
+    fam = systems.FAMILIES[spec.family]
+    probe = fam.spacing(*fam.probe, probe_count)
+    with np.errstate(over="ignore"):
+        v = systems.bound_state(spec, n)(probe)
+        v = np.abs(v) if weight is None else weight(probe) * v**2
+    v = np.where(np.isfinite(v), v, 0.0)
     keep = np.nonzero(v >= rel_floor * np.max(v))[0]
-    lo, hi = probe[keep[0]], probe[keep[-1]]
-    if spec.family == "morse":
-        return np.linspace(lo, hi, count)
-    return np.geomspace(lo, hi, count)
+    return probe[keep[0]], probe[keep[-1]]
+
+
+def support_grid(spec, n, count, rel_floor, weight=None):
+    """count points over the support interval, spaced like the family's grids."""
+    return systems.FAMILIES[spec.family].spacing(*support(spec, n, rel_floor, weight), count)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import systems
+from . import operators, systems
 from .errors import ConvergenceError, ParameterError
 
 
@@ -144,10 +144,8 @@ def default_grid(spec, member_n=0, count=4000, k=3):
             r_max = 2.0 * math.sqrt(max(2.0 * e_top, 1.0)) / math.sqrt(spec.omega)
             return GridSpec(1e-6, r_max, count)
         # power-law tails: scan the k-th state and pad the slow side
-        probe = np.geomspace(1e-6, 1e6, 4001)
-        v = np.abs(systems.bound_state(spec, k)(probe))
-        keep = np.nonzero(v >= 2e-5 * np.max(v))[0]
-        return GridSpec(1e-6, 1.3 * probe[keep[-1]], count)
+        hi = operators.support(spec, k, 2e-5, probe_count=4001)[1]
+        return GridSpec(1e-6, 1.3 * hi, count)
     if spec.family == "morse":
         a_n = systems.member_coupling(spec, member_n)
         levels = systems.spectrum_fixed_potential(

@@ -29,32 +29,29 @@ from .errors import ParameterError
 class MappingSpec:
     """Executable coordinate/function map between two families.
 
-    ``coord_map`` sends a target point to the source point it came from
-    and ``prefactor`` is the factor multiplying the target function in the
-    source display (e.g. psi = prefactor * phi); ``map_state`` divides it
-    out.  ``coord_derivs`` and ``inv_prefactor_derivs`` supply two
-    derivatives for the chain rule.
+    ``coord_derivs`` sends a target point to the source point it came from,
+    with two derivatives for the chain rule; ``coord_map`` is its value
+    alone.  ``inv_prefactor_derivs`` is the reciprocal of the factor
+    multiplying the target function in the source display
+    (e.g. psi = prefactor * phi), again with two derivatives; ``map_state``
+    multiplies by it.
     """
 
     source_family: str
     target_family: str
-    coord_map: object = field(repr=False)
-    prefactor: object = field(repr=False)
     coord_derivs: object = field(repr=False)
     inv_prefactor_derivs: object = field(repr=False)
     target_domain: tuple = (0.0, math.inf)
 
-    def param_map(self, source_spec, n):
-        """Forward parameter map: (source spec, n) -> (target spec, member n)."""
-        return map_parameters(source_spec, n, self.target_family)
+    def coord_map(self, point):
+        """The source point a target point came from."""
+        return self.coord_derivs(point)[0]
 
 
 def ho_to_morse_map():
     return MappingSpec(
         "ho",
         "morse",
-        coord_map=lambda x: np.exp(-0.5 * x),
-        prefactor=lambda x: np.exp(-0.25 * x),
         coord_derivs=lambda x: (
             np.exp(-0.5 * x),
             -0.5 * np.exp(-0.5 * x),
@@ -73,8 +70,6 @@ def morse_to_coulomb_map():
     return MappingSpec(
         "morse",
         "coulomb",
-        coord_map=lambda R: -np.log(R),
-        prefactor=lambda R: 1.0 / np.sqrt(R),
         coord_derivs=lambda R: (-np.log(R), -1.0 / R, 1.0 / R**2),
         inv_prefactor_derivs=lambda R: (
             np.sqrt(R),
@@ -88,8 +83,6 @@ def ho_to_coulomb_map():
     return MappingSpec(
         "ho",
         "coulomb",
-        coord_map=lambda R: np.sqrt(R),
-        prefactor=lambda R: R ** (-0.25),
         coord_derivs=lambda R: (np.sqrt(R), 0.5 / np.sqrt(R), -0.25 * R ** (-1.5)),
         inv_prefactor_derivs=lambda R: (
             R**0.25,
@@ -104,8 +97,6 @@ def morse_to_ho_map():
     return MappingSpec(
         "morse",
         "ho",
-        coord_map=lambda r: -2.0 * np.log(r),
-        prefactor=lambda r: 1.0 / np.sqrt(r),
         coord_derivs=lambda r: (-2.0 * np.log(r), -2.0 / r, 2.0 / r**2),
         inv_prefactor_derivs=lambda r: (
             np.sqrt(r),
@@ -120,8 +111,6 @@ def coulomb_to_morse_map():
     return MappingSpec(
         "coulomb",
         "morse",
-        coord_map=lambda x: np.exp(-x),
-        prefactor=lambda x: np.exp(-0.5 * x),
         coord_derivs=lambda x: (np.exp(-x), -np.exp(-x), np.exp(-x)),
         inv_prefactor_derivs=lambda x: (
             np.exp(0.5 * x),
@@ -182,17 +171,17 @@ def map_parameters(source, n, target_family):
         a, A0, B = source.alpha, source.A0, source.B
         Z0 = B * (A0 + 0.5)
         if a == 0:
-            return systems.CoulombSpec(Lcal=A0 - 0.5, Z0=Z0), n
+            return systems._mapped_spec(systems.CoulombSpec, Lcal=A0 - 0.5, Z0=Z0), n
         lam_m = source.lam_abs
         Lcal = ((2.0 * A0 + 1.0) * B - 2.0 * lam_m) / (2.0 * lam_m)
-        return systems.CoulombSpec(Lcal=Lcal, Z0=Z0, alpha=a), n
+        return systems._mapped_spec(systems.CoulombSpec, Lcal=Lcal, Z0=Z0, alpha=a), n
     raise ParameterError(
         f"no parameter map from {source.family!r} to {target_family!r}"
     )
 
 
 def map_state(mapping_spec, state):
-    """Transport a function through the map: target(y) = source(c(y))/prefactor.
+    """Transport a function through the map: target(y) = source(c(y)) / prefactor(y).
 
     Derivatives follow from the chain rule, so the result feeds directly
     into the target-side Hamiltonians and generators.

@@ -3,17 +3,36 @@
 Three potentials (radial harmonic oscillator on r > 0, Morse on the full
 line, radial Coulomb on R > 0) in two settings each: constant mass
 (``alpha == 0``) and a position-dependent mass M = 1/f^2 built from the
-deforming profiles
+deforming profile f = 1 + alpha g(q) with the coordinate function
 
-    f_ho(r) = 1 + alpha r^2,  f_m(x) = 1 + alpha e^-x,  f_c(R) = 1 + alpha R.
+    g_ho(r) = r^2,  g_m(x) = e^-x,  g_c(R) = R.
 
-Every bound state is a closed form "sign * exp(g) * polynomial" and its
-derivatives up to fourth order are assembled analytically, which lets the
-operator modules act on states without any finite differencing.
+Every bound state is one closed form
+
+    psi_n(q) = sign * q^m * exp(log_norm + h(q)) * P_n(y(q)),
+
+and the families differ only in the data of ``FAMILIES``: g, the
+coordinate power m (L + 1, 0, Lcal + 1), Morse's linear exponent term and
+the maps from a spec to the parameters of the polynomial P_n:
+
+    family    deformed (pa, pb)                  constant mass (la, c)
+    ho        (lam/alpha - 1/2, L + 1/2)         (L + 1/2, omega/2)
+    morse     (2 |lam|/alpha - 1, 2 sqrt|eps|)   (2 A0, 2 B)
+    coulomb   (2 sqrt|E|/alpha, 2 Lcal + 1)      (2 Lcal + 1, 2 Z0/(Lcal + 1))
+
+Deformed: P_n = Jacobi P_n^(pa,pb)(t), t = 1 - 2/f, h = -((pa + pb + 2)/2) ln f,
+sign +1 and log_norm = (1/2)[ln 2 + (pb + 1) ln alpha + lnG(n + 1)
++ ln(2n + pa + pb + 1) + lnG(n + pa + pb + 1) - lnG(n + pa + 1) - lnG(n + pb + 1)].
+Constant mass: P_n = Laguerre L_n^(la)(y), y = c g, h = -y/2, sign (-1)^n
+and log_norm = ((la + 1)/2) ln c + (1/2)[ln 2 + lnG(n + 1) - lnG(n + la + 1)].
+Morse adds -(pb/2) x, or -(la/2) x = -A0 x, to h.  Derivatives up to
+fourth order are assembled analytically, which lets the operator modules
+act on states without any finite differencing.
 
 Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
 """
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,15 +40,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NotApplicableError, ParameterError
 
 LN2 = math.log(2.0)
+
+# set while a parameter map builds a spec, whose angular constant is rarely
+# (half-)integer; the warning is meant for the specs a caller builds
+_mapped = contextvars.ContextVar("mapped", default=False)
 
 
 def _warn_if_not_half_integer(value, name):
     # physically L comes from l + (d-3)/2, hence integer or half-integer;
     # the formulas stay valid for any real value, so only warn
-    if abs(2.0 * value - round(2.0 * value)) > 1e-12:
+    if abs(2.0 * value - round(2.0 * value)) > 1e-12 and not _mapped.get():
         # stacklevel 4 skips this helper, __post_init__ and the generated __init__
         warnings.warn(
             f"{name} = {value} is not integer or half-integer; formulas remain "
@@ -39,8 +62,23 @@ def _warn_if_not_half_integer(value, name):
         )
 
 
+def _mapped_spec(cls, **params):
+    """A spec built by a parameter map, without the half-integer warning."""
+    token = _mapped.set(True)
+    try:
+        return cls(**params)
+    finally:
+        _mapped.reset(token)
+
+
+class _Spec:
+    @property
+    def deformed(self):
+        return self.alpha > 0
+
+
 @dataclass(frozen=True)
-class OscillatorSpec:
+class OscillatorSpec(_Spec):
     """Radial harmonic oscillator: frequency omega, grand angular momentum L."""
 
     omega: float
@@ -59,10 +97,6 @@ class OscillatorSpec:
     family = "ho"
 
     @property
-    def deformed(self):
-        return self.alpha > 0
-
-    @property
     def delta(self):
         """sqrt(omega^2 + alpha^2)."""
         return math.hypot(self.omega, self.alpha)
@@ -74,7 +108,7 @@ class OscillatorSpec:
 
 
 @dataclass(frozen=True)
-class MorseSpec:
+class MorseSpec(_Spec):
     """Morse family: base well depth parameter A0 and range parameter B."""
 
     A0: float
@@ -96,10 +130,6 @@ class MorseSpec:
             )
 
     family = "morse"
-
-    @property
-    def deformed(self):
-        return self.alpha > 0
 
     @property
     def delta(self):
@@ -127,7 +157,7 @@ class MorseSpec:
 
 
 @dataclass(frozen=True)
-class CoulombSpec:
+class CoulombSpec(_Spec):
     """Radial Coulomb family: angular constant Lcal and base charge Z0."""
 
     Lcal: float
@@ -151,10 +181,6 @@ class CoulombSpec:
     family = "coulomb"
 
     @property
-    def deformed(self):
-        return self.alpha > 0
-
-    @property
     def lam_abs(self):
         """Z0 / (Lcal + 1), the Morse-side scale of the family."""
         return self.Z0 / (self.Lcal + 1.0)
@@ -175,18 +201,88 @@ class CoulombSpec:
         return -self.sqrt_energy**2
 
 
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+def _g_morse(p):
+    e = np.exp(-p)
+    return (e, -e, e, -e, e)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What differs between the three families; see the module docstring."""
+
+    domain: tuple  # open coordinate interval
+    spacing: object  # np.linspace on the line, np.geomspace on a half-line
+    probe: tuple  # interval scanned for where a state lives
+    g: object  # q -> (g, g', g'', g''', g''''), with f = 1 + alpha g
+    power: object  # spec -> exponent m of the coordinate power q^m
+    linear: bool  # Morse: h carries -(pb/2) x, or -(la/2) x
+    jacobi: object  # deformed spec -> (pa, pb)
+    laguerre: object  # constant-mass spec -> (la, c)
+
+
+FAMILIES = {
+    "ho": Family(
+        domain=(0.0, math.inf),
+        spacing=np.geomspace,
+        probe=(1e-6, 1e6),
+        g=lambda p: (p * p, 2.0 * p, 2.0 + 0.0 * p, 0.0 * p, 0.0 * p),
+        power=lambda s: s.L + 1.0,
+        linear=False,
+        jacobi=lambda s: (s.lam / s.alpha - 0.5, s.L + 0.5),
+        laguerre=lambda s: (s.L + 0.5, 0.5 * s.omega),
+    ),
+    "morse": Family(
+        domain=(-math.inf, math.inf),
+        spacing=np.linspace,
+        probe=(-80.0, 300.0),
+        g=_g_morse,
+        power=lambda s: 0.0,
+        linear=True,
+        jacobi=lambda s: (2.0 * s.lam_abs / s.alpha - 1.0, 2.0 * s.sqrt_eps),
+        laguerre=lambda s: (2.0 * s.A0, 2.0 * s.B),
+    ),
+    "coulomb": Family(
+        domain=(0.0, math.inf),
+        spacing=np.geomspace,
+        probe=(1e-6, 1e6),
+        g=lambda p: (p, 1.0 + 0.0 * p, 0.0 * p, 0.0 * p, 0.0 * p),
+        power=lambda s: s.Lcal + 1.0,
+        linear=False,
+        jacobi=lambda s: (2.0 * s.sqrt_energy / s.alpha, 2.0 * s.Lcal + 1.0),
+        laguerre=lambda s: (2.0 * s.Lcal + 1.0, 2.0 * s.lam_abs),
+    ),
+}
+
+
+def jacobi_params(spec):
+    """Jacobi parameters (pa, pb) of a deformed spec."""
+    if not spec.deformed:
+        raise NotApplicableError("defined only for deformed families (alpha > 0)")
+    return FAMILIES[spec.family].jacobi(spec)
+
+
+def laguerre_params(spec):
+    """Laguerre parameter la and argument scale c (y = c g) at constant mass."""
+    if spec.deformed:
+        raise NotApplicableError("defined only for constant mass (alpha = 0)")
+    return FAMILIES[spec.family].laguerre(spec)
+
+
 def domain(spec):
     """Coordinate interval of the family (open endpoints)."""
-    if spec.family == "morse":
-        return (-math.inf, math.inf)
-    return (0.0, math.inf)
+    return FAMILIES[spec.family].domain
 
 
 def check_point(spec, point):
-    """Raise DomainError if any evaluation point leaves the open domain."""
+    """Raise DomainError if any evaluation point is NaN or leaves the open domain."""
     lo, hi = domain(spec)
     p = np.asarray(point, dtype=float)
-    if np.any(p <= lo) or np.any(p >= hi):
+    if not np.all((p > lo) & (p < hi)):
         raise DomainError(f"point {point!r} outside open domain ({lo}, {hi})")
 
 
@@ -235,30 +331,17 @@ def energy(spec, n):
 
 
 def deforming(spec, point):
-    """Deforming profile f and derivatives (f, f', f'', f''', f'''')."""
+    """Deforming profile f = 1 + alpha g and derivatives (f, f', f'', f''', f'''')."""
     check_point(spec, point)
-    p = np.asarray(point, dtype=float)
+    return _profile(spec, np.asarray(point, dtype=float))
+
+
+def _profile(spec, p):
     a = spec.alpha
-    if spec.family == "ho":
-        return (1.0 + a * p * p, 2.0 * a * p, 2.0 * a + 0.0 * p, 0.0 * p, 0.0 * p)
-    if spec.family == "morse":
-        q = a * np.exp(-p)
-        return (1.0 + q, -q, q, -q, q)
-    return (1.0 + a * p, a + 0.0 * p, 0.0 * p, 0.0 * p, 0.0 * p)
-
-
-def potential_raw(spec, n, point):
-    """Potential of the n-th member Hamiltonian (no deformation correction)."""
-    check_point(spec, point)
-    p = np.asarray(point, dtype=float)
-    if spec.family == "ho":
-        return spec.L * (spec.L + 1.0) / (p * p) + 0.25 * spec.omega**2 * p * p
-    if spec.family == "morse":
-        q = np.exp(-p)
-        A_n = member_coupling(spec, n)
-        return spec.B**2 * q * q - spec.B * (2.0 * A_n + 1.0) * q
-    Z_n = member_coupling(spec, n)
-    return spec.Lcal * (spec.Lcal + 1.0) / (p * p) - 2.0 * Z_n / p
+    if a == 0.0:  # f = 1 exactly, also where g overflows
+        return (np.ones_like(p),) + (np.zeros_like(p),) * 4
+    g = FAMILIES[spec.family].g(p)
+    return (1.0 + a * g[0],) + tuple(a * gk for gk in g[1:])
 
 
 def mass_and_potential(spec, n, point):
@@ -296,279 +379,120 @@ def mass_and_potential(spec, n, point):
 # ---------------------------------------------------------------------------
 
 
-def _log_derivs(f_stack):
-    """Derivatives 1..4 of ln f from the stack (f, f', f'', f''', f'''')."""
-    f0, f1, f2, f3, f4 = f_stack
-    w1 = f1 / f0
-    w2 = f2 / f0 - w1 * w1
-    w3 = f3 / f0 - 3.0 * f1 * f2 / f0**2 + 2.0 * w1**3
-    w4 = (
-        f4 / f0
-        - (4.0 * f1 * f3 + 3.0 * f2 * f2) / f0**2
-        + 12.0 * f1 * f1 * f2 / f0**3
-        - 6.0 * w1**4
-    )
-    return w1, w2, w3, w4
+def _log_derivs(f, r, order):
+    """Derivatives 0..order of ln f from the stack (f, f', ..., f'''') and r = 1/f."""
+    out = [np.log(f[0])]
+    if order >= 1:
+        a1 = f[1] * r
+        out.append(a1)
+    if order >= 2:
+        a2, s = f[2] * r, a1 * a1
+        out.append(a2 - s)
+    if order >= 3:
+        a3 = f[3] * r
+        out.append(a3 - 3.0 * a1 * a2 + 2.0 * a1 * s)
+    if order >= 4:
+        out.append(f[4] * r - 4.0 * a1 * a3 - 3.0 * a2 * a2 + 12.0 * s * a2 - 6.0 * s * s)
+    return out
 
 
-def _inv_derivs(f_stack):
-    """Derivatives 1..4 of 1/f from the stack (f, f', f'', f''', f'''')."""
-    f0, f1, f2, f3, f4 = f_stack
-    v1 = -f1 / f0**2
-    v2 = 2.0 * f1 * f1 / f0**3 - f2 / f0**2
-    v3 = -6.0 * f1**3 / f0**4 + 6.0 * f1 * f2 / f0**3 - f3 / f0**2
-    v4 = (
-        24.0 * f1**4 / f0**5
-        - 36.0 * f1 * f1 * f2 / f0**4
-        + (6.0 * f2 * f2 + 8.0 * f1 * f3) / f0**3
-        - f4 / f0**2
-    )
-    return v1, v2, v3, v4
+def _chain(outer, inner, order):
+    """Derivatives 0..order of F(y(q)) by the Faa di Bruno formula.
+
+    ``outer`` holds F, F', ... taken at y(q) and ``inner`` holds y, y', ...
+    (inner[0] is not used).  With outer all ones the k-th entry is
+    (d/dq)^k e^y divided by e^y.
+    """
+    out = [outer[0]]
+    if order >= 1:
+        y1 = inner[1]
+        out.append(outer[1] * y1)
+    if order >= 2:
+        y2, s = inner[2], y1 * y1
+        out.append(outer[1] * y2 + outer[2] * s)
+    if order >= 3:
+        y3 = inner[3]
+        out.append(outer[1] * y3 + 3.0 * outer[2] * y1 * y2 + outer[3] * s * y1)
+    if order >= 4:
+        out.append(
+            outer[1] * inner[4]
+            + outer[2] * (4.0 * y1 * y3 + 3.0 * y2 * y2)
+            + 6.0 * outer[3] * s * y2
+            + outer[4] * s * s
+        )
+    return out
 
 
-class _StateParts:
-    """Pieces of the closed form sign * p^power * exp(log_norm + h(p)) * P(y(p)).
+class _ClosedForm:
+    """The template sign * q^power * exp(log_norm + h(q)) * P_n(y(q)) of one state.
 
-    The coordinate power is kept out of the exponent: its derivatives are
-    exact falling factorials, which avoids catastrophic cancellation of
+    The coordinate power is kept out of h: its derivatives are exact
+    falling factorials, which avoids catastrophic cancellation of
     1/p^2-sized terms near the origin in high-order derivatives.
     """
 
-    def __init__(
-        self, log_norm, sign, power, h_derivs, y_derivs, poly_derivs, poly_log_bound
-    ):
-        self.log_norm = log_norm
-        self.sign = sign
-        self.power = power  # exponent of the leading coordinate power
-        self.h_derivs = h_derivs  # point -> [h, h', h'', h''', h'''']
-        self.y_derivs = y_derivs  # point -> [y, y', y'', y''', y'''']
-        self.poly_derivs = poly_derivs  # (y, kmax) -> [P, P', ... P^(kmax)]
-        self.poly_log_bound = poly_log_bound  # |y| -> log bound on |P^(k)|
+    def __init__(self, spec, n):
+        fam = FAMILIES[spec.family]
+        lg = specfun.log_gamma
+        self.spec, self.n = spec, n
+        self.power = fam.power(spec)
+        if spec.deformed:
+            pa, pb = self.params = fam.jacobi(spec)
+            self.log_norm = 0.5 * (
+                LN2
+                + (pb + 1.0) * math.log(spec.alpha)
+                + lg(n + 1.0)
+                + math.log(2.0 * n + pa + pb + 1.0)
+                + lg(n + pa + pb + 1.0)
+                - lg(n + pa + 1.0)
+                - lg(n + pb + 1.0)
+            )
+            self.sign = 1.0
+            self.exponent = 0.5 * (pa + pb + 2.0)  # h = -exponent * ln f
+            top = max(pa, pb)
+            self._bound = lg(n + top + 1.0) - lg(n + 1.0) - lg(top + 1.0) + n * LN2 + 150.0
+            slope = 0.5 * pb
+        else:
+            la, c = self.params = fam.laguerre(spec)
+            self.log_norm = 0.5 * (la + 1.0) * math.log(c) + 0.5 * (
+                LN2 + lg(n + 1.0) - lg(n + la + 1.0)
+            )
+            self.sign = -1.0 if n % 2 else 1.0
+            self.exponent = 0.5  # h = -y/2
+            slope = 0.5 * la
+        self.slope = slope if fam.linear else 0.0  # h carries -slope * q
 
+    def h_and_y(self, p, order):
+        """Derivatives 0..order of the exponent h and the polynomial argument y."""
+        if self.spec.deformed:
+            f = _profile(self.spec, p)
+            r = 1.0 / f[0]
+            lf = _log_derivs(f, r, order)
+            # y = t = 1 - 2/f, and 1/f = exp(-ln f)
+            inv = _chain((1.0,) * 5, [None] + [-w for w in lf[1:]], order)
+            y = [1.0 - 2.0 * r] + [-2.0 * r * b for b in inv[1:]]
+        else:
+            g = FAMILIES[self.spec.family].g(p)
+            y = lf = [self.params[1] * gk for gk in g[: order + 1]]
+        h = [-self.exponent * lk for lk in lf]
+        if self.slope:
+            h[0] = h[0] - self.slope * p
+            if order >= 1:
+                h[1] = h[1] - self.slope
+        return h, y
 
-def _ho_parts(spec, n):
-    L, a = spec.L, spec.alpha
-    if a == 0:
-        w = spec.omega
-        log_norm = 0.5 * (L + 1.5) * math.log(0.5 * w) + 0.5 * (
-            LN2 + specfun.log_gamma(n + 1.0) - specfun.log_gamma(n + L + 1.5)
-        )
-        sign = -1.0 if n % 2 else 1.0
+    def poly(self, y, order):
+        """P_n and its derivatives up to order at y."""
+        if self.spec.deformed:
+            return specfun.jacobi_derivs(self.n, *self.params, y, order)
+        return specfun.laguerre_derivs(self.n, self.params[0], y, order)
 
-        def h_derivs(p):
-            z = np.zeros_like(p)
-            return [-0.25 * w * p * p, -0.5 * w * p, -0.5 * w + z, z, z]
+    def log_bound(self, abs_y):
+        """Log bound on |P_n^(k)(y)| for every k <= 4."""
+        if self.spec.deformed:
+            return self._bound
+        return self.n * np.log1p(abs_y) + 150.0
 
-        def y_derivs(p):
-            z = np.zeros_like(p)
-            return [0.5 * w * p * p, w * p, w + z, z, z]
-
-        la = L + 0.5
-        return _StateParts(
-            log_norm,
-            sign,
-            L + 1.0,
-            h_derivs,
-            y_derivs,
-            lambda y, k: specfun.laguerre_derivs(n, la, y, k),
-            lambda ay: n * np.log1p(ay) + 150.0,
-        )
-
-    lam = spec.lam
-    ra = lam / a
-    log_norm = 0.5 * (
-        LN2
-        + (L + 1.5) * math.log(a)
-        + specfun.log_gamma(n + 1.0)
-        + math.log(ra + 2.0 * n + L + 1.0)
-        + specfun.log_gamma(ra + n + L + 1.0)
-        - specfun.log_gamma(ra + n + 0.5)
-        - specfun.log_gamma(n + L + 1.5)
-    )
-    p_exp = 0.5 * (ra + L + 2.0)
-
-    def h_derivs(p):
-        f_stack = deforming(spec, p)
-        w1, w2, w3, w4 = _log_derivs(f_stack)
-        lf = np.log(f_stack[0])
-        return [-p_exp * lf, -p_exp * w1, -p_exp * w2, -p_exp * w3, -p_exp * w4]
-
-    def y_derivs(p):
-        f_stack = deforming(spec, p)
-        t = (a * p * p - 1.0) / f_stack[0]
-        v1, v2, v3, v4 = _inv_derivs(f_stack)
-        return [t, -2.0 * v1, -2.0 * v2, -2.0 * v3, -2.0 * v4]
-
-    pa, pb = ra - 0.5, L + 0.5
-    bound = (
-        specfun.log_gamma(n + max(pa, pb) + 1.0)
-        - specfun.log_gamma(n + 1.0)
-        - specfun.log_gamma(max(pa, pb) + 1.0)
-        + n * LN2
-        + 150.0
-    )
-    return _StateParts(
-        log_norm,
-        1.0,
-        L + 1.0,
-        h_derivs,
-        y_derivs,
-        lambda t, k: specfun.jacobi_derivs(n, pa, pb, t, k),
-        lambda ay: bound + 0.0 * ay,
-    )
-
-
-def _morse_parts(spec, n):
-    a, B = spec.alpha, spec.B
-    if a == 0:
-        A0 = spec.A0
-        log_norm = (A0 + 0.5) * math.log(2.0 * B) + 0.5 * (
-            LN2 + specfun.log_gamma(n + 1.0) - specfun.log_gamma(n + 2.0 * A0 + 1.0)
-        )
-        sign = -1.0 if n % 2 else 1.0
-
-        def h_derivs(p):
-            q = np.exp(-p)
-            return [-A0 * p - B * q, -A0 + B * q, -B * q, B * q, -B * q]
-
-        def y_derivs(p):
-            y = 2.0 * B * np.exp(-p)
-            return [y, -y, y, -y, y]
-
-        la = 2.0 * A0
-        return _StateParts(
-            log_norm,
-            sign,
-            0.0,
-            h_derivs,
-            y_derivs,
-            lambda y, k: specfun.laguerre_derivs(n, la, y, k),
-            lambda ay: n * np.log1p(ay) + 150.0,
-        )
-
-    lam = spec.lam_abs
-    s = spec.sqrt_eps
-    ra2 = 2.0 * lam / a
-    log_norm = 0.5 * (
-        LN2
-        + (2.0 * s + 1.0) * math.log(a)
-        + specfun.log_gamma(n + 1.0)
-        + math.log(ra2 + 2.0 * n + 2.0 * s)
-        + specfun.log_gamma(ra2 + n + 2.0 * s)
-        - specfun.log_gamma(ra2 + n)
-        - specfun.log_gamma(n + 2.0 * s + 1.0)
-    )
-    p_exp = lam / a + s + 0.5
-
-    def h_derivs(p):
-        f_stack = deforming(spec, p)
-        w1, w2, w3, w4 = _log_derivs(f_stack)
-        return [
-            -s * p - p_exp * np.log(f_stack[0]),
-            -s - p_exp * w1,
-            -p_exp * w2,
-            -p_exp * w3,
-            -p_exp * w4,
-        ]
-
-    def y_derivs(p):
-        f_stack = deforming(spec, p)
-        t = (a * np.exp(-p) - 1.0) / f_stack[0]
-        v1, v2, v3, v4 = _inv_derivs(f_stack)
-        return [t, -2.0 * v1, -2.0 * v2, -2.0 * v3, -2.0 * v4]
-
-    pa, pb = ra2 - 1.0, 2.0 * s
-    bound = (
-        specfun.log_gamma(n + max(pa, pb) + 1.0)
-        - specfun.log_gamma(n + 1.0)
-        - specfun.log_gamma(max(pa, pb) + 1.0)
-        + n * LN2
-        + 150.0
-    )
-    return _StateParts(
-        log_norm,
-        1.0,
-        0.0,
-        h_derivs,
-        y_derivs,
-        lambda t, k: specfun.jacobi_derivs(n, pa, pb, t, k),
-        lambda ay: bound + 0.0 * ay,
-    )
-
-
-def _coulomb_parts(spec, n):
-    a, Lc = spec.alpha, spec.Lcal
-    if a == 0:
-        beta = spec.Z0 / (Lc + 1.0)  # Z_n / (n+Lcal+1) is n-independent
-        log_norm = (Lc + 1.0) * math.log(2.0 * beta) + 0.5 * (
-            LN2 + specfun.log_gamma(n + 1.0) - specfun.log_gamma(n + 2.0 * Lc + 2.0)
-        )
-        sign = -1.0 if n % 2 else 1.0
-
-        def h_derivs(p):
-            z = np.zeros_like(p)
-            return [-beta * p, -beta + z, z, z, z]
-
-        def y_derivs(p):
-            z = np.zeros_like(p)
-            return [2.0 * beta * p, 2.0 * beta + z, z, z, z]
-
-        la = 2.0 * Lc + 1.0
-        return _StateParts(
-            log_norm,
-            sign,
-            Lc + 1.0,
-            h_derivs,
-            y_derivs,
-            lambda y, k: specfun.laguerre_derivs(n, la, y, k),
-            lambda ay: n * np.log1p(ay) + 150.0,
-        )
-
-    s = spec.sqrt_energy
-    ra2 = 2.0 * s / a
-    log_norm = 0.5 * (
-        LN2
-        + (2.0 * Lc + 2.0) * math.log(a)
-        + specfun.log_gamma(n + 1.0)
-        + math.log(ra2 + 2.0 * n + 2.0 * Lc + 2.0)
-        + specfun.log_gamma(ra2 + n + 2.0 * Lc + 2.0)
-        - specfun.log_gamma(ra2 + n + 1.0)
-        - specfun.log_gamma(n + 2.0 * Lc + 2.0)
-    )
-    p_exp = s / a + Lc + 1.5
-
-    def h_derivs(p):
-        f_stack = deforming(spec, p)
-        w1, w2, w3, w4 = _log_derivs(f_stack)
-        lf = np.log(f_stack[0])
-        return [-p_exp * lf, -p_exp * w1, -p_exp * w2, -p_exp * w3, -p_exp * w4]
-
-    def y_derivs(p):
-        f_stack = deforming(spec, p)
-        t = (a * p - 1.0) / f_stack[0]
-        v1, v2, v3, v4 = _inv_derivs(f_stack)
-        return [t, -2.0 * v1, -2.0 * v2, -2.0 * v3, -2.0 * v4]
-
-    pa, pb = ra2, 2.0 * Lc + 1.0
-    bound = (
-        specfun.log_gamma(n + max(pa, pb) + 1.0)
-        - specfun.log_gamma(n + 1.0)
-        - specfun.log_gamma(max(pa, pb) + 1.0)
-        + n * LN2
-        + 150.0
-    )
-    return _StateParts(
-        log_norm,
-        1.0,
-        Lc + 1.0,
-        h_derivs,
-        y_derivs,
-        lambda t, k: specfun.jacobi_derivs(n, pa, pb, t, k),
-        lambda ay: bound + 0.0 * ay,
-    )
-
-
-_PARTS = {"ho": _ho_parts, "morse": _morse_parts, "coulomb": _coulomb_parts}
 
 _BINOM = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
 
@@ -593,7 +517,7 @@ class BoundState:
         self.mass_kind = "pdm" if spec.deformed else "constant"
         self.n = int(n)
         self.energy = energy(spec, n)
-        self._parts = _PARTS[spec.family](spec, n)
+        self._parts = _ClosedForm(spec, n)
         self.norm_coeff = self._parts.sign * math.exp(self._parts.log_norm)
         self.domain = domain(spec)
 
@@ -605,70 +529,43 @@ class BoundState:
         p = np.asarray(point, dtype=float)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
-        parts = self._parts
-        m = parts.power
+        form = self._parts
+        m = form.power
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            h = parts.h_derivs(p)
-            y = parts.y_derivs(p)
-            log_amp = parts.log_norm + h[0]
+            h, y = form.h_and_y(p, order)
+            lead = log_amp = form.log_norm + h[0]
             if m != 0.0:
-                log_amp = log_amp + m * np.log(p)
-            dead = log_amp + parts.poly_log_bound(np.abs(y[0])) < -745.0
-            y0 = np.where(dead, 0.0 * y[0], y[0])
-            poly = parts.poly_derivs(y0, order)
-            u = [parts.sign * np.exp(parts.log_norm + h[0])]
-            if order >= 1:
-                u.append(h[1] * u[0])
-            if order >= 2:
-                u.append((h[2] + h[1] ** 2) * u[0])
-            if order >= 3:
-                u.append((h[3] + 3.0 * h[1] * h[2] + h[1] ** 3) * u[0])
-            if order >= 4:
-                u.append(
-                    (
-                        h[4]
-                        + 4.0 * h[1] * h[3]
-                        + 3.0 * h[2] ** 2
-                        + 6.0 * h[1] ** 2 * h[2]
-                        + h[1] ** 4
-                    )
-                    * u[0]
-                )
-            q = [poly[0]]
-            if order >= 1:
-                q.append(y[1] * poly[1])
-            if order >= 2:
-                q.append(y[2] * poly[1] + y[1] ** 2 * poly[2])
-            if order >= 3:
-                q.append(
-                    y[3] * poly[1] + 3.0 * y[1] * y[2] * poly[2] + y[1] ** 3 * poly[3]
-                )
-            if order >= 4:
-                q.append(
-                    y[4] * poly[1]
-                    + (4.0 * y[1] * y[3] + 3.0 * y[2] ** 2) * poly[2]
-                    + 6.0 * y[1] ** 2 * y[2] * poly[3]
-                    + y[1] ** 4 * poly[4]
-                )
+                log_amp = lead + m * np.log(p)
+                # where p > 1 the power p^m joins the exponent, so that a huge
+                # p^m never meets an underflowed e^h
+                big = p > 1.0
+                lead = np.where(big, log_amp, lead)
+            # a NaN sum means p*p or e^-x overflowed, which sends h to -inf
+            dead = ~(log_amp + form.log_bound(np.abs(y[0])) >= -745.0)
+            poly = form.poly(np.where(dead, 0.0, y[0]), order)
+            u0 = form.sign * np.exp(lead)
+            u = [u0] + [u0 * b for b in _chain((1.0,) * 5, h, order)[1:]]
+            q = _chain(poly, y, order)
             # smooth part G = u * P(y) by Leibniz
-            g_stack = []
-            for k in range(order + 1):
-                g_stack.append(sum(_BINOM[k][j] * u[j] * q[k - j] for j in range(k + 1)))
-            # exact power factor: d^j/dp^j p^m = fall_j p^(m-j)
-            fall = [1.0]
-            for j in range(1, order + 1):
-                fall.append(fall[-1] * (m - (j - 1)))
-            out = []
-            for k in range(order + 1):
-                if m == 0.0:
-                    fk = g_stack[k]
-                else:
-                    fk = sum(
-                        _BINOM[k][j] * fall[j] * p ** (m - j) * g_stack[k - j]
+            out = [
+                sum(_BINOM[k][j] * u[j] * q[k - j] for j in range(k + 1))
+                for k in range(order + 1)
+            ]
+            if m != 0.0:
+                # d^j/dp^j p^m = fall_j p^(m-j), with p^m in u0 where p > 1
+                fall = [1.0]
+                for j in range(1, order + 1):
+                    fall.append(fall[-1] * (m - (j - 1)))
+                pw = [np.where(big, p ** -float(j), p ** (m - j)) for j in range(order + 1)]
+                out = [
+                    sum(
+                        _BINOM[k][j] * fall[j] * pw[j] * out[k - j]
                         for j in range(k + 1)
                         if fall[j] != 0.0
                     )
-                out.append(np.where(dead, 0.0, fk))
+                    for k in range(order + 1)
+                ]
+            out = [np.where(dead, 0.0, o) for o in out]
         if scalar:
             return tuple(float(o[0]) for o in out)
         return tuple(out)

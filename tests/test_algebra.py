@@ -172,6 +172,40 @@ def test_pct_invariance_of_deformed_data():
                 )
 
 
+def _algebra_data(gs):
+    uni = algebra.unirrep(gs)
+    data = [uni.k, uni.casimir] + [uni.mu_of_n(n) for n in range(6)]
+    data += [algebra.ladder_coefficient(gs, n, d) for n in range(6) for d in ("plus", "minus")]
+    if gs.deformed:
+        data += [algebra.delta_spectrum(gs).delta_of_n(n) for n in range(6)]
+    return data
+
+
+@pytest.mark.parametrize("pa, pb", [(2.3, 2.0), (7.7, 4.0)])
+def test_equal_polynomial_parameters_give_one_algebra(pa, pb):
+    # the oscillator's spectrum-generating algebra and the Morse and Coulomb
+    # potential algebras coincide at equal Jacobi parameters (pa, pb) of the
+    # deformed states, and at equal Laguerre parameter la = pb at alpha = 0
+    a = 0.5
+    lam = 0.5 * a * (pa + 1.0)  # |lam_M|, and Z0/(Lcal+1) on the Coulomb side
+    b = 0.5 * a * math.sqrt(pa * pa - 1.0)
+    deformed = (
+        systems.OscillatorSpec(a * math.sqrt(4.0 * pa * pa - 1.0), pb - 0.5, a),
+        systems.MorseSpec(0.5 * ((pb + 1.0) * lam / b - 1.0), b, a),
+        systems.CoulombSpec(0.5 * (pb - 1.0), 0.5 * (pb + 1.0) * lam, a),
+    )
+    constant = (
+        systems.OscillatorSpec(1.7, pb - 0.5),
+        systems.MorseSpec(0.5 * pb, 0.6),
+        systems.CoulombSpec(0.5 * (pb - 1.0), 2.2),
+    )
+    for specs in (deformed, constant):
+        ref = _algebra_data(algebra.generator_set(specs[0]))
+        for spec in specs[1:]:
+            data = _algebra_data(algebra.generator_set(spec))
+            assert data == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+
 def test_delta_examples_and_routes():
     gs = algebra.generator_set(PDM_HO)
     assert algebra.delta_eigenvalue(gs, 0) == pytest.approx(2.5, abs=1e-12)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su11pct import measures, pct, systems
+from su11pct import measures, operators, pct, systems
 from su11pct.errors import DomainError, ParameterError
 
 from conftest import CONSTANT_SPECS
@@ -107,7 +107,7 @@ def test_polynomial_factor_trivial_at_n0(family_spec):
     st = systems.bound_state(family_spec, 0)
     parts = st._parts
     p = 1.3
-    expected = st.norm_coeff * math.exp(parts.h_derivs(np.asarray(p))[0]) * p**parts.power
+    expected = st.norm_coeff * math.exp(parts.h_and_y(np.asarray(p), 0)[0][0]) * p**parts.power
     assert st(p) == pytest.approx(float(expected), rel=1e-13)
 
 
@@ -122,14 +122,17 @@ def test_sign_convention_alternates_for_constant_mass():
 
 def test_state_decays_at_boundaries(family_spec):
     st = systems.bound_state(family_spec, 5)
+    # the last two far points lie past the overflow of p*p or e^-x
     if family_spec.family == "morse":
-        far = np.array([-35.0, 250.0])
+        far = np.array([-35.0, 250.0, -720.0, -1e4])
         bulk = np.linspace(-5.0, 25.0, 200)
     else:
-        far = np.array([1e-12, 1e7])
+        far = np.array([1e-12, 1e7, 1e155, 1e300])
         bulk = np.linspace(0.5, 20.0, 200)
     peak = np.max(np.abs(st(bulk)))
     assert np.all(np.abs(st(far)) < 1e-10 * peak)
+    for order in (2, 4):
+        assert all(np.all(d == 0.0) for d in st.derivs(far[2:], order))
 
 
 def test_state_derivatives_match_finite_differences(family_spec):
@@ -178,6 +181,16 @@ def test_mass_and_potential_domain_error():
         systems.mass_and_potential(systems.OscillatorSpec(1.0, 0.0), 0, -1.0)
     with pytest.raises(DomainError):
         systems.bound_state(systems.CoulombSpec(0.0, 1.0), 0).derivs(0.0)
+
+
+def test_nan_point_raises_domain_error(family_spec):
+    st = systems.bound_state(family_spec, 1)
+    with pytest.raises(DomainError):
+        st(math.nan)
+    with pytest.raises(DomainError):
+        st.derivs(np.array([1.0, math.nan]))
+    with pytest.raises(DomainError):
+        operators.eigen_residual(family_spec, 1, np.array([1.0, math.nan, 2.0]))
 
 
 def test_member_couplings():
