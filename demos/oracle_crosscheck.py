@@ -2,7 +2,8 @@
 
 An independent flux-form discretization with Sturm bisection reproduces
 the analytic levels of all six Hamiltonian types and converges at second
-order (Richardson ratio near 4).
+order (Richardson ratio near 4).  The deformed half-line problems run on
+their default grids, uniform in u = ln q, whose node counts are printed.
 
 Run: python demos/oracle_crosscheck.py
 """
@@ -15,7 +16,7 @@ from su11pct import oracle, systems
 def compare(label, spec, closed, grid, k):
     dh = oracle.discretize(spec, 0, grid)
     numeric = oracle.lowest_eigenvalues(dh, k, 1e-9)
-    print(f"== {label} ==")
+    print(f"== {label}: {grid.count} nodes, {grid.spacing.__name__} ==")
     for n, (num, ref) in enumerate(zip(numeric, closed)):
         print(f"  level {n}: closed {ref:+.6f}, grid {num:+.6f}, diff {abs(num - ref):.1e}")
 
@@ -35,18 +36,14 @@ def main():
         oracle.GridSpec(-6.0, 25.0, 4000),
         3,
     )
-    compare(
-        "deformed oscillator (alpha=1)",
-        systems.OscillatorSpec(math.sqrt(3.0), 0.0, 1.0),
-        [5.5, 19.5],
-        oracle.GridSpec(1e-6, 250.0, 30000),
-        2,
-    )
+    ho = systems.OscillatorSpec(math.sqrt(3.0), 0.0, 1.0)
+    compare("deformed oscillator (alpha=1)", ho, [5.5, 19.5], oracle.default_grid(ho, k=2), 2)
+    coulomb = systems.CoulombSpec(0.0, 1.0, 0.1)
     compare(
         "deformed Coulomb well (alpha=0.1)",
-        systems.CoulombSpec(0.0, 1.0, 0.1),
+        coulomb,
         [e for _, e in systems.spectrum_fixed_potential("coulomb", (1.0, 0.0), 0.1, 3)],
-        oracle.GridSpec(1e-6, 200.0, 48000),
+        oracle.default_grid(coulomb, k=3),
         3,
     )
 

@@ -67,15 +67,6 @@ class GeneratorSet:
         return self.spec.deformed
 
     @property
-    def lam(self):
-        """Realization constant: lam_HO, |lam_M| or sqrt|E| by family."""
-        if self.family == "ho":
-            return self.spec.lam
-        if self.family == "morse":
-            return self.spec.lam_abs
-        return self.spec.sqrt_energy
-
-    @property
     def w_const(self):
         """Structure-relation denominator: alpha (2pa + 1), or 2c at constant mass."""
         if self.deformed:

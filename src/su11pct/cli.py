@@ -95,7 +95,7 @@ def _tols(override):
     return tols
 
 
-def build_report(spec, n_max=5, tol=None, oracle_count=None):
+def build_report(spec, n_max=5, tol=None):
     """Run every verification section against one family spec."""
     tols = _tols(tol)
     deformed = spec.deformed
@@ -159,14 +159,7 @@ def build_report(spec, n_max=5, tol=None, oracle_count=None):
         pass  # no image family (e.g. omega^2 <= 3 alpha^2); nothing to check
 
     oracle_tol = ORACLE_TOL_DEFORMED if deformed else ORACLE_TOL_CONSTANT
-    if oracle_count is None:
-        if spec.family == "ho" and deformed:
-            oracle_count = 30000  # power-law tails need both reach and resolution
-        elif spec.family == "coulomb" or deformed:
-            oracle_count = 16000
-        else:
-            oracle_count = 4000
-    grid = oracle.default_grid(spec, 0, count=oracle_count, k=2)
+    grid = oracle.default_grid(spec, 0, k=2)
     levels = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), 2, 1e-9)
     closed = [e for _, e in _closed_levels(spec, 2)]
     for i, (num, cf) in enumerate(zip(levels, closed)):
@@ -316,9 +309,16 @@ def main(argv=None):
     _add_family_args(p)
     p.add_argument("--nmax", type=int, default=2)
     p.add_argument("--tol", type=float)
-    p.add_argument("--grid-min", type=float)
+    p.add_argument(
+        "--grid-min",
+        type=float,
+        help="grid start; spaced like the family's grids, so on the half-line "
+        "(ho, coulomb) the grid is geometric and needs --grid-min > 0",
+    )
     p.add_argument("--grid-max", type=float)
-    p.add_argument("--grid-count", type=int, default=16000)
+    p.add_argument(
+        "--grid-count", type=int, help=f"nodes (default: the grid's own, or {oracle.COUNT})"
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     args = parser.parse_args(argv)
@@ -431,7 +431,12 @@ def _dispatch(parser, args):
     closed = [e for _, e in _closed_levels(spec, k)]
     k = len(closed)
     if args.grid_min is not None and args.grid_max is not None:
-        grid = oracle.GridSpec(args.grid_min, args.grid_max, args.grid_count)
+        grid = oracle.GridSpec(
+            args.grid_min,
+            args.grid_max,
+            oracle.COUNT if args.grid_count is None else args.grid_count,
+            systems.FAMILIES[spec.family].spacing,
+        )
     else:
         grid = oracle.default_grid(spec, 0, count=args.grid_count, k=k)
     levels = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), k, 1e-9)
@@ -457,7 +462,12 @@ def _dispatch(parser, args):
     payload = {
         "command": "oracle-compare",
         "spec": _spec_echo(spec),
-        "grid": {"q_min": grid.q_min, "q_max": grid.q_max, "count": grid.count},
+        "grid": {
+            "q_min": grid.q_min,
+            "q_max": grid.q_max,
+            "count": grid.count,
+            "spacing": grid.spacing.__name__,
+        },
         "tolerance": tol,
         "levels": entries,
         "overall_pass": ok,

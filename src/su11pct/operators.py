@@ -63,6 +63,20 @@ def zero_function(domain=(-math.inf, math.inf)):
     return SmoothFunction(derivs_fn, domain=domain, max_order=99)
 
 
+def _vanishing_far_out(stack, compute):
+    """compute(), set to 0 wherever every entry of the input stack is exactly 0.
+
+    Far out a coefficient or potential may overflow to inf while the state
+    underflows to 0; the operator's value there is 0, not inf * 0 = NaN.
+    """
+    if np.asarray(stack[0]).all():
+        return compute()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute()
+    zero = np.logical_and.reduce([np.asarray(s) == 0.0 for s in stack])
+    return tuple(np.where(zero, 0.0, v)[()] for v in values)
+
+
 class DiffOperator2:
     """Operator c0(p) + c1(p) d/dp + c2(p) d^2/dp^2 with smooth coefficients.
 
@@ -83,6 +97,9 @@ class DiffOperator2:
 
         def derivs_fn(point, order):
             d = fn.derivs(point, order + self.order)
+            return _vanishing_far_out(d, lambda: leibniz(point, order, d))
+
+        def leibniz(point, order, d):
             c0, c1, c2 = self.coeffs(point, 0)
             out = [c0 * d[0] + c1 * d[1] + (c2 * d[2] if self.order == 2 else 0.0)]
             if order >= 1:
@@ -136,9 +153,13 @@ def apply_hamiltonian(spec, member_n, fn, point):
     Uses the flux form -f^2 d2 - 2 f f' d1 + v_eff * value, which equals
     pi^2 + v_raw pointwise.
     """
-    _, v_eff, f, f1, _ = systems.mass_and_potential(spec, member_n, point)
     v, d1, d2 = fn.derivs(point, 2)
-    return -f * f * d2 - 2.0 * f * f1 * d1 + v_eff * v
+
+    def compute():
+        _, v_eff, f, f1, _ = systems.mass_and_potential(spec, member_n, point)
+        return (-f * f * d2 - 2.0 * f * f1 * d1 + v_eff * v,)
+
+    return _vanishing_far_out((v, d1, d2), compute)[0]
 
 
 def eigen_residual(spec, n, grid):

@@ -128,6 +128,18 @@ def test_oracle_compare(capsys):
     assert [lev["closed_form"] for lev in payload["levels"]] == [-6.25, -2.25, -0.25]
 
 
+def test_oracle_compare_deformed_ho_default_grid(capsys):
+    # the battery's deformed oscillator on its default (log) grid
+    code, out = run_cli(
+        capsys, "oracle-compare", "--family", "ho", "--omega", "2", "--L", "0",
+        "--alpha", "1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["overall_pass"] is True
+    assert payload["grid"]["spacing"] == "geomspace"
+
+
 def test_reports_are_byte_stable(capsys):
     args = (
         "verify", "--family", "morse", "--A", "0.25", "--B", "0.25", "--nmax", "2"

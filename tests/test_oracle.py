@@ -69,11 +69,18 @@ def test_deformed_ho_levels():
 
 
 def test_agrees_with_lapack_bisection():
-    spec = systems.MorseSpec(2.5, 1.0)
-    dh = oracle.discretize(spec, 0, oracle.GridSpec(-6.0, 25.0, 2000))
-    mine = oracle.lowest_eigenvalues(dh, 5, 1e-11)
-    ref = eigvalsh_tridiagonal(dh.diag, dh.offdiag, select="i", select_range=(0, 4))
-    assert np.max(np.abs(np.asarray(mine) - ref)) < 1e-9
+    morse = systems.MorseSpec(2.5, 1.0)
+    ho = systems.OscillatorSpec(2.0, 0.0, 1.0)  # the battery's, on its log grid
+    cases = [
+        (oracle.discretize(morse, 0, oracle.GridSpec(-6.0, 25.0, 2000)), 0.0),
+        (oracle.discretize(ho, 0, oracle.default_grid(ho, 0, k=2)), 1e-12),
+    ]
+    for dh, tol in cases:
+        mine = oracle.lowest_eigenvalues(dh, 5, 1e-11)
+        ref = eigvalsh_tridiagonal(
+            dh.diag, dh.offdiag, select="i", select_range=(0, 4), tol=tol
+        )
+        assert np.max(np.abs(np.asarray(mine) - ref)) < 1e-9
 
 
 def test_eigenvalue_parameter_validation():
@@ -88,15 +95,22 @@ def test_eigenvalue_parameter_validation():
 
 
 def test_richardson_consistency():
-    # halving h shrinks the eigenvalue error by about 4 (second order)
-    spec = systems.OscillatorSpec(1.0, 0.0)
-    base = oracle.GridSpec(1e-4, 20.0, 1000)
-    es = [
-        oracle.lowest_eigenvalues(oracle.discretize(spec, 0, g), 1, 1e-11)[0]
-        for g in (base, base.refined(2), base.refined(4))
+    # halving h shrinks the eigenvalue error by about 4 (second order); on a
+    # log grid h is the step in u = ln q
+    cases = [
+        (systems.OscillatorSpec(1.0, 0.0), oracle.GridSpec(1e-4, 20.0, 1000)),
+        (systems.OscillatorSpec(1.0, 0.0), oracle.GridSpec(1e-6, 20.0, 1000, np.geomspace)),
+        (systems.OscillatorSpec(2.0, 0.0, 1.0), oracle.GridSpec(1e-6, 2000.0, 1000, np.geomspace)),
+        (systems.CoulombSpec(0.0, 1.0), oracle.GridSpec(1e-6, 80.0, 1000, np.geomspace)),
+        (systems.CoulombSpec(0.0, 1.0, 0.1), oracle.GridSpec(1e-6, 400.0, 1000, np.geomspace)),
     ]
-    ratio = (es[0] - es[1]) / (es[1] - es[2])
-    assert 3.5 <= ratio <= 4.5
+    for spec, base in cases:
+        es = [
+            oracle.lowest_eigenvalues(oracle.discretize(spec, 0, g), 1, 1e-11)[0]
+            for g in (base, base.refined(2), base.refined(4))
+        ]
+        ratio = (es[0] - es[1]) / (es[1] - es[2])
+        assert 3.5 <= ratio <= 4.5
 
 
 def test_negative_count_matches_fixed_spectrum_rule():
@@ -109,13 +123,35 @@ def test_negative_count_matches_fixed_spectrum_rule():
 
 
 def test_default_grids_resolve_levels():
+    ho_deformed = systems.OscillatorSpec(2.0, 0.0, 1.0)
+    ho_wide = systems.OscillatorSpec(2.8427943229860078, 2.5)
+    ho_steep = systems.OscillatorSpec(30.0, 0.0)
+    morse_shallow = systems.MorseSpec(
+        1.7879471812773302, 0.9351256626414769, 0.5276832706724102
+    )
     cases = [
         (systems.OscillatorSpec(1.0, 0.0), [1.5, 3.5], 4000, 5e-4),
         (systems.MorseSpec(2.5, 1.0), [-6.25, -2.25], 4000, 5e-4),
         (systems.CoulombSpec(0.0, 1.0), [-1.0, -0.25], 16000, 5e-4),
+        # below: the grid's own node count, k = len(refs)
+        (ho_deformed, [systems.energy(ho_deformed, n) for n in range(3)], None, 2e-3),
+        (ho_wide, [systems.energy(ho_wide, n) for n in range(3)], None, 5e-4),
+        # compact states: the grid starts and steps in the state's own length
+        (ho_steep, [systems.energy(ho_steep, n) for n in range(3)], None, 5e-4),
+        (systems.CoulombSpec(1.0, 30.0), [-225.0, -100.0, -56.25], None, 5e-4),
+        (systems.CoulombSpec(3.0, 50.0), [-156.25, -100.0, -625.0 / 9.0], None, 5e-4),
+        (systems.CoulombSpec(0.0, 30.0), [-900.0, -225.0, -100.0], None, 5e-4),
+        (
+            morse_shallow,
+            [e for _, e in systems.spectrum_fixed_potential(
+                "morse", (morse_shallow.A0, morse_shallow.B), morse_shallow.alpha, 2
+            )],
+            None,
+            2e-3,
+        ),
     ]
     for spec, refs, count, tol in cases:
-        grid = oracle.default_grid(spec, 0, count=count, k=2)
-        ev = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), 2, 1e-9)
+        grid = oracle.default_grid(spec, 0, count=count, k=len(refs))
+        ev = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), len(refs), 1e-9)
         for e, ref in zip(ev, refs):
             assert abs(e - ref) < tol
