@@ -34,7 +34,7 @@ def main():
     x = np.linspace(-6.0, 20.0, 200)
     for n in range(3):
         st = systems.bound_state(ho, n)
-        mapped = pct.map_state(pct.ho_to_morse_map(), st)
+        mapped = pct.map_state(pct.mapping("ho", "morse"), st)
         direct = systems.bound_state(morse, n)
         print(f"  n={n}: max |mapped - direct| = {np.max(np.abs(mapped(x) - direct(x))):.2e}")
 
@@ -42,7 +42,7 @@ def main():
     gs_ho = algebra.generator_set(ho)
     gs_mo = algebra.generator_set(morse)
     st = systems.bound_state(ho, 2)
-    mapped = pct.map_state(pct.ho_to_morse_map(), st)
+    mapped = pct.map_state(pct.mapping("ho", "morse"), st)
     xg = np.linspace(-5.0, 12.0, 100)
     for which in ("zero", "plus", "minus"):
         lhs = algebra.apply_generator_fn(gs_mo, which, mapped, 2)(xg)
@@ -52,8 +52,10 @@ def main():
     print("\nthe composed oscillator -> Coulomb map equals the two-step chain:")
     r_grid = np.geomspace(0.05, 30.0, 120)
     st = systems.bound_state(ho, 1)
-    one = pct.map_state(pct.ho_to_coulomb_map(), st)
-    two = pct.map_state(pct.morse_to_coulomb_map(), pct.map_state(pct.ho_to_morse_map(), st))
+    one = pct.map_state(pct.mapping("ho", "coulomb"), st)
+    two = pct.map_state(
+        pct.mapping("morse", "coulomb"), pct.map_state(pct.mapping("ho", "morse"), st)
+    )
     print(f"  max difference: {np.max(np.abs(one(r_grid) - two(r_grid))):.2e}")
 
 

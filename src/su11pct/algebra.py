@@ -19,12 +19,16 @@ With d = 2pa + 1 and c-(n) = c+(n - 1) throughout:
     constant mass: k = (la + 1)/2,  mu_n = n + k,  Casimir = k (k - 1),
     c+(n) = sqrt((n + 1)(n + la + 1)).
 
-The deformed shift core is A_[+-] = c0 + c1 d/dq with c1 = -16 alpha g/g'
-and c0 = -8 alpha rho - 4 alpha (1 -+ delta_n) t + 4 alpha (pa^2 - pb^2) /
-(1 +- delta_n), where t = 1 - 2/f and rho = g g''/g'^2 is 1/2, 1 or 0 for
-g = r^2, e^-x or R.  Coordinate-specific and per family are the gauge and
-inner potential of the zero generator and the constant-mass ladder
-operators.
+The operators are formulas in the coordinate function g of
+``systems.FAMILIES`` (r^2, e^-x or R) and rho = g g''/g'^2, which is
+constant (1/2, 1 or 0) and equals the family's measure exponent sigma.
+The zero generator is (2 g/(w g'^2)) (pi^2 + u - shift), with w the
+structure denominator ``w_const``; only its inner potential u is written
+per family.  The constant-mass ladders are
+K+- = -K0 + (c/2) g -+ ((g/g') d/dq + rho/2), with y = c g the Laguerre
+argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
+c1 = -16 alpha g/g' and c0 = -8 alpha rho - 4 alpha (1 -+ delta_n) t
++ 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.
 
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
@@ -81,10 +85,6 @@ class GeneratorSet:
     @property
     def ladder_pref(self):
         return 1.0 / (8.0 * self.w_const)
-
-    @property
-    def zero_pref(self):
-        return (0.5 if self.family == "ho" else 2.0) / self.w_const
 
     @property
     def shift(self):
@@ -185,27 +185,9 @@ def ladder_coefficient(gs, n, direction):
 # ---------------------------------------------------------------------------
 
 
-def _gauge(gs, p):
-    """Gauge factor of the zero generator with two derivatives."""
-    if gs.family == "ho":
-        return 1.0, 0.0, 0.0
-    if gs.family == "morse":
-        e = np.exp(p)
-        return e, e, e
-    return p, np.ones_like(p), 0.0 * p
-
-
 def _inner_potential(gs, p):
     """Member-free potential inside the zero generator, with derivatives."""
     spec, a = gs.spec, gs.alpha
-    if gs.family == "ho":
-        ll = spec.L * (spec.L + 1.0)
-        w2 = spec.omega**2
-        return (
-            ll / p**2 + 0.25 * w2 * p * p,
-            -2.0 * ll / p**3 + 0.5 * w2 * p,
-            6.0 * ll / p**4 + 0.5 * w2,
-        )
     if gs.family == "morse":
         q = np.exp(-p)
         b2 = spec.B**2
@@ -214,21 +196,37 @@ def _inner_potential(gs, p):
             -2.0 * b2 * q * q + 0.125 * a * q,
             4.0 * b2 * q * q - 0.125 * a * q,
         )
+    # inverse powers as left-to-right products: cheaper than numpy's p**k,
+    # and a zero coefficient stays 0 where 1/p^k overflows
+    i = 1.0 / p
+    if gs.family == "ho":
+        ll = spec.L * (spec.L + 1.0)
+        w2 = spec.omega**2
+        return (
+            ll * i * i + 0.25 * w2 * p * p,
+            -2.0 * ll * i * i * i + 0.5 * w2 * p,
+            6.0 * ll * i * i * i * i + 0.5 * w2,
+        )
     ll = spec.Lcal * (spec.Lcal + 1.0)
     return (
-        ll / p**2 - 0.125 * a / p,
-        -2.0 * ll / p**3 + 0.125 * a / p**2,
-        6.0 * ll / p**4 - 0.25 * a / p**3,
+        ll * i * i - 0.125 * a * i,
+        -2.0 * ll * i * i * i + 0.125 * a * i * i,
+        6.0 * ll * i * i * i * i - 0.25 * a * i * i * i,
     )
 
 
 def _zero_operator(gs):
-    pref, shift = gs.zero_pref, gs.shift
+    w, shift = gs.w_const, gs.shift
+    fam = systems.FAMILIES[gs.family]
+    slope = 2.0 * (1.0 - 2.0 * fam.sigma) / w
 
     def coeffs(p, m):
         p = np.asarray(p, dtype=float)
+        g0, g1, g2 = fam.g(p)[:3]
+        # the gauge times the prefactor, 2 g/(w g'^2), and its derivatives
+        # 2 (1 - 2 rho)/(w g') and -2 (1 - 2 rho) g''/(w g'^2), rho = sigma
+        gauge = (2.0 / w * (g0 / g1) / g1, slope / g1, -slope * (g2 / g1) / g1)
         f0, f1, f2, f3, f4 = systems.deforming(gs.spec, p)
-        g = _gauge(gs, p)
         u = _inner_potential(gs, p)
         # derivatives 0..2 of c0 = -(f f''/2 + f'^2/4) + u - shift,
         # c1 = -2 f f' and c2 = -f^2, whose derivative is c1
@@ -240,9 +238,9 @@ def _zero_operator(gs):
         c1 = (-2.0 * f0 * f1, -2.0 * (f1 * f1 + f0 * f2), -2.0 * (3.0 * f1 * f2 + f0 * f3))
         c2 = (-f0 * f0, c1[0], c1[1])
         binom = ((1.0,), (1.0, 1.0), (1.0, 2.0, 1.0))[m]
-        # m-th derivative of pref * gauge * c by Leibniz
+        # m-th derivative of gauge * c by Leibniz
         return tuple(
-            pref * sum(binom[j] * g[j] * c[m - j] for j in range(m, -1, -1))
+            sum(binom[j] * gauge[j] * c[m - j] for j in range(m, -1, -1))
             for c in (c0, c1, c2)
         )
 
@@ -250,52 +248,21 @@ def _zero_operator(gs):
 
 
 def _const_ladder_operator(gs, direction):
-    spec = gs.spec
+    """K+- = -K0 + (c/2) g -+ ((g/g') d + rho/2) at constant mass, y = c g."""
     sgn = 1.0 if direction == PLUS else -1.0
-    if gs.family == "ho":
-        s = 0.5 / spec.omega
-        ll = spec.L * (spec.L + 1.0)
-        w2 = spec.omega**2
+    fam = systems.FAMILIES[gs.family]
+    half_c = 0.5 * systems.laguerre_params(gs.spec)[1]
+    rho = fam.sigma
+    zero = _zero_operator(gs).coeffs
 
-        def coeffs(p, m):
-            p = np.asarray(p, dtype=float)
-            z = np.zeros_like(p)
-            if m == 0:
-                return (
-                    s * (-ll / p**2 + 0.25 * w2 * p * p) - sgn * 0.25,
-                    -sgn * 0.5 * p,
-                    s + z,
-                )
-            if m == 1:
-                return (s * (2.0 * ll / p**3 + 0.5 * w2 * p), -sgn * 0.5 + z, z)
-            return (s * (-6.0 * ll / p**4 + 0.5 * w2), z, z)
-
-    elif gs.family == "morse":
-        s = 0.5 / spec.B
-        b2, eps = spec.B**2, spec.epsilon
-
-        def coeffs(p, m):
-            p = np.asarray(p, dtype=float)
-            e, q = np.exp(p), np.exp(-p)
-            z = np.zeros_like(p)
-            if m == 0:
-                return (s * (b2 * q + eps * e) - sgn * 0.5, sgn + z, s * e)
-            if m == 1:
-                return (s * (-b2 * q + eps * e), z, s * e)
-            return (s * (b2 * q + eps * e), z, s * e)
-
-    else:
-        s = 0.5 / spec.sqrt_energy
-        ll, en = spec.Lcal * (spec.Lcal + 1.0), spec.energy
-
-        def coeffs(p, m):
-            p = np.asarray(p, dtype=float)
-            z = np.zeros_like(p)
-            if m == 0:
-                return (s * (-ll / p - en * p), -sgn * p, s * p)
-            if m == 1:
-                return (s * (ll / p**2 - en), -sgn + z, s + z)
-            return (-2.0 * s * ll / p**3, z, z)
+    def coeffs(p, m):
+        p = np.asarray(p, dtype=float)
+        k0, k1, k2 = zero(p, m)
+        g = fam.g(p)
+        # derivatives of g/g' are 1 - rho and 0
+        lin = (g[0] / g[1], 1.0 - rho, 0.0)[m]
+        end = sgn * 0.5 * rho if m == 0 else 0.0
+        return (half_c * g[m] - k0 - end, -k1 - sgn * lin, -k2)
 
     return operators.DiffOperator2(coeffs, order=2)
 
@@ -304,9 +271,8 @@ def _shift_core_operator(gs, direction, delta_n, scale=1.0):
     """The first-order core A_[+-] with delta frozen to the input eigenvalue."""
     spec, a = gs.spec, gs.alpha
     sgn = 1.0 if direction == PLUS else -1.0
-    coord = systems.FAMILIES[gs.family].g
-    g1 = coord(np.float64(1.0))
-    rho = float(g1[0] * g1[2] / (g1[1] * g1[1]))  # constant, so g/g' is linear
+    fam = systems.FAMILIES[gs.family]
+    rho = fam.sigma  # g g''/g'^2, constant, so g/g' is linear
     c0_const = -8.0 * a * rho + 4.0 * a * gs.q_const / (1.0 + sgn * delta_n)
     c1_slope = -16.0 * a * (1.0 - rho)
     t_coef = -4.0 * a * (1.0 - sgn * delta_n)
@@ -316,7 +282,7 @@ def _shift_core_operator(gs, direction, delta_n, scale=1.0):
         f = systems.deforming(spec, p)
         z = np.zeros_like(p)
         if m == 0:
-            g = coord(p)
+            g = fam.g(p)
             c0 = c0_const + t_coef * (1.0 - 2.0 / f[0])
             return (scale * c0, scale * (-16.0 * a) * g[0] / g[1], z)
         if m == 1:

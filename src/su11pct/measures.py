@@ -1,6 +1,8 @@
 """Family scalar products and deterministic quadrature.
 
-Each family normalizes its states against a fixed measure:
+Each family normalizes its states against the measure (1/2) g^(sigma-1) dg
+in its coordinate function g (``systems.FAMILIES``: r^2, e^-x, R with
+sigma = 1/2, 1, 0):
 
     oscillator:  integral_0^inf |psi|^2 dr
     Morse:       (1/2) integral_R |phi|^2 e^-x dx
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import systems
 from .errors import ConvergenceError, ParameterError
 
 LOG_SPAN = 38.0
@@ -45,27 +48,35 @@ class Measure:
     transform_id: str = "log"
 
 
-def _ho_weight(p):
-    return np.ones_like(p)
+def _weight(family):
+    """The weight (1/2) g^(sigma-1) |g'| of the family measure in its coordinate."""
+    fam = systems.FAMILIES[family]
+
+    def weight(p):
+        g = fam.g(p)
+        return 0.5 * g[0] ** (fam.sigma - 1.0) * np.abs(g[1])
+
+    return weight
 
 
-def _morse_weight(p):
-    return 0.5 * np.exp(-p)
-
-
-def _coulomb_weight(p):
-    return 0.5 / p
+# one Measure per family, so its quadrature rules are built once
+_MEASURES = {
+    family: Measure(
+        family,
+        fam.domain,
+        _weight(family),
+        "sinh" if fam.domain[0] == -math.inf else "log",
+    )
+    for family, fam in systems.FAMILIES.items()
+}
 
 
 def family_measure(family):
     """The scalar-product measure of a family ('ho', 'morse', 'coulomb')."""
-    if family == "ho":
-        return Measure("ho", (0.0, math.inf), _ho_weight, "log")
-    if family == "morse":
-        return Measure("morse", (-math.inf, math.inf), _morse_weight, "sinh")
-    if family == "coulomb":
-        return Measure("coulomb", (0.0, math.inf), _coulomb_weight, "log")
-    raise ParameterError(f"unknown family {family!r}")
+    try:
+        return _MEASURES[family]
+    except KeyError:
+        raise ParameterError(f"unknown family {family!r}") from None
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,8 @@ def quadrature_rule(measure, level):
     """Midpoint rule with 64 * 2^level nodes on the transformed variable."""
     if not 1 <= level <= MAX_LEVEL:
         raise ParameterError(f"level must be in [1, {MAX_LEVEL}], got {level}")
-    key = (measure.family, measure.transform_id, id(measure.weight), level)
+    # keyed by the measure itself, which keeps its weight function alive
+    key = (measure, level)
     cached = _RULE_CACHE.get(key)
     if cached is not None:
         return cached

@@ -109,7 +109,6 @@ class DiffOperator2:
                     val = val + c2 * d[3]
                 out.append(val)
             if order >= 2:
-                e0, e1, e2 = self.coeffs(point, 1)
                 f0, f1, f2 = self.coeffs(point, 2)
                 val = (
                     f0 * d[0]

@@ -209,10 +209,11 @@ def default_grid(spec, member_n=0, count=None, k=3):
     (oscillator) and R^-(kappa/alpha+1/2) (Coulomb) down to TAIL, and are
     padded by PAD, since a log grid pays only ln(q_max/q_min) for reach.
     ``count`` defaults to COUNT nodes.  A long Morse grid gets as many more
-    as keep its step at MORSE_STEP.  On a half-line grid that scales with
-    l the relative error of a level is scale-free, so its absolute error
-    grows with the energy unit; past LOG_UNIT the count grows as the
-    square root of the unit.
+    as keep its step at MORSE_STEP, or at 0.1/|e_deep| in a deep well,
+    since the error of a level grows as e_deep^2 h^2.  On a half-line grid
+    that scales with l the relative error of a level is scale-free, so its
+    absolute error grows with the energy unit; past LOG_UNIT the count
+    grows as the square root of the unit.
     """
     a = spec.alpha
     if spec.family == "morse":
@@ -237,7 +238,8 @@ def default_grid(spec, member_n=0, count=None, k=3):
             x_min = min(x_min, math.log(a) + math.log(TAIL) / m)
         x_max = 21.0 / math.sqrt(abs(e_shallow)) + math.log(max(q_wall, 2.0))
         if count is None:
-            count = max(COUNT, math.ceil((x_max - x_min) / MORSE_STEP))
+            step = min(MORSE_STEP, 0.1 / abs(e_deep))
+            count = max(COUNT, math.ceil((x_max - x_min) / step))
         return GridSpec(x_min, x_max, count)
     if spec.family == "ho":
         e_top = systems.energy(spec, k + 2)

@@ -7,6 +7,13 @@ functions and parameters:
     Morse -> Coulomb:       e^(-x) = R,    phi(x) = R^(-1/2) chi(R)
     oscillator -> Coulomb:  r = sqrt(R),   psi(r) = R^(-1/4) chi(R)
 
+Each map preserves the coordinate function g of ``systems.FAMILIES``
+(r^2 = e^-x = R), so its coordinate change is c = g_s^-1 . g_t and
+every display above is one formula: psi_s = g_t^((sigma_t - sigma_s)/2)
+psi_t, with sigma the exponent of the family measure (1/2) g^(sigma-1) dg
+(1/2, 1, 0).  That prefactor makes each map unitary between the two
+family measures.
+
 A single source Hamiltonian maps onto a hierarchy of target Hamiltonians
 sharing one fixed energy: the source quantum number n turns into the
 member index of the hierarchy.  Parameter maps are exact closed forms.
@@ -48,96 +55,45 @@ class MappingSpec:
         return self.coord_derivs(point)[0]
 
 
-def ho_to_morse_map():
-    return MappingSpec(
-        "ho",
-        "morse",
-        coord_derivs=lambda x: (
-            np.exp(-0.5 * x),
-            -0.5 * np.exp(-0.5 * x),
-            0.25 * np.exp(-0.5 * x),
-        ),
-        inv_prefactor_derivs=lambda x: (
-            np.exp(0.25 * x),
-            0.25 * np.exp(0.25 * x),
-            0.0625 * np.exp(0.25 * x),
-        ),
-        target_domain=(-math.inf, math.inf),
-    )
-
-
-def morse_to_coulomb_map():
-    return MappingSpec(
-        "morse",
-        "coulomb",
-        coord_derivs=lambda R: (-np.log(R), -1.0 / R, 1.0 / R**2),
-        inv_prefactor_derivs=lambda R: (
-            np.sqrt(R),
-            0.5 / np.sqrt(R),
-            -0.25 * R ** (-1.5),
-        ),
-    )
-
-
-def ho_to_coulomb_map():
-    return MappingSpec(
-        "ho",
-        "coulomb",
-        coord_derivs=lambda R: (np.sqrt(R), 0.5 / np.sqrt(R), -0.25 * R ** (-1.5)),
-        inv_prefactor_derivs=lambda R: (
-            R**0.25,
-            0.25 * R ** (-0.75),
-            -0.1875 * R ** (-1.75),
-        ),
-    )
-
-
-def morse_to_ho_map():
-    """Inverse coordinate/function change of the oscillator -> Morse map."""
-    return MappingSpec(
-        "morse",
-        "ho",
-        coord_derivs=lambda r: (-2.0 * np.log(r), -2.0 / r, 2.0 / r**2),
-        inv_prefactor_derivs=lambda r: (
-            np.sqrt(r),
-            0.5 / np.sqrt(r),
-            -0.25 * r ** (-1.5),
-        ),
-    )
-
-
-def coulomb_to_morse_map():
-    """Inverse coordinate/function change of the Morse -> Coulomb map."""
-    return MappingSpec(
-        "coulomb",
-        "morse",
-        coord_derivs=lambda x: (np.exp(-x), -np.exp(-x), np.exp(-x)),
-        inv_prefactor_derivs=lambda x: (
-            np.exp(0.5 * x),
-            0.5 * np.exp(0.5 * x),
-            0.25 * np.exp(0.5 * x),
-        ),
-        target_domain=(-math.inf, math.inf),
-    )
-
-
-_FORWARD = {
-    ("ho", "morse"): ho_to_morse_map,
-    ("morse", "coulomb"): morse_to_coulomb_map,
-    ("ho", "coulomb"): ho_to_coulomb_map,
-    ("morse", "ho"): morse_to_ho_map,
-    ("coulomb", "morse"): coulomb_to_morse_map,
-}
+# the five offered pairs: the forward maps ho -> morse -> coulomb, their
+# composition and the inverses of the two elementary steps
+_PAIRS = (
+    ("ho", "morse"),
+    ("morse", "coulomb"),
+    ("ho", "coulomb"),
+    ("morse", "ho"),
+    ("coulomb", "morse"),
+)
 
 
 def mapping(source_family, target_family):
-    """MappingSpec between two families (see module docstring for the list)."""
-    try:
-        return _FORWARD[(source_family, target_family)]()
-    except KeyError:
-        raise ParameterError(
-            f"no mapping from {source_family!r} to {target_family!r}"
-        ) from None
+    """MappingSpec between two families (see module docstring for the list).
+
+    Built from the two rows of ``systems.FAMILIES``: the coordinate map
+    c = g_s^-1 . g_t runs through the Morse coordinate x = -ln g_t, so no
+    overflowing g is formed, and the inverse prefactor
+    g_t^((sigma_s - sigma_t)/2) = e^(-(sigma_s - sigma_t) x/2) makes the map
+    unitary between the two family measures.
+    """
+    if (source_family, target_family) not in _PAIRS:
+        raise ParameterError(f"no mapping from {source_family!r} to {target_family!r}")
+    source = systems.FAMILIES[source_family]
+    target = systems.FAMILIES[target_family]
+    k = 0.5 * (source.sigma - target.sigma)
+
+    def coord_derivs(point):
+        x, x1, x2 = target.to_x(point)
+        q, q1, q2 = source.from_x(x)
+        return q, q1 * x1, q2 * x1 * x1 + q1 * x2
+
+    def inv_prefactor_derivs(point):
+        x, x1, x2 = target.to_x(point)
+        p = np.exp(-k * x)
+        return p, -k * x1 * p, (k * k * x1 * x1 - k * x2) * p
+
+    return MappingSpec(
+        source_family, target_family, coord_derivs, inv_prefactor_derivs, target.domain
+    )
 
 
 def map_parameters(source, n, target_family):

@@ -7,6 +7,13 @@ deforming profile f = 1 + alpha g(q) with the coordinate function
 
     g_ho(r) = r^2,  g_m(x) = e^-x,  g_c(R) = R.
 
+g is the oscillator's r^2 in each family's own coordinate, which the
+point canonical transformations preserve; ``FAMILIES`` also holds each
+coordinate as a function of the Morse coordinate x = -ln g
+(r = e^(-x/2), x, R = e^-x) and the exponent sigma (1/2, 1, 0) of the
+family measure (1/2) g^(sigma-1) dg, from which ``measures`` and ``pct``
+build the measures and maps.
+
 Every bound state is one closed form
 
     psi_n(q) = sign * q^m * exp(log_norm + h(q)) * P_n(y(q)),
@@ -211,6 +218,16 @@ def _g_morse(p):
     return (e, -e, e, -e, e)
 
 
+def _exp_derivs(k, x):
+    """e^(k x) and its first two derivatives."""
+    e = np.exp(k * x)
+    return (e, k * e, k * k * e)
+
+
+def _identity(x):
+    return (x, 1.0 + 0.0 * x, 0.0 * x)
+
+
 @dataclass(frozen=True)
 class Family:
     """What differs between the three families; see the module docstring."""
@@ -219,6 +236,9 @@ class Family:
     spacing: object  # np.linspace on the line, np.geomspace on a half-line
     probe: tuple  # interval scanned for where a state lives
     g: object  # q -> (g, g', g'', g''', g''''), with f = 1 + alpha g
+    sigma: float  # measure (1/2) g^(sigma-1) dg; equals g g''/g'^2
+    from_x: object  # Morse coordinate x = -ln g -> (q, dq/dx, d2q/dx2)
+    to_x: object  # q -> (x, dx/dq, d2x/dq2)
     power: object  # spec -> exponent m of the coordinate power q^m
     linear: bool  # Morse: h carries -(pb/2) x, or -(la/2) x
     jacobi: object  # deformed spec -> (pa, pb)
@@ -231,6 +251,9 @@ FAMILIES = {
         spacing=np.geomspace,
         probe=(1e-6, 1e6),
         g=lambda p: (p * p, 2.0 * p, 2.0 + 0.0 * p, 0.0 * p, 0.0 * p),
+        sigma=0.5,
+        from_x=lambda x: _exp_derivs(-0.5, x),  # r = e^(-x/2)
+        to_x=lambda r: (-2.0 * np.log(r), -2.0 / r, 2.0 / (r * r)),
         power=lambda s: s.L + 1.0,
         linear=False,
         jacobi=lambda s: (s.lam / s.alpha - 0.5, s.L + 0.5),
@@ -241,6 +264,9 @@ FAMILIES = {
         spacing=np.linspace,
         probe=(-80.0, 300.0),
         g=_g_morse,
+        sigma=1.0,
+        from_x=_identity,
+        to_x=_identity,
         power=lambda s: 0.0,
         linear=True,
         jacobi=lambda s: (2.0 * s.lam_abs / s.alpha - 1.0, 2.0 * s.sqrt_eps),
@@ -251,6 +277,9 @@ FAMILIES = {
         spacing=np.geomspace,
         probe=(1e-6, 1e6),
         g=lambda p: (p, 1.0 + 0.0 * p, 0.0 * p, 0.0 * p, 0.0 * p),
+        sigma=0.0,
+        from_x=lambda x: _exp_derivs(-1.0, x),  # R = e^-x
+        to_x=lambda R: (-np.log(R), -1.0 / R, 1.0 / (R * R)),
         power=lambda s: s.Lcal + 1.0,
         linear=False,
         jacobi=lambda s: (2.0 * s.sqrt_energy / s.alpha, 2.0 * s.Lcal + 1.0),

@@ -118,13 +118,13 @@ def test_criterion_5_pct_round_trips():
             stm = systems.bound_state(mo, n)
             worst = max(
                 worst,
-                float(np.max(np.abs(pct.map_state(pct.ho_to_morse_map(), st)(x) - stm(x)))),
+                float(np.max(np.abs(pct.map_state(pct.mapping("ho", "morse"), st)(x) - stm(x)))),
                 float(np.max(np.abs(
-                    pct.map_state(pct.morse_to_coulomb_map(), stm)(r_grid)
+                    pct.map_state(pct.mapping("morse", "coulomb"), stm)(r_grid)
                     - systems.bound_state(co, n)(r_grid)
                 ))),
                 float(np.max(np.abs(
-                    pct.map_state(pct.ho_to_coulomb_map(), st)(r_grid)
+                    pct.map_state(pct.mapping("ho", "coulomb"), st)(r_grid)
                     - systems.bound_state(co, n)(r_grid)
                 ))),
             )
@@ -139,8 +139,8 @@ def test_criterion_5_pct_round_trips():
         stm = systems.bound_state(mo, n)
         xg = np.linspace(-6.0, 14.0, 80)
         rg = np.geomspace(0.05, 30.0, 80)
-        mapped = pct.map_state(pct.ho_to_morse_map(), st)
-        mapped_c = pct.map_state(pct.morse_to_coulomb_map(), stm)
+        mapped = pct.map_state(pct.mapping("ho", "morse"), st)
+        mapped_c = pct.map_state(pct.mapping("morse", "coulomb"), stm)
         for which in ("zero", "plus", "minus"):
             lhs = algebra.apply_generator_fn(gs_mo, which, mapped, n)(xg)
             rhs = np.exp(0.25 * xg) * algebra.apply_generator(gs_ho, which, st)(

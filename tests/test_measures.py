@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,16 +98,40 @@ def test_coulomb_measure_integrable_near_half_angular():
 
 
 def test_pushforward_preserves_inner_products():
+    # every offered map is unitary between the two family measures
+    pairs = [
+        ("ho", "morse"),
+        ("morse", "coulomb"),
+        ("ho", "coulomb"),
+        ("morse", "ho"),
+        ("coulomb", "morse"),
+    ]
     for alpha in (0.0, 0.3):
         ho = systems.OscillatorSpec(1.0, 0.0, alpha)
-        st = systems.bound_state(ho, 2)
-        base = measures.inner_product(measures.family_measure("ho"), st, st)
-        as_morse = pct.map_state(pct.ho_to_morse_map(), st)
-        as_coulomb = pct.map_state(pct.ho_to_coulomb_map(), st)
-        m_val = measures.inner_product(measures.family_measure("morse"), as_morse, as_morse)
-        c_val = measures.inner_product(measures.family_measure("coulomb"), as_coulomb, as_coulomb)
-        assert m_val == pytest.approx(base, abs=1e-8)
-        assert c_val == pytest.approx(base, abs=1e-8)
+        mo, _ = pct.map_parameters(ho, 0, "morse")
+        specs = {"ho": ho, "morse": mo, "coulomb": pct.map_parameters(mo, 0, "coulomb")[0]}
+        for source, target in pairs:
+            mapping = pct.mapping(source, target)
+            states = [systems.bound_state(specs[source], n) for n in range(4)]
+            mapped = [pct.map_state(mapping, st) for st in states]
+            src, tgt = measures.family_measure(source), measures.family_measure(target)
+            for i in range(4):
+                for j in range(i, 4):
+                    base = measures.inner_product(src, states[i], states[j])
+                    val = measures.inner_product(tgt, mapped[i], mapped[j])
+                    assert val == pytest.approx(base, abs=1e-8)
+
+
+def test_rule_cache_keeps_each_weight():
+    # a freed weight function's id can come back for a new one, which must
+    # still get a rule of its own
+    for _ in range(20):
+        old = measures.Measure("ho", (0.0, math.inf), lambda p: np.exp(-p), "log")
+        measures.quadrature_rule(old, 4)
+        del old
+        new = measures.Measure("ho", (0.0, math.inf), lambda p: np.exp(-2.0 * p), "log")
+        rule = measures.quadrature_rule(new, 4)
+        assert float(np.sum(rule.weights)) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_inner_product_deterministic():

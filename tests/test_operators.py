@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from su11pct import measures, operators, systems
+from su11pct import algebra, measures, operators, systems
 from su11pct.errors import DomainError, ParameterError
 
 from conftest import gaussian_bump
@@ -114,6 +114,12 @@ def test_domain_error_on_outside_point():
     st = systems.bound_state(spec, 0)
     with pytest.raises(DomainError):
         operators.apply_hamiltonian(spec, 0, st, -2.0)
+    # the constant-mass zero generator checks the point for any input function
+    for spec, bad in ((systems.OscillatorSpec(1.0, 0.0), -1.0), (spec, 0.0)):
+        gs = algebra.GeneratorSet(spec)
+        out = algebra.apply_generator_fn(gs, algebra.ZERO, gaussian_bump(1.0, 0.5), 0)
+        with pytest.raises(DomainError):
+            out(bad)
 
 
 def test_hamiltonian_hermitian_under_plain_measure(family_spec):

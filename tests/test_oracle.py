@@ -150,6 +150,10 @@ def test_default_grids_resolve_levels():
             2e-3,
         ),
     ]
+    # deep constant-mass Morse wells: the step shrinks as 0.1/|e_deep|
+    for A0, B in ((2.0542, 0.8043), (2.0620, 0.6929), (2.1143, 1.4403), (2.1714, 0.6139)):
+        refs = [e for _, e in systems.spectrum_fixed_potential("morse", (A0, B), 0.0, 3)]
+        cases.append((systems.MorseSpec(A0, B), refs, None, 5e-4))
     for spec, refs, count, tol in cases:
         grid = oracle.default_grid(spec, 0, count=count, k=len(refs))
         ev = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), len(refs), 1e-9)

@@ -63,10 +63,10 @@ def test_mapped_states_match_direct_closed_forms(alpha, tol):
     r_grid = np.geomspace(0.02, 40.0, 100)
     for n in range(6):
         st = systems.bound_state(ho, n)
-        mapped = pct.map_state(pct.ho_to_morse_map(), st)
+        mapped = pct.map_state(pct.mapping("ho", "morse"), st)
         direct = systems.bound_state(mo, n)
         assert np.max(np.abs(mapped(x) - direct(x))) < tol
-        mapped_c = pct.map_state(pct.morse_to_coulomb_map(), direct)
+        mapped_c = pct.map_state(pct.mapping("morse", "coulomb"), direct)
         direct_c = systems.bound_state(co, n)
         assert np.max(np.abs(mapped_c(r_grid) - direct_c(r_grid))) < tol
 
@@ -74,9 +74,9 @@ def test_mapped_states_match_direct_closed_forms(alpha, tol):
 def test_composition_equals_two_step_map():
     st = systems.bound_state(systems.OscillatorSpec(1.0, 0.0), 1)
     r_grid = np.geomspace(0.05, 30.0, 80)
-    one_step = pct.map_state(pct.ho_to_coulomb_map(), st)
+    one_step = pct.map_state(pct.mapping("ho", "coulomb"), st)
     two_step = pct.map_state(
-        pct.morse_to_coulomb_map(), pct.map_state(pct.ho_to_morse_map(), st)
+        pct.mapping("morse", "coulomb"), pct.map_state(pct.mapping("ho", "morse"), st)
     )
     assert np.max(np.abs(one_step(r_grid) - two_step(r_grid))) < 1e-12
 
@@ -85,13 +85,13 @@ def test_reverse_maps_invert_forward_maps():
     ho = systems.OscillatorSpec(1.0, 0.5, 0.2)
     st = systems.bound_state(ho, 2)
     r_grid = np.geomspace(0.1, 10.0, 50)
-    back = pct.map_state(pct.morse_to_ho_map(), pct.map_state(pct.ho_to_morse_map(), st))
+    back = pct.map_state(pct.mapping("morse", "ho"), pct.map_state(pct.mapping("ho", "morse"), st))
     assert np.max(np.abs(back(r_grid) - st(r_grid))) < 1e-12
     mo, _ = pct.map_parameters(ho, 0, "morse")
     stm = systems.bound_state(mo, 1)
     x = np.linspace(-5.0, 15.0, 50)
     back_m = pct.map_state(
-        pct.coulomb_to_morse_map(), pct.map_state(pct.morse_to_coulomb_map(), stm)
+        pct.mapping("coulomb", "morse"), pct.map_state(pct.mapping("morse", "coulomb"), stm)
     )
     assert np.max(np.abs(back_m(x) - stm(x))) < 1e-12
 
@@ -105,11 +105,11 @@ def test_mapped_states_solve_target_equations(alpha):
     r_grid = np.geomspace(0.05, 30.0, 150)
     for n in range(6):
         st = systems.bound_state(ho, n)
-        mapped = pct.map_state(pct.ho_to_morse_map(), st)
+        mapped = pct.map_state(pct.mapping("ho", "morse"), st)
         h_vals = operators.apply_hamiltonian(mo, n, mapped, x)
         resid = np.max(np.abs(h_vals - mo.epsilon * mapped(x))) / np.max(np.abs(mapped(x)))
         assert resid < 1e-9
-        mapped_c = pct.map_state(pct.ho_to_coulomb_map(), st)
+        mapped_c = pct.map_state(pct.mapping("ho", "coulomb"), st)
         h_vals = operators.apply_hamiltonian(co, n, mapped_c, r_grid)
         resid = np.max(np.abs(h_vals - co.energy * mapped_c(r_grid))) / np.max(
             np.abs(mapped_c(r_grid))
@@ -127,14 +127,14 @@ def test_generator_conjugation(alpha):
     n = 2
     st = systems.bound_state(ho, n)
     x = np.linspace(-6.0, 14.0, 80)
-    mapped = pct.map_state(pct.ho_to_morse_map(), st)
+    mapped = pct.map_state(pct.mapping("ho", "morse"), st)
     for which in ("zero", "plus", "minus"):
         lhs = algebra.apply_generator_fn(gs_mo, which, mapped, n)(x)
         rhs = np.exp(0.25 * x) * algebra.apply_generator(gs_ho, which, st)(np.exp(-0.5 * x))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
     stm = systems.bound_state(mo, n)
     r_grid = np.geomspace(0.05, 30.0, 80)
-    mapped_c = pct.map_state(pct.morse_to_coulomb_map(), stm)
+    mapped_c = pct.map_state(pct.mapping("morse", "coulomb"), stm)
     for which in ("zero", "plus", "minus"):
         lhs = algebra.apply_generator_fn(gs_co, which, mapped_c, n)(r_grid)
         rhs = np.sqrt(r_grid) * algebra.apply_generator(gs_mo, which, stm)(-np.log(r_grid))

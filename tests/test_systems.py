@@ -258,3 +258,22 @@ def test_states_normalized_under_family_measures(family_spec):
     for n in (0, 2, 5):
         st = systems.bound_state(family_spec, n)
         assert measures.inner_product(meas, st, st) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family,lo,hi", [("ho", 1e-3, 50.0), ("morse", -5.0, 20.0), ("coulomb", 1e-3, 50.0)]
+)
+def test_family_coordinate_rows(family, lo, hi):
+    # from_x and to_x are inverse maps to the Morse coordinate x = -ln g,
+    # and sigma equals the constant g g''/g'^2
+    fam = systems.FAMILIES[family]
+    q = fam.spacing(lo, hi, 40)
+    x, x1, x2 = fam.to_x(q)
+    g = fam.g(q)
+    assert np.allclose(x, -np.log(g[0]), rtol=1e-14, atol=1e-14)
+    assert np.allclose(fam.sigma, g[0] * g[2] / g[1] ** 2, rtol=1e-14, atol=0.0)
+    back, b1, b2 = fam.from_x(x)
+    assert np.allclose(back, q, rtol=1e-13, atol=0.0)
+    assert np.allclose(b1 * x1, 1.0, rtol=1e-13, atol=0.0)
+    # second derivative of the identity q(x(q)) = q
+    assert np.allclose(b2 * x1 * x1, -b1 * x2, rtol=1e-13, atol=0.0)
