@@ -8,16 +8,18 @@ operator proportional to (H - shift); the deformed ladder generators are
 first-order shift cores A_[+-] dressed with scalar factors built from the
 delta spectrum.
 
-The three realizations are one algebra: its deformed invariants depend
-only on the Jacobi parameters (pa, pb) of the states, its constant-mass
-ones only on the Laguerre parameter la (``systems`` maps a spec to them).
-With d = 2pa + 1 and c-(n) = c+(n - 1) throughout:
+The three realizations are one algebra, and so are the two mass kinds:
+its scalar data depend only on the pair (pb, w) of ``systems.invariants``
+(pb the second Jacobi parameter, w = alpha (2pa + 1); la and 2c at
+constant mass) through pb and eps = alpha/w = 1/(2pa + 1), which is 0 at
+constant mass.  With s = 2n + pb + 1 and c-(n) = c+(n - 1) throughout:
 
-    delta_n = 2n + pa + pb + 1,  mu_n = (delta_n^2 - pa^2 - pb^2 + 1/2) / (2d),
-    Casimir = ((pa^2 - 1)(pb^2 - 1) - 9/16) / d^2,  alpha/Lam = 2/d,
-    c+(n) = (2/d) sqrt((n + 1)(n + pb + 1)(n + pa + 1)(n + pa + pb + 1));
-    constant mass: k = (la + 1)/2,  mu_n = n + k,  Casimir = k (k - 1),
-    c+(n) = sqrt((n + 1)(n + la + 1)).
+    mu_n = s/2 + (eps/2)((2n + 1)(2n + 2pb + 1) + 1/2 - s),
+    Casimir = (1 + eps)(1 - 3 eps)(pb^2 - 1)/4 - 9 eps^2/16,
+    c+(n) = sqrt((n + 1)(n + pb + 1)(1 + (2n + 1) eps)(1 + (2n + 2pb + 1) eps)),
+
+so at constant mass mu_n = n + (la + 1)/2 and c+(n) = sqrt((n + 1)(n + la + 1)).
+Only the deformed delta spectrum delta_n = 2n + pa + pb + 1 reads pa itself.
 
 The operators are formulas in the coordinate function g of
 ``systems.FAMILIES`` (r^2, e^-x or R) and rho = g g''/g'^2, which is
@@ -28,7 +30,8 @@ per family.  The constant-mass ladders are
 K+- = -K0 + (c/2) g -+ ((g/g') d/dq + rho/2), with y = c g the Laguerre
 argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
 c1 = -16 alpha g/g' and c0 = -8 alpha rho - 4 alpha (1 -+ delta_n) t
-+ 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.
++ 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.  One core for
+both mass kinds would freeze the constant-mass commutator checks to a sector.
 
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
@@ -73,18 +76,7 @@ class GeneratorSet:
     @property
     def w_const(self):
         """Structure-relation denominator: alpha (2pa + 1), or 2c at constant mass."""
-        if self.deformed:
-            return self.alpha * (2.0 * systems.jacobi_params(self.spec)[0] + 1.0)
-        return 2.0 * systems.laguerre_params(self.spec)[1]
-
-    @property
-    def lam_scale(self):
-        """Scale dividing alpha in the deformed commutators (w_const / 2)."""
-        return 0.5 * self.w_const
-
-    @property
-    def ladder_pref(self):
-        return 1.0 / (8.0 * self.w_const)
+        return systems.invariants(self.spec)[1]
 
     @property
     def shift(self):
@@ -119,28 +111,26 @@ class DeltaSpectrum:
     delta_of_n: object
 
 
+def _pb_eps(gs):
+    """pb and eps = alpha/w of the realization; eps = 0 at constant mass."""
+    pb, w = systems.invariants(gs.spec)
+    return pb, gs.alpha / w
+
+
 def unirrep(gs):
     """Unirrep data of the realization.
 
-    k is always the lowest weight mu(0).  The deformed weights tend to
-    k + n as alpha -> 0, where pa grows without bound and pb tends to la.
+    k is always the lowest weight mu(0).  The weights tend to
+    n + (pb + 1)/2 as alpha -> 0, where eps = 1/(2pa + 1) goes to 0.
     """
-    if not gs.deformed:
-        la = systems.laguerre_params(gs.spec)[0]
-        k = 0.5 * (la + 1.0)
-        return UnirrepLabel(k=k, mu_of_n=lambda n: n + k, casimir=k * (k - 1.0))
-    pa, pb = systems.jacobi_params(gs.spec)
-    d = 2.0 * pa + 1.0
+    pb, eps = _pb_eps(gs)
+    half = 0.5 * (pb + 1.0)
 
     def mu(n):
-        # (delta_n^2 - pa^2 - pb^2 + 1/2) / (2d), expanded free of cancellation
-        return (
-            2.0 * pa * (2.0 * n + pb + 1.0)
-            + (2.0 * n + 1.0) * (2.0 * n + 2.0 * pb + 1.0)
-            + 0.5
-        ) / (2.0 * d)
+        s = 2.0 * n + pb + 1.0
+        return n + half + 0.5 * eps * ((2.0 * n + 1.0) * (2.0 * n + 2.0 * pb + 1.0) + 0.5 - s)
 
-    cas = ((pa - 1.0) * (pa + 1.0) * (pb - 1.0) * (pb + 1.0) - 0.5625) / (d * d)
+    cas = (1.0 + eps) * (1.0 - 3.0 * eps) * half * (half - 1.0) - 0.5625 * eps * eps
     return UnirrepLabel(k=mu(0), mu_of_n=mu, casimir=cas)
 
 
@@ -172,12 +162,9 @@ def ladder_coefficient(gs, n, direction):
         if n == 0:
             return 0.0
         n -= 1  # c-(n) = c+(n - 1)
-    if not gs.deformed:
-        la = systems.laguerre_params(gs.spec)[0]
-        return math.sqrt((n + 1.0) * (n + la + 1.0))
-    pa, pb = systems.jacobi_params(gs.spec)
-    prod = (n + 1.0) * (n + pb + 1.0) * (n + pa + 1.0) * (n + pa + pb + 1.0)
-    return 2.0 / (2.0 * pa + 1.0) * math.sqrt(prod)
+    pb, eps = _pb_eps(gs)
+    prod = (n + 1.0) * (n + pb + 1.0) * (1.0 + (2.0 * n + 1.0) * eps)
+    return math.sqrt(prod * (1.0 + (2.0 * n + 2.0 * pb + 1.0) * eps))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +238,7 @@ def _const_ladder_operator(gs, direction):
     """K+- = -K0 + (c/2) g -+ ((g/g') d + rho/2) at constant mass, y = c g."""
     sgn = 1.0 if direction == PLUS else -1.0
     fam = systems.FAMILIES[gs.family]
-    half_c = 0.5 * systems.laguerre_params(gs.spec)[1]
+    half_c = 0.25 * gs.w_const
     rho = fam.sigma
     zero = _zero_operator(gs).coeffs
 
@@ -324,7 +311,7 @@ def apply_generator_fn(gs, which, fn, n, ordering="left"):
         outer = (d_out - sgn) * math.sqrt(d_out / (d_out - 2.0 * sgn))
     else:
         raise ParameterError(f"ordering must be 'left' or 'right', got {ordering}")
-    scale = sgn * gs.ladder_pref * outer
+    scale = sgn * (1.0 / (8.0 * gs.w_const)) * outer
     op = _shift_core_operator(gs, which, delta_n, scale=scale)
     return op.apply(fn, dom)
 
@@ -355,9 +342,10 @@ def matrix_element_numeric(gs, n, direction, rtol=1e-10):
 def casimir_apply(gs, state, points):
     """The displayed Casimir combination applied to a bound state, pointwise.
 
-    Constant mass: -K+ K- + K0 (K0 - 1).  Deformed:
-    -K+ K- + K0^2 - (alpha/Lam)(delta_n - 5/4) K0 - ((alpha/Lam)^2 / 8) delta_n,
-    with delta frozen per sector as each factor meets its input.
+    -K+ K- + K0^2 - (1 + 2 eps (2n + pb - 3/4)) K0
+    - (eps/4)(1 + 2 eps (2n + pb + 1/2)), with eps = alpha/w; at constant
+    mass (eps = 0) it is -K+ K- + K0 (K0 - 1).  Deformed, delta is frozen
+    per sector as each factor meets its input.
     """
     n = state.n
     minus_out = apply_generator(gs, MINUS, state)
@@ -369,11 +357,10 @@ def casimir_apply(gs, state, points):
     zz = apply_generator_fn(gs, ZERO, zero_out, n)(points)
     z = zero_out(points)
     v = state(points)
-    if not gs.deformed:
-        return -pm + zz - z
-    ratio = gs.alpha / gs.lam_scale
-    delta_n = delta_spectrum(gs).delta_of_n(n)
-    return -pm + zz - ratio * (delta_n - 1.25) * z - ratio**2 / 8.0 * delta_n * v
+    pb, eps = _pb_eps(gs)
+    lin = 1.0 + 2.0 * eps * (2.0 * n + pb - 0.75)
+    const = 0.25 * eps * (1.0 + 2.0 * eps * (2.0 * n + pb + 0.5))
+    return -pm + zz - lin * z - const * v
 
 
 def pointwise_grid(spec, n, count=120, density_floor=1e-3):
@@ -398,43 +385,30 @@ class ResidualRecord:
     value: float
 
 
-def commutator_residuals(gs, n_max, pointwise_n_max=2, grid=None):
+def commutator_residuals(gs, n_max, pointwise_n_max=2):
     """Scalar and pointwise residuals of the structure relations.
 
-    Constant mass: mu_{n+1} - mu_n = 1 and
-    c-_n c+_{n-1} - c+_n c-_{n+1} = -2 mu_n.  Deformed: the spacings become
-    (alpha/Lam)(delta_n +- 1) and the plus/minus bracket
-    -(alpha delta_n/Lam)(2 mu_n + alpha/(4 Lam)).  Pointwise rows apply the
+    With eps = alpha/w (0 at constant mass): the weight spacings
+    mu_{n+-1} - mu_n = +-(1 + 2 eps (2n + pb + 1/2 +- 1)) and the bracket
+    c-_n c+_{n-1} - c+_n c-_{n+1} = -(1 + 2 eps (2n + pb + 1/2))(2 mu_n + eps/2),
+    which at constant mass read 1 and -2 mu_n.  Pointwise rows apply the
     generators twice and compare against the right sides on a grid.
     """
     if n_max < 1:
         raise ParameterError("n_max must be at least 1")
     mu = unirrep(gs).mu_of_n
-    if gs.deformed:
-        ratio = gs.alpha / gs.lam_scale
-        delta = delta_spectrum(gs).delta_of_n
+    pb, eps = _pb_eps(gs)
 
-        def step(n, sgn):  # mu_{n+sgn} - mu_n = sgn * step
-            return ratio * (delta(n) + sgn)
+    def step(n, sgn):  # mu_{n+sgn} - mu_n = sgn * step
+        return 1.0 + 2.0 * eps * (2.0 * n + pb + 0.5 + sgn)
 
-        def bracket(n):
-            return -ratio * delta(n) * (2.0 * mu(n) + 0.25 * ratio)
-
-    else:
-
-        def step(n, sgn):
-            return 1.0
-
-        def bracket(n):
-            return -2.0 * mu(n)
+    def bracket(n):
+        return -(1.0 + 2.0 * eps * (2.0 * n + pb + 0.5)) * (2.0 * mu(n) + 0.5 * eps)
 
     recs = []
 
-    def cplus(n):
-        return ladder_coefficient(gs, n, PLUS)
-
-    def cminus(n):
-        return ladder_coefficient(gs, n, MINUS)
+    def c(n, direction):
+        return ladder_coefficient(gs, n, direction)
 
     for n in range(n_max + 1):
         recs.append(ResidualRecord("mu_spacing_up", n, abs(mu(n + 1) - mu(n) - step(n, 1.0))))
@@ -442,12 +416,12 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2, grid=None):
             recs.append(
                 ResidualRecord("mu_spacing_down", n, abs(mu(n - 1) - mu(n) + step(n, -1.0)))
             )
-        lhs = (cminus(n) * cplus(n - 1) if n >= 1 else 0.0) - cplus(n) * cminus(n + 1)
+        lhs = (c(n, MINUS) * c(n - 1, PLUS) if n >= 1 else 0.0) - c(n, PLUS) * c(n + 1, MINUS)
         recs.append(ResidualRecord("plus_minus_bracket", n, abs(lhs - bracket(n))))
 
     for n in range(min(pointwise_n_max, n_max) + 1):
         state = systems.bound_state(gs.spec, n)
-        pts = grid if grid is not None else pointwise_grid(gs.spec, n)
+        pts = pointwise_grid(gs.spec, n)
         scale = float(np.max(np.abs(state(pts))))
         for which, sgn in ((PLUS, 1.0), (MINUS, -1.0)):
             ladder_out = apply_generator(gs, which, state)

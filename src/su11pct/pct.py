@@ -16,10 +16,11 @@ family measures.
 
 A single source Hamiltonian maps onto a hierarchy of target Hamiltonians
 sharing one fixed energy: the source quantum number n turns into the
-member index of the hierarchy.  Parameter maps are exact closed forms.
-Reverse maps invert the coordinate and function change only; the paper
-uses the forward direction throughout, so no parameter inversion is
-provided.
+member index of the hierarchy.  The parameter maps keep alpha and the
+pair (pb, w) of ``systems.invariants``, so each step ho -> morse ->
+coulomb is FAMILIES[target].spec_of(pb, w, alpha).  Reverse maps invert
+the coordinate and function change only; the paper uses the forward
+direction throughout, so no parameter inversion is provided.
 """
 
 import math
@@ -54,6 +55,9 @@ class MappingSpec:
         """The source point a target point came from."""
         return self.coord_derivs(point)[0]
 
+
+# the forward chain of the parameter maps
+_FORWARD = ("ho", "morse", "coulomb")
 
 # the five offered pairs: the forward maps ho -> morse -> coulomb, their
 # composition and the inverses of the two elementary steps
@@ -100,40 +104,18 @@ def map_parameters(source, n, target_family):
     """Map a source spec and quantum number to the target spec and member.
 
     Forward parameter maps only: ho -> morse, morse -> coulomb and their
-    composition.  Returns ``(target_spec, n)``; n becomes the hierarchy
-    member index on the target side.
+    composition, each step keeping alpha and ``systems.invariants``.
+    Returns ``(target_spec, n)``; n becomes the hierarchy member index on
+    the target side.
     """
-    if target_family == source.family:
-        return source, n
-    if source.family == "ho" and target_family in ("morse", "coulomb"):
-        a, w, L = source.alpha, source.omega, source.L
-        if a == 0:
-            target = systems.MorseSpec(A0=0.5 * (L + 0.5), B=0.25 * w)
-        else:
-            disc = w * w - 3.0 * a * a
-            if disc <= 0:
-                raise ParameterError(
-                    "deformed Morse image undefined: omega^2 must exceed "
-                    f"3 alpha^2, got omega={w}, alpha={a}"
-                )
-            B = 0.25 * math.sqrt(disc)
-            lam_m = 0.5 * (a + math.hypot(2.0 * B, a))
-            A0 = 0.5 * ((2.0 * L + 3.0) * lam_m / (2.0 * B) - 1.0)
-            target = systems.MorseSpec(A0=A0, B=B, alpha=a)
-        if target_family == "morse":
-            return target, n
-        return map_parameters(target, n, "coulomb")
-    if source.family == "morse" and target_family == "coulomb":
-        a, A0, B = source.alpha, source.A0, source.B
-        Z0 = B * (A0 + 0.5)
-        if a == 0:
-            return systems._mapped_spec(systems.CoulombSpec, Lcal=A0 - 0.5, Z0=Z0), n
-        lam_m = source.lam_abs
-        Lcal = ((2.0 * A0 + 1.0) * B - 2.0 * lam_m) / (2.0 * lam_m)
-        return systems._mapped_spec(systems.CoulombSpec, Lcal=Lcal, Z0=Z0, alpha=a), n
-    raise ParameterError(
-        f"no parameter map from {source.family!r} to {target_family!r}"
-    )
+    i = _FORWARD.index(source.family)
+    j = _FORWARD.index(target_family) if target_family in _FORWARD else -1
+    if j < i:
+        raise ParameterError(f"no parameter map from {source.family!r} to {target_family!r}")
+    spec = source
+    for family in _FORWARD[i + 1 : j + 1]:
+        spec = systems.FAMILIES[family].spec_of(*systems.invariants(spec), spec.alpha)
+    return spec, n
 
 
 def map_state(mapping_spec, state):

@@ -36,6 +36,12 @@ Morse adds -(pb/2) x, or -(la/2) x = -A0 x, to h.  Derivatives up to
 fourth order are assembled analytically, which lets the operator modules
 act on states without any finite differencing.
 
+The point canonical transformations keep alpha and ``invariants(spec)``
+= (pb, w), w = alpha (2pa + 1), which is (la, 2c) at constant mass.  With
+Lam = (w + alpha)/4, the table's ``spec_of`` inverts the pair: Morse
+B = sqrt(Lam (Lam - alpha)), A0 = pb/2 + (pb + 1)(Lam/B - 1)/2 (while
+Lam > alpha), Coulomb Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.
+
 Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
 """
 
@@ -228,6 +234,22 @@ def _identity(x):
     return (x, 1.0 + 0.0 * x, 0.0 * x)
 
 
+def _morse_of(pb, w, alpha):
+    lam = 0.25 * (w + alpha)
+    if not lam > alpha:
+        raise ParameterError(
+            f"no Morse image: (w + alpha)/4 = {lam} must exceed alpha = {alpha} "
+            "(omega^2 > 3 alpha^2 for an oscillator)"
+        )
+    B = math.sqrt(lam * (lam - alpha))
+    return MorseSpec(A0=0.5 * pb + 0.5 * (pb + 1.0) * (lam / B - 1.0), B=B, alpha=alpha)
+
+
+def _coulomb_of(pb, w, alpha):
+    Z0 = 0.125 * (w + alpha) * (pb + 1.0)
+    return _mapped_spec(CoulombSpec, Lcal=0.5 * (pb - 1.0), Z0=Z0, alpha=alpha)
+
+
 @dataclass(frozen=True)
 class Family:
     """What differs between the three families; see the module docstring."""
@@ -243,6 +265,7 @@ class Family:
     linear: bool  # Morse: h carries -(pb/2) x, or -(la/2) x
     jacobi: object  # deformed spec -> (pa, pb)
     laguerre: object  # constant-mass spec -> (la, c)
+    spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
 
 
 FAMILIES = {
@@ -271,6 +294,7 @@ FAMILIES = {
         linear=True,
         jacobi=lambda s: (2.0 * s.lam_abs / s.alpha - 1.0, 2.0 * s.sqrt_eps),
         laguerre=lambda s: (2.0 * s.A0, 2.0 * s.B),
+        spec_of=_morse_of,
     ),
     "coulomb": Family(
         domain=(0.0, math.inf),
@@ -284,6 +308,7 @@ FAMILIES = {
         linear=False,
         jacobi=lambda s: (2.0 * s.sqrt_energy / s.alpha, 2.0 * s.Lcal + 1.0),
         laguerre=lambda s: (2.0 * s.Lcal + 1.0, 2.0 * s.lam_abs),
+        spec_of=_coulomb_of,
     ),
 }
 
@@ -295,11 +320,18 @@ def jacobi_params(spec):
     return FAMILIES[spec.family].jacobi(spec)
 
 
-def laguerre_params(spec):
-    """Laguerre parameter la and argument scale c (y = c g) at constant mass."""
+def invariants(spec):
+    """The pair (pb, w) that the parameter maps keep, continuous in alpha >= 0.
+
+    Deformed: (pb, alpha (2pa + 1)); constant mass: (la, 2c), the limit of
+    the deformed pair as alpha -> 0.  ``FAMILIES[family].spec_of`` inverts
+    it for the Morse and Coulomb families.
+    """
     if spec.deformed:
-        raise NotApplicableError("defined only for constant mass (alpha = 0)")
-    return FAMILIES[spec.family].laguerre(spec)
+        pa, pb = jacobi_params(spec)
+        return pb, spec.alpha * (2.0 * pa + 1.0)
+    la, c = FAMILIES[spec.family].laguerre(spec)
+    return la, 2.0 * c
 
 
 def domain(spec):
@@ -385,7 +417,7 @@ def mass_and_potential(spec, n, point):
     a = spec.alpha
     if spec.family == "ho":
         v_eff = (
-            spec.L * (spec.L + 1.0) / (p * p)
+            _centrifugal(spec.L, p)
             + 0.25 * (spec.omega**2 - 8.0 * a * a) * p * p
             - a
         )
@@ -397,10 +429,14 @@ def mass_and_potential(spec, n, point):
         ) * q
     else:
         Z_n = member_coupling(spec, n)
-        v_eff = (
-            spec.Lcal * (spec.Lcal + 1.0) / (p * p) - 2.0 * Z_n / p - 0.25 * a * a
-        )
+        v_eff = _centrifugal(spec.Lcal, p) - 2.0 * Z_n / p - 0.25 * a * a
     return (1.0 / (f * f), v_eff, f, f1, f2)
+
+
+def _centrifugal(L, p):
+    """L (L + 1)/p^2, exactly 0 when L (L + 1) is, also where p * p underflows."""
+    ll = L * (L + 1.0)
+    return ll / (p * p) if ll else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +577,8 @@ class BoundState:
     def __init__(self, spec, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ParameterError(f"quantum number must be a non-negative int, got {n}")
+        if n > specfun.MAX_DEGREE:
+            raise ParameterError(f"quantum number {n} exceeds the maximum {specfun.MAX_DEGREE}")
         self.spec = spec
         self.family = spec.family
         self.mass_kind = "pdm" if spec.deformed else "constant"

@@ -248,7 +248,7 @@ def test_commutator_deformed_example():
     uni = algebra.unirrep(gs)
     spacing = uni.mu_of_n(1) - uni.mu_of_n(0)
     assert spacing == pytest.approx(14.0 / 6.0, abs=1e-13)
-    ratio = gs.alpha / gs.lam_scale
+    ratio = 2 * gs.alpha / gs.w_const
     d0 = algebra.delta_spectrum(gs).delta_of_n(0)
     assert ratio * (d0 + 1.0) == pytest.approx(spacing, abs=1e-13)
 

@@ -1,0 +1,35 @@
+"""The benchmark's layer tracer patches names of the package by getattr.
+
+Building the tracer resolves every name it wraps, so renaming or deleting
+one of them fails here instead of only under ``bench/run.py --trace 1``.
+"""
+
+import importlib.util
+import os
+
+from su11pct import algebra, systems
+
+TRACE_LAYERS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "trace_layers.py"
+)
+
+
+def _load_trace_layers():
+    spec = importlib.util.spec_from_file_location("trace_layers", TRACE_LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = (systems.bound_state, algebra.casimir_apply)
+    tracer = _load_trace_layers().Tracer()
+    tracer.install()
+    try:
+        assert systems.bound_state is not originals[0]
+        state = systems.bound_state(systems.OscillatorSpec(1.0, 0.0), 2)
+        assert state(0.5) != 0.0
+        assert "systems.bound_state" in tracer.names
+    finally:
+        tracer.uninstall()
+    assert (systems.bound_state, algebra.casimir_apply) == originals

@@ -88,8 +88,11 @@ def test_eigen_relation_pointwise():
 def test_eigen_residual_suite(family_spec):
     # the far points lie past the overflow of the potential, where the state is 0
     far = [-800.0, -1e4] if family_spec.family == "morse" else [1e155, 1e300]
+    # near the half-line origin r * r underflows; L = 0 and Lcal = 0 have no
+    # centrifugal term there
+    near = [1e-300, 1e-3, 0.7]
     for n in range(9):
-        grid = np.append(operators.default_residual_grid(family_spec, n), far)
+        grid = np.append(operators.default_residual_grid(family_spec, n), far + near)
         assert operators.eigen_residual(family_spec, n, grid) < 1e-9
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su11pct import algebra, operators, pct, systems
 from su11pct.errors import ParameterError
@@ -40,6 +42,31 @@ def test_deformed_parameter_map_values():
     for n in range(6):
         z = systems.member_coupling(co, n)
         assert z == pytest.approx(mo.B * (systems.member_coupling(mo, n) + 0.5), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=st.floats(0.5, 3.0),
+    L=st.sampled_from([0.5 * k for k in range(7)]),
+    deformed=st.booleans(),
+    u=st.floats(0.0, 1.0),
+)
+def test_maps_keep_invariants(omega, L, deformed, u):
+    # alpha is 0 or log-uniform in [1e-8, 0.99 omega/sqrt(3)]
+    alpha = 1e-8 * (0.99 * omega / math.sqrt(3.0) / 1e-8) ** u if deformed else 0.0
+    ho = systems.OscillatorSpec(omega, L, alpha)
+    mo, _ = pct.map_parameters(ho, 0, "morse")
+    co, _ = pct.map_parameters(mo, 0, "coulomb")
+    pair = systems.invariants(ho)
+    for spec, names in ((mo, ("A0", "B")), (co, ("Lcal", "Z0"))):
+        assert systems.invariants(spec) == pytest.approx(pair, rel=1e-13)
+        back = systems.FAMILIES[spec.family].spec_of(*systems.invariants(spec), alpha)
+        assert back.alpha == alpha
+        # abs covers Lcal = 0 (L = 1/2), which the maps reach up to rounding
+        for name in names:
+            assert getattr(back, name) == pytest.approx(
+                getattr(spec, name), rel=1e-13, abs=1e-13
+            )
 
 
 def test_deformed_map_rejects_large_alpha():

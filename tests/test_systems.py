@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su11pct import measures, operators, pct, systems
+from su11pct import measures, operators, pct, specfun, systems
 from su11pct.errors import DomainError, ParameterError
 
 from conftest import CONSTANT_SPECS
@@ -47,6 +47,13 @@ def test_spec_validation():
         warnings.simplefilter("always")
         systems.OscillatorSpec(1.0, 0.3)
     assert any("integer" in str(w.message) for w in caught)
+
+
+def test_bound_state_degree_limit():
+    spec = systems.OscillatorSpec(1.0, 0.0, 0.3)
+    assert systems.bound_state(spec, specfun.MAX_DEGREE).n == specfun.MAX_DEGREE
+    with pytest.raises(ParameterError):
+        systems.bound_state(spec, specfun.MAX_DEGREE + 1)
 
 
 def test_morse_spec_consistency():
