@@ -32,6 +32,9 @@ argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
 c1 = -16 alpha g/g' and c0 = -8 alpha rho - 4 alpha (1 -+ delta_n) t
 + 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.  One core for
 both mass kinds would freeze the constant-mass commutator checks to a sector.
+Since rho is constant, g/g' is linear (r/2, -1, R); the operators read it
+from the table's ``g_ratio`` rather than dividing g by g', because the
+oscillator's g = r^2 underflows below r of about 1.5e-154.
 
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
@@ -209,10 +212,10 @@ def _zero_operator(gs):
 
     def coeffs(p, m):
         p = np.asarray(p, dtype=float)
-        g0, g1, g2 = fam.g(p)[:3]
+        _, g1, g2 = fam.g(p)[:3]
         # the gauge times the prefactor, 2 g/(w g'^2), and its derivatives
         # 2 (1 - 2 rho)/(w g') and -2 (1 - 2 rho) g''/(w g'^2), rho = sigma
-        gauge = (2.0 / w * (g0 / g1) / g1, slope / g1, -slope * (g2 / g1) / g1)
+        gauge = (2.0 / w * fam.g_ratio(p) / g1, slope / g1, -slope * (g2 / g1) / g1)
         f0, f1, f2, f3, f4 = systems.deforming(gs.spec, p)
         u = _inner_potential(gs, p)
         # derivatives 0..2 of c0 = -(f f''/2 + f'^2/4) + u - shift,
@@ -247,7 +250,7 @@ def _const_ladder_operator(gs, direction):
         k0, k1, k2 = zero(p, m)
         g = fam.g(p)
         # derivatives of g/g' are 1 - rho and 0
-        lin = (g[0] / g[1], 1.0 - rho, 0.0)[m]
+        lin = (fam.g_ratio(p), 1.0 - rho, 0.0)[m]
         end = sgn * 0.5 * rho if m == 0 else 0.0
         return (half_c * g[m] - k0 - end, -k1 - sgn * lin, -k2)
 
@@ -269,9 +272,8 @@ def _shift_core_operator(gs, direction, delta_n, scale=1.0):
         f = systems.deforming(spec, p)
         z = np.zeros_like(p)
         if m == 0:
-            g = fam.g(p)
             c0 = c0_const + t_coef * (1.0 - 2.0 / f[0])
-            return (scale * c0, scale * (-16.0 * a) * g[0] / g[1], z)
+            return (scale * c0, scale * (-16.0 * a) * fam.g_ratio(p), z)
         if m == 1:
             tp = 2.0 * f[1] / f[0] ** 2
             return (scale * t_coef * tp, scale * c1_slope + z, z)

@@ -11,13 +11,22 @@ sigma = 1/2, 1, 0):
 The deformed states are normalized under the same measures; the deformed
 momentum is symmetric there and the mapping prefactors carry no alpha.
 
-Quadrature is a fixed-transform midpoint rule whose node count doubles
+Quadrature is a fixed-transform trapezoid rule whose node count doubles
 with the level: the half-line families use the logarithmic stretch
 q = e^u on u in [-38, 38], the Morse line uses the symmetric
-double-exponential x = sinh(u) on u in [-5, 5].  Integrands built from
+double-exponential x = sinh(u) on u in [-5, 5].  Level l has the
+64 * 2^l nodes u_j = -span + j h, j = 1..64 * 2^l, so the nodes of level l
+are exactly the odd-index nodes of level l + 1.  Integrands built from
 bound states vanish to double precision at the transformed endpoints, so
 refining the level converges at spectral rate and the truncation bias sits
 far below the 1e-10 accuracy target.
+
+Because the levels nest, one escalation serves ``inner_product``, ``norm``
+and ``gram_matrix``: every distinct function is evaluated once on the
+START_LEVEL nodes, each pair's previous-level estimate is twice the sum
+over the odd-index entries of the same products, and a refinement
+evaluates only the new nodes, and only for functions of a pair that has
+not settled yet.
 
 Rules are immutable and summation runs in fixed node order (numpy's
 pairwise reduction), so results are deterministic; the rule cache is only
@@ -36,6 +45,7 @@ LOG_SPAN = 38.0
 SINH_SPAN = 5.0
 BASE_NODES = 64
 MAX_LEVEL = 12
+START_LEVEL = 4  # first level evaluated; its odd nodes give level 3
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ _RULE_CACHE = {}
 
 
 def quadrature_rule(measure, level):
-    """Midpoint rule with 64 * 2^level nodes on the transformed variable."""
+    """Trapezoid rule with 64 * 2^level nodes on the transformed variable."""
     if not 1 <= level <= MAX_LEVEL:
         raise ParameterError(f"level must be in [1, {MAX_LEVEL}], got {level}")
     # keyed by the measure itself, which keeps its weight function alive
@@ -109,8 +119,9 @@ def quadrature_rule(measure, level):
         span = LOG_SPAN
     else:
         span = SINH_SPAN
+    # h halves exactly per level, so j h repeats bit for bit at 2j (h/2)
     h = 2.0 * span / count
-    u = -span + (np.arange(count) + 0.5) * h
+    u = -span + np.arange(1, count + 1) * h
     if measure.transform_id == "log":
         nodes = np.exp(u)
         jac = nodes
@@ -128,31 +139,59 @@ def _values(fn, points):
     return np.asarray(fn(points), dtype=float)
 
 
-def inner_product(measure, f, g, rtol=1e-10):
-    """<f, g> under the measure, by level escalation until agreement.
+def _products(measure, fns, pairs, rtol):
+    """{(i, j): <fns[i], fns[j]>} for the index pairs, by nested level escalation.
 
-    Levels are refined until two successive estimates agree within
-    rtol * max(1, |estimate|); the absolute floor keeps orthogonality
-    integrals (true value 0) convergent.  Summation is numpy's pairwise
-    reduction in fixed node order, so results are deterministic.
+    A pair settles once its estimate at a level and at the level below
+    agree within rtol * max(1, |estimate|); the absolute floor keeps
+    orthogonality integrals (true value 0) convergent.  Summation is
+    numpy's pairwise reduction in fixed node order, so a pair's value does
+    not depend on which other pairs are computed with it.
     """
     if rtol < 1e-12:
         raise ParameterError("rtol below 1e-12 is not supported")
-    prev = None
-    est = None
-    for level in range(1, MAX_LEVEL + 1):
+    values = {}
+    settled = {}
+    last = {}
+    pending = list(pairs)
+    for level in range(START_LEVEL, MAX_LEVEL + 1):
+        # a module lookup, so a wrapped quadrature_rule sees every level
         rule = quadrature_rule(measure, level)
         with np.errstate(over="ignore", invalid="ignore"):
-            contrib = _values(f, rule.nodes) * _values(g, rule.nodes) * rule.weights
-        est = float(np.sum(contrib))
-        if prev is not None and abs(est - prev) <= rtol * max(1.0, abs(est), abs(prev)):
-            return est
-        prev = est
+            for i in sorted({i for pair in pending for i in pair}):
+                if i not in values:
+                    values[i] = _values(fns[i], rule.nodes)
+                    continue
+                merged = np.empty(rule.nodes.size)
+                merged[1::2] = values[i]  # the previous level's nodes
+                merged[0::2] = _values(fns[i], np.ascontiguousarray(rule.nodes[0::2]))
+                values[i] = merged
+            unsettled = []
+            for i, j in pending:
+                contrib = values[i] * values[j] * rule.weights
+                est = float(np.sum(contrib))
+                prev = 2.0 * float(np.sum(contrib[1::2]))
+                if abs(est - prev) <= rtol * max(1.0, abs(est), abs(prev)):
+                    settled[i, j] = est
+                else:
+                    unsettled.append((i, j))
+                    last[i, j] = (prev, est)
+        if not unsettled:
+            return settled
+        pending = unsettled
+    prev, est = last[pending[0]]
     raise ConvergenceError(
         f"inner product did not settle by level {MAX_LEVEL}: "
         f"last estimates {prev!r} and {est!r}",
         estimates=(prev, est),
     )
+
+
+def inner_product(measure, f, g, rtol=1e-10):
+    """<f, g> under the measure, by nested level escalation until agreement."""
+    if f is g:
+        return _products(measure, [f], [(0, 0)], rtol)[0, 0]
+    return _products(measure, [f, g], [(0, 1)], rtol)[0, 1]
 
 
 def norm(measure, f, rtol=1e-10):
@@ -161,10 +200,15 @@ def norm(measure, f, rtol=1e-10):
 
 
 def gram_matrix(measure, states, rtol=1e-10):
-    """Matrix of pairwise inner products of a list of states."""
+    """Matrix of pairwise inner products of a list of states.
+
+    Each state is evaluated once per level, only while one of its pairs
+    has not settled; entry (i, j) equals ``inner_product`` of the pair.
+    """
     k = len(states)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    products = _products(measure, states, pairs, rtol)
     out = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = out[j, i] = inner_product(measure, states[i], states[j], rtol)
+    for (i, j), value in products.items():
+        out[i, j] = out[j, i] = value
     return out

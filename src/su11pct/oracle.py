@@ -25,6 +25,7 @@ spectra.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -129,10 +130,10 @@ def _count_below(diag, off2, x):
     d = diag[0] - x
     if d < 0.0:
         count = 1
-    for i in range(1, len(diag)):
+    for di, e2 in zip(islice(diag, 1, None), off2):
         if d == 0.0:
             d = -1e-300
-        d = diag[i] - x - off2[i - 1] / d
+        d = di - x - e2 / d
         if d < 0.0:
             count += 1
     return count

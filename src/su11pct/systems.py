@@ -10,9 +10,10 @@ deforming profile f = 1 + alpha g(q) with the coordinate function
 g is the oscillator's r^2 in each family's own coordinate, which the
 point canonical transformations preserve; ``FAMILIES`` also holds each
 coordinate as a function of the Morse coordinate x = -ln g
-(r = e^(-x/2), x, R = e^-x) and the exponent sigma (1/2, 1, 0) of the
+(r = e^(-x/2), x, R = e^-x), the exponent sigma (1/2, 1, 0) of the
 family measure (1/2) g^(sigma-1) dg, from which ``measures`` and ``pct``
-build the measures and maps.
+build the measures and maps, and g/g' (r/2, -1, R), which is linear
+because g g''/g'^2 = sigma is constant.
 
 Every bound state is one closed form
 
@@ -259,6 +260,7 @@ class Family:
     probe: tuple  # interval scanned for where a state lives
     g: object  # q -> (g, g', g'', g''', g''''), with f = 1 + alpha g
     sigma: float  # measure (1/2) g^(sigma-1) dg; equals g g''/g'^2
+    g_ratio: object  # q -> g/g', linear since g g''/g'^2 = sigma is constant
     from_x: object  # Morse coordinate x = -ln g -> (q, dq/dx, d2q/dx2)
     to_x: object  # q -> (x, dx/dq, d2x/dq2)
     power: object  # spec -> exponent m of the coordinate power q^m
@@ -275,6 +277,7 @@ FAMILIES = {
         probe=(1e-6, 1e6),
         g=lambda p: (p * p, 2.0 * p, 2.0 + 0.0 * p, 0.0 * p, 0.0 * p),
         sigma=0.5,
+        g_ratio=lambda r: 0.5 * r,  # never forms r^2, which underflows below 1e-154
         from_x=lambda x: _exp_derivs(-0.5, x),  # r = e^(-x/2)
         to_x=lambda r: (-2.0 * np.log(r), -2.0 / r, 2.0 / (r * r)),
         power=lambda s: s.L + 1.0,
@@ -288,6 +291,7 @@ FAMILIES = {
         probe=(-80.0, 300.0),
         g=_g_morse,
         sigma=1.0,
+        g_ratio=lambda x: -1.0 + 0.0 * x,
         from_x=_identity,
         to_x=_identity,
         power=lambda s: 0.0,
@@ -302,6 +306,7 @@ FAMILIES = {
         probe=(1e-6, 1e6),
         g=lambda p: (p, 1.0 + 0.0 * p, 0.0 * p, 0.0 * p, 0.0 * p),
         sigma=0.0,
+        g_ratio=lambda R: R,
         from_x=lambda x: _exp_derivs(-1.0, x),  # R = e^-x
         to_x=lambda R: (-np.log(R), -1.0 / R, 1.0 / (R * R)),
         power=lambda s: s.Lcal + 1.0,

@@ -72,6 +72,30 @@ def test_plus_action_is_pointwise_multiple_of_next_state(family_spec):
         assert np.max(np.abs(out(pts) - c * nxt(pts))) < 1e-9 * np.max(np.abs(nxt(pts)))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_oscillator_generators_at_tiny_r(alpha):
+    # r^2 underflows below r ~ 1.5e-154 while psi ~ r stays representable, so
+    # the check is relative to psi_n at each point
+    spec = systems.OscillatorSpec(2.0, 0.0, alpha)
+    gs = algebra.generator_set(spec)
+    mu = algebra.unirrep(gs).mu_of_n
+    pts = np.array([1e-300, 1e-200])
+    states = [systems.bound_state(spec, n) for n in range(5)]
+    for n in range(4):
+        psi = states[n](pts)
+        assert np.all(psi != 0.0)
+        expected = {
+            "zero": mu(n) * psi,
+            "plus": algebra.ladder_coefficient(gs, n, "plus") * states[n + 1](pts),
+            "minus": algebra.ladder_coefficient(gs, n, "minus") * states[n - 1](pts)
+            if n
+            else 0.0 * psi,
+        }
+        for which, want in expected.items():
+            out = algebra.apply_generator(gs, which, states[n])(pts)
+            assert np.all(np.abs(out - want) <= 1e-12 * np.abs(psi)), (which, n, out, want)
+
+
 def test_matrix_elements_match_closed_forms(family_spec):
     gs = algebra.generator_set(family_spec)
     for n in range(6):

@@ -7,7 +7,7 @@ one of them fails here instead of only under ``bench/run.py --trace 1``.
 import importlib.util
 import os
 
-from su11pct import algebra, systems
+from su11pct import algebra, measures, oracle, systems
 
 TRACE_LAYERS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "trace_layers.py"
@@ -30,6 +30,15 @@ def test_tracer_installs_and_uninstalls():
         state = systems.bound_state(systems.OscillatorSpec(1.0, 0.0), 2)
         assert state(0.5) != 0.0
         assert "systems.bound_state" in tracer.names
+        # both counters wrap module attributes, so the package must call
+        # measures.quadrature_rule and oracle._count_below through them
+        spec = systems.OscillatorSpec(1.0, 0.0)
+        states = [systems.bound_state(spec, n) for n in range(3)]
+        measures.gram_matrix(measures.family_measure("ho"), states)
+        assert tracer.counts.get("measures.quadrature_levels", 0) > 0
+        oracle.lowest_eigenvalues(oracle.discretize(spec, 0, oracle.default_grid(spec)), 2)
+        assert tracer.counts.get("oracle.sturm_sweeps", 0) > 0
     finally:
         tracer.uninstall()
     assert (systems.bound_state, algebra.casimir_apply) == originals
+

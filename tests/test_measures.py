@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from su11pct import measures, pct, systems
 from su11pct.errors import ConvergenceError, ParameterError
 
-from conftest import CONSTANT_SPECS
+from conftest import CONSTANT_SPECS, DEFORMED_SPECS
 
 
 def test_rule_construction():
@@ -140,3 +140,42 @@ def test_inner_product_deterministic():
     s2 = systems.bound_state(spec, 2)
     vals = {measures.inner_product(meas, s2, s2) for _ in range(3)}
     assert len(vals) == 1
+
+
+@pytest.mark.parametrize("family", ["ho", "morse", "coulomb"])
+def test_levels_nest(family):
+    meas = measures.family_measure(family)
+    for level in range(1, measures.MAX_LEVEL):
+        coarse = measures.quadrature_rule(meas, level).nodes
+        fine = measures.quadrature_rule(meas, level + 1).nodes
+        assert np.array_equal(coarse, fine[1::2])
+
+
+class _Counted:
+    """A state that records the points of every evaluation."""
+
+    def __init__(self, state):
+        self.state = state
+        self.calls = []
+
+    def __call__(self, points):
+        self.calls.append(np.array(points))
+        return self.state(points)
+
+
+@pytest.mark.parametrize("family", ["ho", "morse", "coulomb"])
+def test_gram_matrix_evaluates_each_state_once_per_level(family):
+    spec = DEFORMED_SPECS[family]
+    meas = measures.family_measure(family)
+    states = [_Counted(systems.bound_state(spec, n)) for n in range(6)]
+    gram = measures.gram_matrix(meas, states)
+    for st in states:
+        # one call per level, each on the nodes the level adds, so together
+        # the calls cover the last level's nodes once
+        top = measures.START_LEVEL + len(st.calls) - 1
+        seen = np.sort(np.concatenate(st.calls))
+        assert np.array_equal(seen, np.sort(measures.quadrature_rule(meas, top).nodes))
+    for i in range(6):
+        for j in range(i, 6):
+            pair = measures.inner_product(meas, states[i].state, states[j].state)
+            assert gram[i, j] == gram[j, i] == pair
