@@ -36,6 +36,12 @@ Since rho is constant, g/g' is linear (r/2, -1, R); the operators read it
 from the table's ``g_ratio`` rather than dividing g by g', because the
 oscillator's g = r^2 underflows below r of about 1.5e-154.
 
+Each operator is an ``operators.DiffOperator2`` whose ``coeffs(p, order)``
+returns derivative stacks: the zero generator's -f^2, -2 f f' and
+-(f f''/2 + f'^2/4) + u - shift are Leibniz products of the f stack, times
+the gauge by Leibniz; the shift core's c0 is affine in the stack of t
+(``systems.jacobi_argument``).
+
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
 state ladder it reduces to the scalar delta_n of the state a factor meets:
@@ -209,30 +215,23 @@ def _zero_operator(gs):
     w, shift = gs.w_const, gs.shift
     fam = systems.FAMILIES[gs.family]
     slope = 2.0 * (1.0 - 2.0 * fam.sigma) / w
+    leibniz = systems.leibniz
 
-    def coeffs(p, m):
+    def coeffs(p, order):
         p = np.asarray(p, dtype=float)
+        f = systems.deforming(gs.spec, p)
         _, g1, g2 = fam.g(p)[:3]
         # the gauge times the prefactor, 2 g/(w g'^2), and its derivatives
         # 2 (1 - 2 rho)/(w g') and -2 (1 - 2 rho) g''/(w g'^2), rho = sigma
         gauge = (2.0 / w * fam.g_ratio(p) / g1, slope / g1, -slope * (g2 / g1) / g1)
-        f0, f1, f2, f3, f4 = systems.deforming(gs.spec, p)
         u = _inner_potential(gs, p)
-        # derivatives 0..2 of c0 = -(f f''/2 + f'^2/4) + u - shift,
-        # c1 = -2 f f' and c2 = -f^2, whose derivative is c1
-        c0 = (
-            -(0.5 * f0 * f2 + 0.25 * f1 * f1) + u[0] - shift,
-            -(f1 * f2 + 0.5 * f0 * f3) + u[1],
-            -(f2 * f2 + 1.5 * f1 * f3 + 0.5 * f0 * f4) + u[2],
-        )
-        c1 = (-2.0 * f0 * f1, -2.0 * (f1 * f1 + f0 * f2), -2.0 * (3.0 * f1 * f2 + f0 * f3))
-        c2 = (-f0 * f0, c1[0], c1[1])
-        binom = ((1.0,), (1.0, 1.0), (1.0, 2.0, 1.0))[m]
-        # m-th derivative of gauge * c by Leibniz
-        return tuple(
-            sum(binom[j] * gauge[j] * c[m - j] for j in range(m, -1, -1))
-            for c in (c0, c1, c2)
-        )
+        # c0 = -(f f''/2 + f'^2/4) + u - shift, c1 = -2 f f', c2 = -f^2
+        ff2, f1f1 = leibniz(f, f[2:], order), leibniz(f[1:], f[1:], order)
+        c0 = [-(0.5 * a + 0.25 * b) + uk for a, b, uk in zip(ff2, f1f1, u)]
+        c0[0] = c0[0] - shift
+        c1 = [-2.0 * c for c in leibniz(f, f[1:], order)]
+        c2 = [-c for c in leibniz(f, f, order)]
+        return tuple(leibniz(gauge, c, order) for c in (c0, c1, c2))
 
     return operators.DiffOperator2(coeffs, order=2)
 
@@ -245,14 +244,13 @@ def _const_ladder_operator(gs, direction):
     rho = fam.sigma
     zero = _zero_operator(gs).coeffs
 
-    def coeffs(p, m):
+    def coeffs(p, order):
         p = np.asarray(p, dtype=float)
-        k0, k1, k2 = zero(p, m)
-        g = fam.g(p)
-        # derivatives of g/g' are 1 - rho and 0
-        lin = (fam.g_ratio(p), 1.0 - rho, 0.0)[m]
-        end = sgn * 0.5 * rho if m == 0 else 0.0
-        return (half_c * g[m] - k0 - end, -k1 - sgn * lin, -k2)
+        k0, k1, k2 = zero(p, order)
+        lin = (fam.g_ratio(p), 1.0 - rho, 0.0)  # g/g' and its derivatives
+        c0 = [half_c * g - k for g, k in zip(fam.g(p), k0)]
+        c0[0] = c0[0] - sgn * 0.5 * rho
+        return (c0, [-k - sgn * c for k, c in zip(k1, lin)], [-k for k in k2])
 
     return operators.DiffOperator2(coeffs, order=2)
 
@@ -267,18 +265,11 @@ def _shift_core_operator(gs, direction, delta_n, scale=1.0):
     c1_slope = -16.0 * a * (1.0 - rho)
     t_coef = -4.0 * a * (1.0 - sgn * delta_n)
 
-    def coeffs(p, m):
+    def coeffs(p, order):
         p = np.asarray(p, dtype=float)
-        f = systems.deforming(spec, p)
-        z = np.zeros_like(p)
-        if m == 0:
-            c0 = c0_const + t_coef * (1.0 - 2.0 / f[0])
-            return (scale * c0, scale * (-16.0 * a) * fam.g_ratio(p), z)
-        if m == 1:
-            tp = 2.0 * f[1] / f[0] ** 2
-            return (scale * t_coef * tp, scale * c1_slope + z, z)
-        tpp = 2.0 * f[2] / f[0] ** 2 - 4.0 * f[1] ** 2 / f[0] ** 3
-        return (scale * t_coef * tpp, z, z)
+        t = systems.jacobi_argument(systems.deforming(spec, p), order)
+        c0 = [scale * (c0_const + t_coef * t[0])] + [scale * t_coef * tk for tk in t[1:]]
+        return (c0, (scale * (-16.0 * a) * fam.g_ratio(p), scale * c1_slope))
 
     return operators.DiffOperator2(coeffs, order=1)
 
@@ -290,20 +281,19 @@ def apply_shift_core(gs, direction, state):
     that be checked directly since the public minus action short-circuits.
     """
     op = _shift_core_operator(gs, direction, delta_spectrum(gs).delta_of_n(state.n))
-    return op.apply(state, systems.domain(gs.spec))
+    return op.apply(state)
 
 
 def apply_generator_fn(gs, which, fn, n, ordering="left"):
     """Generator action on a function known to live in the sector of psi_n."""
-    dom = systems.domain(gs.spec)
     if which == ZERO:
-        return _zero_operator(gs).apply(fn, dom)
+        return _zero_operator(gs).apply(fn)
     if which not in (PLUS, MINUS):
         raise ParameterError(f"which must be 'zero', 'plus' or 'minus', got {which}")
     if not gs.deformed:
-        return _const_ladder_operator(gs, which).apply(fn, dom)
+        return _const_ladder_operator(gs, which).apply(fn)
     if which == MINUS and n == 0:
-        return operators.zero_function(dom)
+        return operators.zero_function()
     sgn = 1.0 if which == PLUS else -1.0
     delta_n = delta_spectrum(gs).delta_of_n(n)
     if ordering == "left":
@@ -315,7 +305,7 @@ def apply_generator_fn(gs, which, fn, n, ordering="left"):
         raise ParameterError(f"ordering must be 'left' or 'right', got {ordering}")
     scale = sgn * (1.0 / (8.0 * gs.w_const)) * outer
     op = _shift_core_operator(gs, which, delta_n, scale=scale)
-    return op.apply(fn, dom)
+    return op.apply(fn)
 
 
 def apply_generator(gs, which, state, ordering="left"):

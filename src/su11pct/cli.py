@@ -65,15 +65,20 @@ class VerificationReport:
         }
 
 
+# family -> (spec class, its parameter fields in echo order, their CLI flags)
+_FAMILY_ARGS = {
+    "ho": (systems.OscillatorSpec, ("omega", "L"), ("--omega", "--L")),
+    "morse": (systems.MorseSpec, ("A0", "B"), ("--A", "--B")),
+    "coulomb": (systems.CoulombSpec, ("Z0", "Lcal"), ("--Z", "--Lcal")),
+}
+
+
+def _fields(spec):
+    return {name: getattr(spec, name) for name in _FAMILY_ARGS[spec.family][1]}
+
+
 def _spec_echo(spec):
-    echo = {"family": spec.family, "alpha": spec.alpha}
-    if spec.family == "ho":
-        echo.update(omega=spec.omega, L=spec.L)
-    elif spec.family == "morse":
-        echo.update(A0=spec.A0, B=spec.B)
-    else:
-        echo.update(Z0=spec.Z0, Lcal=spec.Lcal)
-    return echo
+    return {"family": spec.family, "alpha": spec.alpha, **_fields(spec)}
 
 
 def _closed_levels(spec, count):
@@ -84,7 +89,7 @@ def _closed_levels(spec, count):
     """
     if spec.family == "ho":
         return [(n, systems.energy(spec, n)) for n in range(count)]
-    params = (spec.A0, spec.B) if spec.family == "morse" else (spec.Z0, spec.Lcal)
+    params = tuple(_fields(spec).values())
     return systems.spectrum_fixed_potential(spec.family, params, spec.alpha, count)
 
 
@@ -97,6 +102,8 @@ def _tols(override):
 
 def build_report(spec, n_max=5, tol=None):
     """Run every verification section against one family spec."""
+    if n_max < 1:
+        raise ParameterError("n_max must be at least 1")
     tols = _tols(tol)
     deformed = spec.deformed
     report = VerificationReport(_spec_echo(spec))
@@ -210,14 +217,6 @@ VERIFY_ALL_SPECS = (
 )
 
 
-def _make_spec(family, params):
-    if family == "ho":
-        return systems.OscillatorSpec(params["omega"], params["L"], params["alpha"])
-    if family == "morse":
-        return systems.MorseSpec(params["A0"], params["B"], params["alpha"])
-    return systems.CoulombSpec(params["Lcal"], params["Z0"], params["alpha"])
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -239,20 +238,21 @@ def _add_param_args(p):
 
 
 def _spec_from_args(parser, family, args):
+    cls, fields, flags = _FAMILY_ARGS[family]
+    values = [getattr(args, flag[2:]) for flag in flags]
+    if None in values:
+        parser.error(f"family '{family}' needs {flags[0]} and {flags[1]}")
     try:
-        if family == "ho":
-            if args.omega is None or args.L is None:
-                parser.error("family 'ho' needs --omega and --L")
-            return systems.OscillatorSpec(args.omega, args.L, args.alpha)
-        if family == "morse":
-            if args.A is None or args.B is None:
-                parser.error("family 'morse' needs --A and --B")
-            return systems.MorseSpec(args.A, args.B, args.alpha)
-        if args.Z is None or args.Lcal is None:
-            parser.error("family 'coulomb' needs --Z and --Lcal")
-        return systems.CoulombSpec(args.Lcal, args.Z, args.alpha)
+        return cls(alpha=args.alpha, **dict(zip(fields, values)))
     except ParameterError as exc:
         parser.error(str(exc))
+
+
+def _grid_bounds(parser, args):
+    """(grid_min, grid_max) when both are given, None when neither is."""
+    if (args.grid_min is None) != (args.grid_max is None):
+        parser.error("--grid-min and --grid-max must be given together")
+    return None if args.grid_min is None else (args.grid_min, args.grid_max)
 
 
 def _emit(payload, fmt, rows=None):
@@ -335,6 +335,8 @@ def main(argv=None):
 def _dispatch(parser, args):
     if args.command == "spectrum":
         spec = _spec_from_args(parser, args.family, args)
+        if args.nmax < 0:
+            parser.error(f"--nmax must be non-negative, got {args.nmax}")
         levels = _closed_levels(spec, args.nmax + 1)
         payload = {
             "command": "spectrum",
@@ -346,9 +348,10 @@ def _dispatch(parser, args):
 
     if args.command == "state":
         spec = _spec_from_args(parser, args.family, args)
+        bounds = _grid_bounds(parser, args)
         state = systems.bound_state(spec, args.n)
-        if args.grid_min is not None and args.grid_max is not None:
-            grid = np.linspace(args.grid_min, args.grid_max, args.grid_count)
+        if bounds is not None:
+            grid = np.linspace(*bounds, args.grid_count)
         else:
             grid = operators.default_residual_grid(spec, args.n, count=args.grid_count)
         v, d1, d2 = state.evaluator(grid)
@@ -373,7 +376,7 @@ def _dispatch(parser, args):
     if args.command == "verify":
         if args.all:
             reports = [
-                build_report(_make_spec(f, prm), n_max=args.nmax, tol=args.tol)
+                build_report(_FAMILY_ARGS[f][0](**prm), n_max=args.nmax, tol=args.tol)
                 for f, prm in VERIFY_ALL_SPECS
             ]
             payload = {
@@ -430,10 +433,10 @@ def _dispatch(parser, args):
         parser.error("oracle-compare supports at most 10 levels")
     closed = [e for _, e in _closed_levels(spec, k)]
     k = len(closed)
-    if args.grid_min is not None and args.grid_max is not None:
+    bounds = _grid_bounds(parser, args)
+    if bounds is not None:
         grid = oracle.GridSpec(
-            args.grid_min,
-            args.grid_max,
+            *bounds,
             oracle.COUNT if args.grid_count is None else args.grid_count,
             systems.FAMILIES[spec.family].spacing,
         )

@@ -99,7 +99,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    transform_id: str
 
 
 _RULE_CACHE = {}
@@ -128,7 +127,7 @@ def quadrature_rule(measure, level):
     else:
         nodes = np.sinh(u)
         jac = np.cosh(u)
-    rule = QuadratureRule(nodes, h * jac * measure.weight(nodes), measure.transform_id)
+    rule = QuadratureRule(nodes, h * jac * measure.weight(nodes))
     _RULE_CACHE[key] = rule
     return rule
 

@@ -12,11 +12,9 @@ which follows from squaring pi = -i sqrt(f) (d/dq) sqrt(f).  Combined with
 the raw member potential this is the flux form -d f^2 d + v_eff, so the
 Hamiltonian action reduces to -f^2 d2 - 2 f f' d1 + v_eff * value.
 
-The imaginary unit is never materialized: pi itself is reported through
-the real function a = f*fn' + (f'/2)*fn with (pi fn) = -i*a.
+The imaginary unit is never materialized: pi is reported through the real
+first-order ``DiffOperator2`` a = f d + f'/2, (pi fn) = -i a(fn).
 """
-
-import math
 
 import numpy as np
 
@@ -25,16 +23,15 @@ from .errors import ParameterError
 
 
 class SmoothFunction:
-    """A function with analytic derivatives on an interval domain.
+    """A function with analytic derivatives.
 
     ``derivs(p, order)`` returns ``(value, d1, ..., d_order)`` with
     ``order <= max_order``; calling the object returns the plain value and
     ``evaluator`` the (value, d1, d2) triple.
     """
 
-    def __init__(self, derivs_fn, domain=(-math.inf, math.inf), max_order=2):
+    def __init__(self, derivs_fn, max_order=2):
         self._derivs_fn = derivs_fn
-        self.domain = domain
         self.max_order = max_order
 
     def derivs(self, point, order=2):
@@ -51,7 +48,7 @@ class SmoothFunction:
         return self.derivs(point, 0)[0]
 
 
-def zero_function(domain=(-math.inf, math.inf)):
+def zero_function():
     """The identically zero function with derivatives of every order."""
 
     def derivs_fn(point, order):
@@ -60,7 +57,7 @@ def zero_function(domain=(-math.inf, math.inf)):
             return tuple(0.0 for _ in range(order + 1))
         return tuple(z.copy() for _ in range(order + 1))
 
-    return SmoothFunction(derivs_fn, domain=domain, max_order=99)
+    return SmoothFunction(derivs_fn, max_order=99)
 
 
 def _vanishing_far_out(stack, compute):
@@ -78,50 +75,46 @@ def _vanishing_far_out(stack, compute):
 
 
 class DiffOperator2:
-    """Operator c0(p) + c1(p) d/dp + c2(p) d^2/dp^2 with smooth coefficients.
+    """Operator c0(p) + c1(p) d/dp [+ c2(p) d^2/dp^2] with smooth coefficients.
 
-    ``coeffs(p, m)`` must return the m-th derivatives (m = 0, 1, 2) of the
-    three coefficient functions as a tuple (c0^(m), c1^(m), c2^(m)).  The
-    output of ``apply`` again carries analytic derivatives, obtained from
-    the Leibniz rule, so operators can be composed twice on bound states.
+    ``coeffs(p, order)`` returns c0, ..., c_k (k = ``self.order``, 1 or 2)
+    as derivative stacks (c, c', ..., c^(order)) at p, in one call; a stack
+    may stop early where the rest of its derivatives vanish.  The
+    output of ``apply`` carries the derivatives sum_i leibniz(c_i, d^i fn)
+    (``systems.leibniz``), so operators compose twice on bound states.
     """
 
     def __init__(self, coeffs, order=2):
         self.coeffs = coeffs
-        self.order = order  # 1 for first-order operators (c2 identically 0)
+        self.order = order  # 1 for first-order operators (no c2)
 
-    def apply(self, fn, domain):
+    def apply(self, fn):
         out_max = min(2, fn.max_order - self.order)
         if out_max < 0:
             raise ParameterError("input function lacks the required derivatives")
 
         def derivs_fn(point, order):
             d = fn.derivs(point, order + self.order)
-            return _vanishing_far_out(d, lambda: leibniz(point, order, d))
+            return _vanishing_far_out(d, lambda: combine(point, order, d))
 
-        def leibniz(point, order, d):
-            c0, c1, c2 = self.coeffs(point, 0)
-            out = [c0 * d[0] + c1 * d[1] + (c2 * d[2] if self.order == 2 else 0.0)]
-            if order >= 1:
-                e0, e1, e2 = self.coeffs(point, 1)
-                val = e0 * d[0] + (c0 + e1) * d[1] + (c1 + e2) * d[2]
-                if self.order == 2:
-                    val = val + c2 * d[3]
-                out.append(val)
-            if order >= 2:
-                f0, f1, f2 = self.coeffs(point, 2)
-                val = (
-                    f0 * d[0]
-                    + (2.0 * e0 + f1) * d[1]
-                    + (c0 + 2.0 * e1 + f2) * d[2]
-                    + (c1 + 2.0 * e2) * d[3]
-                )
-                if self.order == 2:
-                    val = val + c2 * d[4]
-                out.append(val)
-            return tuple(out)
+        def combine(point, order, d):
+            terms = [
+                systems.leibniz(c, d[i:], order)
+                for i, c in enumerate(self.coeffs(point, order))
+            ]
+            return tuple(sum(column) for column in zip(*terms))
 
-        return SmoothFunction(derivs_fn, domain=domain, max_order=out_max)
+        return SmoothFunction(derivs_fn, max_order=out_max)
+
+
+def _pi_operator(spec):
+    """a = f d + f'/2, with (pi fn) = -i a(fn)."""
+
+    def coeffs(p, order):
+        f = systems.deforming(spec, p)
+        return ([0.5 * fk for fk in f[1 : order + 2]], f[: order + 1])
+
+    return DiffOperator2(coeffs, order=1)
 
 
 def apply_pi(spec, fn, point):
@@ -129,21 +122,15 @@ def apply_pi(spec, fn, point):
 
     Returns the pair ``(a, da)`` where (pi fn)(point) = -i * a with
     a = f*fn' + (f'/2)*fn, and da is the derivative of the function a at
-    the same point.  Applying pi twice therefore gives
-    (pi^2 fn)(point) = -(f*da + (f'/2)*a).
+    the same point.
     """
-    f, f1, f2, _, _ = systems.deforming(spec, point)
-    v, d1, d2 = fn.derivs(point, 2)
-    a = f * d1 + 0.5 * f1 * v
-    da = f * d2 + 1.5 * f1 * d1 + 0.5 * f2 * v
-    return (a, da)
+    return _pi_operator(spec).apply(fn).derivs(point, 1)
 
 
 def apply_pi_squared(spec, fn, point):
-    """(pi^2 fn)(point) via two momentum applications."""
-    f, f1, _, _, _ = systems.deforming(spec, point)
-    a, da = apply_pi(spec, fn, point)
-    return -(f * da + 0.5 * f1 * a)
+    """(pi^2 fn)(point) = -a(a(fn))(point): two momentum applications."""
+    op = _pi_operator(spec)
+    return -op.apply(op.apply(fn))(point)
 
 
 def apply_hamiltonian(spec, member_n, fn, point):

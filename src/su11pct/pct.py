@@ -23,7 +23,6 @@ the coordinate and function change only; the paper uses the forward
 direction throughout, so no parameter inversion is provided.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +48,6 @@ class MappingSpec:
     target_family: str
     coord_derivs: object = field(repr=False)
     inv_prefactor_derivs: object = field(repr=False)
-    target_domain: tuple = (0.0, math.inf)
 
     def coord_map(self, point):
         """The source point a target point came from."""
@@ -86,18 +84,15 @@ def mapping(source_family, target_family):
     k = 0.5 * (source.sigma - target.sigma)
 
     def coord_derivs(point):
-        x, x1, x2 = target.to_x(point)
-        q, q1, q2 = source.from_x(x)
-        return q, q1 * x1, q2 * x1 * x1 + q1 * x2
+        x = target.to_x(point)
+        return tuple(systems.chain(source.from_x(x[0]), x, 2))
 
     def inv_prefactor_derivs(point):
-        x, x1, x2 = target.to_x(point)
-        p = np.exp(-k * x)
-        return p, -k * x1 * p, (k * k * x1 * x1 - k * x2) * p
+        x = target.to_x(point)
+        p = np.exp(-k * x[0])
+        return tuple(systems.chain((p, -k * p, k * k * p), x, 2))
 
-    return MappingSpec(
-        source_family, target_family, coord_derivs, inv_prefactor_derivs, target.domain
-    )
+    return MappingSpec(source_family, target_family, coord_derivs, inv_prefactor_derivs)
 
 
 def map_parameters(source, n, target_family):
@@ -129,25 +124,14 @@ def map_state(mapping_spec, state):
 
     def derivs_fn(point, order):
         p = np.asarray(point, dtype=float)
-        c0, c1, c2 = coord(p)
-        q0, q1, q2 = invpref(p)
-        s = state.derivs(c0, order)
-        out = [q0 * s[0]]
-        if order >= 1:
-            out.append(q1 * s[0] + q0 * s[1] * c1)
-        if order >= 2:
-            out.append(
-                q2 * s[0]
-                + 2.0 * q1 * s[1] * c1
-                + q0 * (s[2] * c1 * c1 + s[1] * c2)
-            )
+        c = coord(p)
+        s = systems.chain(state.derivs(c[0], order), c, order)
+        out = systems.leibniz(invpref(p), s, order)
         if np.ndim(point) == 0:
             return tuple(float(np.asarray(o)) for o in out)
         return tuple(out)
 
-    return operators.SmoothFunction(
-        derivs_fn, domain=mapping_spec.target_domain, max_order=2
-    )
+    return operators.SmoothFunction(derivs_fn, max_order=2)
 
 
 class HierarchyMember(NamedTuple):

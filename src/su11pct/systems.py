@@ -34,8 +34,11 @@ sign +1 and log_norm = (1/2)[ln 2 + (pb + 1) ln alpha + lnG(n + 1)
 Constant mass: P_n = Laguerre L_n^(la)(y), y = c g, h = -y/2, sign (-1)^n
 and log_norm = ((la + 1)/2) ln c + (1/2)[ln 2 + lnG(n + 1) - lnG(n + la + 1)].
 Morse adds -(pb/2) x, or -(la/2) x = -A0 x, to h.  Derivatives up to
-fourth order are assembled analytically, which lets the operator modules
-act on states without any finite differencing.
+fourth order are derivative stacks (value, d1, ..., d_k) combined by two
+rules, ``leibniz`` for products and ``chain`` (Faa di Bruno) for
+compositions: ln f, t = 1 - 2/f (``jacobi_argument``), e^h and P_n(y) are
+compositions and psi_n is the product of q^m, e^h and P_n(y).  The other
+modules combine stacks only through these rules, never by differencing.
 
 The point canonical transformations keep alpha and ``invariants(spec)``
 = (pb, w), w = alpha (2pa + 1), which is (la, 2c) at constant mass.  With
@@ -339,14 +342,9 @@ def invariants(spec):
     return la, 2.0 * c
 
 
-def domain(spec):
-    """Coordinate interval of the family (open endpoints)."""
-    return FAMILIES[spec.family].domain
-
-
 def check_point(spec, point):
     """Raise DomainError if any evaluation point is NaN or leaves the open domain."""
-    lo, hi = domain(spec)
+    lo, hi = FAMILIES[spec.family].domain
     p = np.asarray(point, dtype=float)
     if not np.all((p > lo) & (p < hi)):
         raise DomainError(f"point {point!r} outside open domain ({lo}, {hi})")
@@ -449,24 +447,23 @@ def _centrifugal(L, p):
 # ---------------------------------------------------------------------------
 
 
-def _log_derivs(f, r, order):
-    """Derivatives 0..order of ln f from the stack (f, f', ..., f'''') and r = 1/f."""
-    out = [np.log(f[0])]
-    if order >= 1:
-        a1 = f[1] * r
-        out.append(a1)
-    if order >= 2:
-        a2, s = f[2] * r, a1 * a1
-        out.append(a2 - s)
-    if order >= 3:
-        a3 = f[3] * r
-        out.append(a3 - 3.0 * a1 * a2 + 2.0 * a1 * s)
-    if order >= 4:
-        out.append(f[4] * r - 4.0 * a1 * a3 - 3.0 * a2 * a2 + 12.0 * s * a2 - 6.0 * s * s)
-    return out
+_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
 
 
-def _chain(outer, inner, order):
+def leibniz(a, b, order):
+    """Derivatives 0..order of the product a * b from the stacks a and b.
+
+    ``a`` and ``b`` hold a function and its derivatives (value, d1, ...) as
+    arrays or numbers.  ``b`` needs order + 1 entries; ``a`` may stop
+    early, and its derivatives past the end are taken as 0.
+    """
+    return [
+        sum((a[j] if c == 1 else c * a[j]) * b[k - j] for j, c in enumerate(_BINOM[k][: len(a)]))
+        for k in range(order + 1)
+    ]
+
+
+def chain(outer, inner, order):
     """Derivatives 0..order of F(y(q)) by the Faa di Bruno formula.
 
     ``outer`` holds F, F', ... taken at y(q) and ``inner`` holds y, y', ...
@@ -491,6 +488,20 @@ def _chain(outer, inner, order):
             + outer[4] * s * s
         )
     return out
+
+
+def _reciprocal(f0, order):
+    """Derivatives 0..order of 1/f with respect to f: (-1)^k k! / f^(k+1)."""
+    out = [1.0 / f0]
+    for k in range(1, order + 1):
+        out.append(-k * out[0] * out[-1])
+    return out
+
+
+def jacobi_argument(f, order):
+    """Derivatives 0..order of t = 1 - 2/f from the stack (f, f', ..., f'''')."""
+    inv = _reciprocal(f[0], order)
+    return chain([1.0 - 2.0 * inv[0]] + [-2.0 * w for w in inv[1:]], f, order)
 
 
 class _ClosedForm:
@@ -536,11 +547,9 @@ class _ClosedForm:
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
         if self.spec.deformed:
             f = _profile(self.spec, p)
-            r = 1.0 / f[0]
-            lf = _log_derivs(f, r, order)
-            # y = t = 1 - 2/f, and 1/f = exp(-ln f)
-            inv = _chain((1.0,) * 5, [None] + [-w for w in lf[1:]], order)
-            y = [1.0 - 2.0 * r] + [-2.0 * r * b for b in inv[1:]]
+            # d/df ln f = 1/f
+            lf = chain([np.log(f[0])] + _reciprocal(f[0], order - 1), f, order)
+            y = jacobi_argument(f, order)
         else:
             g = FAMILIES[self.spec.family].g(p)
             y = lf = [self.params[1] * gk for gk in g[: order + 1]]
@@ -564,9 +573,6 @@ class _ClosedForm:
         return self.n * np.log1p(abs_y) + 150.0
 
 
-_BINOM = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
-
-
 class BoundState:
     """One closed-form eigenfunction of a family member.
 
@@ -586,12 +592,10 @@ class BoundState:
             raise ParameterError(f"quantum number {n} exceeds the maximum {specfun.MAX_DEGREE}")
         self.spec = spec
         self.family = spec.family
-        self.mass_kind = "pdm" if spec.deformed else "constant"
         self.n = int(n)
         self.energy = energy(spec, n)
         self._parts = _ClosedForm(spec, n)
         self.norm_coeff = self._parts.sign * math.exp(self._parts.log_norm)
-        self.domain = domain(spec)
 
     def derivs(self, point, order=2):
         """Value and derivatives (value, d1, ..., d_order) at a point."""
@@ -616,27 +620,20 @@ class BoundState:
             dead = ~(log_amp + form.log_bound(np.abs(y[0])) >= -745.0)
             poly = form.poly(np.where(dead, 0.0, y[0]), order)
             u0 = form.sign * np.exp(lead)
-            u = [u0] + [u0 * b for b in _chain((1.0,) * 5, h, order)[1:]]
-            q = _chain(poly, y, order)
-            # smooth part G = u * P(y) by Leibniz
-            out = [
-                sum(_BINOM[k][j] * u[j] * q[k - j] for j in range(k + 1))
-                for k in range(order + 1)
-            ]
+            u = [u0] + [u0 * b for b in chain((1.0,) * 5, h, order)[1:]]
+            # smooth part G = u * P(y)
+            out = leibniz(u, chain(poly, y, order), order)
             if m != 0.0:
-                # d^j/dp^j p^m = fall_j p^(m-j), with p^m in u0 where p > 1
-                fall = [1.0]
-                for j in range(1, order + 1):
-                    fall.append(fall[-1] * (m - (j - 1)))
-                pw = [np.where(big, p ** -float(j), p ** (m - j)) for j in range(order + 1)]
-                out = [
-                    sum(
-                        _BINOM[k][j] * fall[j] * pw[j] * out[k - j]
-                        for j in range(k + 1)
-                        if fall[j] != 0.0
-                    )
-                    for k in range(order + 1)
-                ]
+                # d^j/dp^j p^m = fall_j p^(m-j), with p^m in u0 where p > 1;
+                # the stack stops at the first zero fall_j, before p^(m-j)
+                # can overflow
+                pw, fall = [], 1.0
+                for j in range(order + 1):
+                    if fall == 0.0:
+                        break
+                    pw.append(fall * np.where(big, p ** -float(j), p ** (m - j)))
+                    fall *= m - j
+                out = leibniz(pw, out, order)
             out = [np.where(dead, 0.0, o) for o in out]
         if scalar:
             return tuple(float(o[0]) for o in out)

@@ -29,7 +29,7 @@ def family_spec(request):
     return request.param
 
 
-def gaussian_bump(center, width, domain=(-math.inf, math.inf)):
+def gaussian_bump(center, width):
     """Smooth localized test function with four analytic derivatives."""
 
     def derivs_fn(p, order):
@@ -47,4 +47,4 @@ def gaussian_bump(center, width, domain=(-math.inf, math.inf)):
             return tuple(float(s) for s in stack[: order + 1])
         return tuple(stack[: order + 1])
 
-    return operators.SmoothFunction(derivs_fn, domain=domain, max_order=4)
+    return operators.SmoothFunction(derivs_fn, max_order=4)

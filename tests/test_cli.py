@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from su11pct import cli
+from su11pct import cli, systems
+from su11pct.errors import ParameterError
 
 
 def run_cli(capsys, *argv):
@@ -173,3 +174,42 @@ def test_deformed_map_error_exit_2(capsys):
          "--alpha", "0.6"]
     )
     assert code == 2
+
+
+def exit_code(*argv):
+    """main's exit code, also when argparse exits through SystemExit."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+HO = ("--family", "ho", "--omega", "1", "--L", "0")
+
+
+@pytest.mark.parametrize("command", ["state", "oracle-compare"])
+@pytest.mark.parametrize("bound", [("--grid-min", "0.5"), ("--grid-max", "4")])
+def test_lone_grid_bound_exits_2(capsys, command, bound):
+    assert exit_code(command, *HO, *bound) == 2
+    assert "--grid-min and --grid-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nmax", ["-1", "0"])
+def test_verify_nmax_below_one_exits_2(capsys, nmax):
+    assert exit_code("verify", *HO, "--nmax", nmax) == 2
+    assert exit_code("verify", "--all", "--nmax", nmax) == 2
+    with pytest.raises(ParameterError):
+        cli.build_report(systems.OscillatorSpec(1.0, 0.0), n_max=int(nmax))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        HO,
+        ("--family", "morse", "--A", "2.5", "--B", "1"),
+        ("--family", "coulomb", "--Z", "1", "--Lcal", "0"),
+    ],
+)
+def test_spectrum_negative_nmax_exits_2(capsys, family):
+    assert exit_code("spectrum", *family, "--nmax", "-1") == 2
+    assert capsys.readouterr().out == ""

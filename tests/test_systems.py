@@ -1,13 +1,14 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from su11pct import measures, operators, pct, specfun, systems
 from su11pct.errors import DomainError, ParameterError
 
-from conftest import CONSTANT_SPECS
+from conftest import ALL_SPECS, CONSTANT_SPECS
 
 
 def test_oscillator_energy_constant_mass():
@@ -284,3 +285,58 @@ def test_family_coordinate_rows(family, lo, hi):
     assert np.allclose(b1 * x1, 1.0, rtol=1e-13, atol=0.0)
     # second derivative of the identity q(x(q)) = q
     assert np.allclose(b2 * x1 * x1, -b1 * x2, rtol=1e-13, atol=0.0)
+
+
+def _mp_closed_form(spec, n):
+    """psi_n of the module docstring, sign * q^m * exp(log_norm + h) * P_n(y), in mpmath."""
+    fam = systems.FAMILIES[spec.family]
+    m = mp.mpf(fam.power(spec))
+    lg = mp.loggamma
+    if spec.deformed:
+        pa, pb = (mp.mpf(v) for v in fam.jacobi(spec))
+        alpha = mp.mpf(spec.alpha)
+        log_norm = (
+            mp.log(2) + (pb + 1) * mp.log(alpha) + lg(n + 1) + mp.log(2 * n + pa + pb + 1)
+            + lg(n + pa + pb + 1) - lg(n + pa + 1) - lg(n + pb + 1)
+        ) / 2
+        sign, slope = 1, pb / 2
+    else:
+        la, c = (mp.mpf(v) for v in fam.laguerre(spec))
+        log_norm = (la + 1) / 2 * mp.log(c) + (mp.log(2) + lg(n + 1) - lg(n + la + 1)) / 2
+        sign, slope = (-1) ** n, la / 2
+    slope = slope if fam.linear else 0
+
+    def psi(q):
+        g = {"ho": q * q, "morse": mp.exp(-q), "coulomb": q}[spec.family]
+        if spec.deformed:
+            f = 1 + alpha * g
+            h = -(pa + pb + 2) / 2 * mp.log(f)
+            poly = mp.jacobi(n, pa, pb, 1 - 2 / f)
+        else:
+            h = -c * g / 2
+            poly = mp.laguerre(n, la, c * g)
+        return sign * q**m * mp.exp(log_norm + h - slope * q) * poly
+
+    return psi
+
+
+REFERENCE_SPECS = ALL_SPECS + [
+    systems.OscillatorSpec(1.3, 1.0, 0.4),
+    systems.CoulombSpec(1.0, 2.0, 0.2),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"{s.family}-a{s.alpha}")
+def test_derivative_stack_matches_mpmath(spec):
+    # orders 0-4 against mpmath's differentiation of the closed form at 40 digits
+    with mp.workdps(40):
+        for n in (0, 4, 12):
+            pts = operators.default_residual_grid(spec, n, count=7)
+            got = np.array(systems.bound_state(spec, n).derivs(pts, 4))
+            psi = _mp_closed_form(spec, n)
+            ref = np.array(
+                [[float(d) for d in mp.diffs(psi, mp.mpf(p), 4)] for p in pts]
+            ).T
+            for k in range(5):
+                peak = np.max(np.abs(ref[k]))
+                assert np.max(np.abs(got[k] - ref[k])) <= 1e-12 * peak, (n, k)
