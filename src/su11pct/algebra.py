@@ -22,25 +22,25 @@ so at constant mass mu_n = n + (la + 1)/2 and c+(n) = sqrt((n + 1)(n + la + 1)).
 Only the deformed delta spectrum delta_n = 2n + pa + pb + 1 reads pa itself.
 
 The operators are formulas in the coordinate function g of
-``systems.FAMILIES`` (r^2, e^-x or R) and rho = g g''/g'^2, which is
-constant (1/2, 1 or 0) and equals the family's measure exponent sigma.
-The zero generator is (2 g/(w g'^2)) (pi^2 + u - shift), with w the
-structure denominator ``w_const``; only its inner potential u is written
-per family.  The constant-mass ladders are
-K+- = -K0 + (c/2) g -+ ((g/g') d/dq + rho/2), with y = c g the Laguerre
+``systems.FAMILIES`` (r^2, e^-x or R) and sigma = g g''/g'^2, which is
+constant (1/2, 1 or 0) and is the family's measure exponent.
+The zero generator is (2 g/(w g'^2)) (H - shift), w = ``w_const`` and H
+the ``operators.flux_operator`` of the slots with a1 set to the member-free
+gamma = alpha (k - k^2/2 - 5/8), k = 1 - sigma.  On psi_n it is
+(2/w)(gamma - a1(n)), so a member's slot is a1(n) = gamma - (w/2) mu_n:
+E_n = 2 w mu_n for the oscillator.  The constant-mass ladders are
+K+- = -K0 + (c/2) g -+ ((g/g') d/dq + sigma/2), with y = c g the Laguerre
 argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
-c1 = -16 alpha g/g' and c0 = -8 alpha rho - 4 alpha (1 -+ delta_n) t
+c1 = -16 alpha g/g' and c0 = -8 alpha sigma - 4 alpha (1 -+ delta_n) t
 + 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.  One core for
 both mass kinds would freeze the constant-mass commutator checks to a sector.
-Since rho is constant, g/g' is linear (r/2, -1, R); the operators read it
-from the table's ``g_ratio`` rather than dividing g by g', because the
-oscillator's g = r^2 underflows below r of about 1.5e-154.
+The operators read the linear g/g' from the table's ``g_ratio``, because
+the oscillator's g = r^2 underflows below r of about 1.5e-154.
 
 Each operator is an ``operators.DiffOperator2`` whose ``coeffs(p, order)``
-returns derivative stacks: the zero generator's -f^2, -2 f f' and
--(f f''/2 + f'^2/4) + u - shift are Leibniz products of the f stack, times
-the gauge by Leibniz; the shift core's c0 is affine in the stack of t
-(``systems.jacobi_argument``).
+returns derivative stacks: the zero generator's are the flux operator's
+times the gauge by Leibniz; the shift core's c0 is affine in the stack of
+t (``systems.jacobi_argument``).
 
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
@@ -181,75 +181,40 @@ def ladder_coefficient(gs, n, direction):
 # ---------------------------------------------------------------------------
 
 
-def _inner_potential(gs, p):
-    """Member-free potential inside the zero generator, with derivatives."""
-    spec, a = gs.spec, gs.alpha
-    if gs.family == "morse":
-        q = np.exp(-p)
-        b2 = spec.B**2
-        return (
-            b2 * q * q - 0.125 * a * q,
-            -2.0 * b2 * q * q + 0.125 * a * q,
-            4.0 * b2 * q * q - 0.125 * a * q,
-        )
-    # inverse powers as left-to-right products: cheaper than numpy's p**k,
-    # and a zero coefficient stays 0 where 1/p^k overflows
-    i = 1.0 / p
-    if gs.family == "ho":
-        ll = spec.L * (spec.L + 1.0)
-        w2 = spec.omega**2
-        return (
-            ll * i * i + 0.25 * w2 * p * p,
-            -2.0 * ll * i * i * i + 0.5 * w2 * p,
-            6.0 * ll * i * i * i * i + 0.5 * w2,
-        )
-    ll = spec.Lcal * (spec.Lcal + 1.0)
-    return (
-        ll * i * i - 0.125 * a * i,
-        -2.0 * ll * i * i * i + 0.125 * a * i * i,
-        6.0 * ll * i * i * i * i - 0.25 * a * i * i * i,
-    )
-
-
 def _zero_operator(gs):
-    w, shift = gs.w_const, gs.shift
+    """(2 g/(w g'^2)) (H - shift), H the flux operator with the member-free a1."""
+    w = gs.w_const
     fam = systems.FAMILIES[gs.family]
+    k = 1.0 - fam.sigma
+    a0, _, a2 = fam.slots(gs.spec, 0)
+    gamma = gs.alpha * (k - 0.5 * k * k - 0.625)
+    flux = operators.flux_operator(gs.spec, (a0, gamma, a2), gs.shift).coeffs
     slope = 2.0 * (1.0 - 2.0 * fam.sigma) / w
-    leibniz = systems.leibniz
 
     def coeffs(p, order):
         p = np.asarray(p, dtype=float)
-        f = systems.deforming(gs.spec, p)
         _, g1, g2 = fam.g(p)[:3]
-        # the gauge times the prefactor, 2 g/(w g'^2), and its derivatives
-        # 2 (1 - 2 rho)/(w g') and -2 (1 - 2 rho) g''/(w g'^2), rho = sigma
+        # the gauge 2 g/(w g'^2) and its derivatives 2 (1 - 2 sigma)/(w g')
+        # and -2 (1 - 2 sigma) g''/(w g'^2)
         gauge = (2.0 / w * fam.g_ratio(p) / g1, slope / g1, -slope * (g2 / g1) / g1)
-        u = _inner_potential(gs, p)
-        # c0 = -(f f''/2 + f'^2/4) + u - shift, c1 = -2 f f', c2 = -f^2
-        ff2, f1f1 = leibniz(f, f[2:], order), leibniz(f[1:], f[1:], order)
-        c0 = [-(0.5 * a + 0.25 * b) + uk for a, b, uk in zip(ff2, f1f1, u)]
-        c0[0] = c0[0] - shift
-        c1 = [-2.0 * c for c in leibniz(f, f[1:], order)]
-        c2 = [-c for c in leibniz(f, f, order)]
-        return tuple(leibniz(gauge, c, order) for c in (c0, c1, c2))
+        return tuple(systems.leibniz(gauge, c, order) for c in flux(p, order))
 
     return operators.DiffOperator2(coeffs, order=2)
 
 
 def _const_ladder_operator(gs, direction):
-    """K+- = -K0 + (c/2) g -+ ((g/g') d + rho/2) at constant mass, y = c g."""
+    """K+- = -K0 + (c/2) g -+ ((g/g') d + sigma/2) at constant mass, y = c g."""
     sgn = 1.0 if direction == PLUS else -1.0
     fam = systems.FAMILIES[gs.family]
     half_c = 0.25 * gs.w_const
-    rho = fam.sigma
     zero = _zero_operator(gs).coeffs
 
     def coeffs(p, order):
         p = np.asarray(p, dtype=float)
         k0, k1, k2 = zero(p, order)
-        lin = (fam.g_ratio(p), 1.0 - rho, 0.0)  # g/g' and its derivatives
+        lin = (fam.g_ratio(p), 1.0 - fam.sigma, 0.0)  # g/g' and its derivatives
         c0 = [half_c * g - k for g, k in zip(fam.g(p), k0)]
-        c0[0] = c0[0] - sgn * 0.5 * rho
+        c0[0] = c0[0] - sgn * 0.5 * fam.sigma
         return (c0, [-k - sgn * c for k, c in zip(k1, lin)], [-k for k in k2])
 
     return operators.DiffOperator2(coeffs, order=2)
@@ -260,9 +225,8 @@ def _shift_core_operator(gs, direction, delta_n, scale=1.0):
     spec, a = gs.spec, gs.alpha
     sgn = 1.0 if direction == PLUS else -1.0
     fam = systems.FAMILIES[gs.family]
-    rho = fam.sigma  # g g''/g'^2, constant, so g/g' is linear
-    c0_const = -8.0 * a * rho + 4.0 * a * gs.q_const / (1.0 + sgn * delta_n)
-    c1_slope = -16.0 * a * (1.0 - rho)
+    c0_const = -8.0 * a * fam.sigma + 4.0 * a * gs.q_const / (1.0 + sgn * delta_n)
+    c1_slope = -16.0 * a * (1.0 - fam.sigma)  # g g''/g'^2 = sigma, so g/g' is linear
     t_coef = -4.0 * a * (1.0 - sgn * delta_n)
 
     def coeffs(p, order):

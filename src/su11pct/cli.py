@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, algebra, measures, operators, oracle, pct, systems
+from . import __version__, algebra, measures, operators, oracle, pct, specfun, systems
 from .errors import ConvergenceError, DomainError, NotApplicableError, ParameterError
 
 ANALYTIC_TOLS = {
@@ -335,8 +335,8 @@ def main(argv=None):
 def _dispatch(parser, args):
     if args.command == "spectrum":
         spec = _spec_from_args(parser, args.family, args)
-        if args.nmax < 0:
-            parser.error(f"--nmax must be non-negative, got {args.nmax}")
+        if not 0 <= args.nmax <= specfun.MAX_DEGREE:  # one level per state degree
+            parser.error(f"--nmax must be in [0, {specfun.MAX_DEGREE}], got {args.nmax}")
         levels = _closed_levels(spec, args.nmax + 1)
         payload = {
             "command": "spectrum",
@@ -349,6 +349,8 @@ def _dispatch(parser, args):
     if args.command == "state":
         spec = _spec_from_args(parser, args.family, args)
         bounds = _grid_bounds(parser, args)
+        if args.grid_count < 1:
+            parser.error(f"--grid-count must be positive, got {args.grid_count}")
         state = systems.bound_state(spec, args.n)
         if bounds is not None:
             grid = np.linspace(*bounds, args.grid_count)
@@ -412,6 +414,8 @@ def _dispatch(parser, args):
 
     if args.command == "hierarchy":
         spec = _spec_from_args(parser, args.source, args)
+        if not 0 <= args.nmax <= specfun.MAX_DEGREE:
+            parser.error(f"--nmax must be in [0, {specfun.MAX_DEGREE}], got {args.nmax}")
         members = pct.hierarchy(spec, args.target, args.nmax)
         target, _ = pct.map_parameters(spec, 0, args.target)
         payload = {

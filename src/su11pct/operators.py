@@ -8,9 +8,10 @@ The deformed kinetic term is used in its expanded real form
 
     pi^2 = -f^2 d^2 - 2 f f' d - (f f''/2 + f'^2/4),
 
-which follows from squaring pi = -i sqrt(f) (d/dq) sqrt(f).  Combined with
-the raw member potential this is the flux form -d f^2 d + v_eff, so the
-Hamiltonian action reduces to -f^2 d2 - 2 f f' d1 + v_eff * value.
+which follows from squaring pi = -i sqrt(f) (d/dq) sqrt(f).  With the raw
+member potential it is the flux form -d f^2 d + v, and ``flux_operator``
+-f^2 d^2 - 2 f f' d + v - shift is every Hamiltonian and, gauged, the
+zero generator.
 
 The imaginary unit is never materialized: pi is reported through the real
 first-order ``DiffOperator2`` a = f d + f'/2, (pi fn) = -i a(fn).
@@ -133,19 +134,23 @@ def apply_pi_squared(spec, fn, point):
     return -op.apply(op.apply(fn))(point)
 
 
+def flux_operator(spec, slots, shift=0.0):
+    """-f^2 d^2 - 2 f f' d + v - shift, with v = ``systems.potential`` of the slots."""
+
+    def coeffs(p, order):
+        p = np.asarray(p, dtype=float)
+        f = systems.deforming(spec, p)
+        c0 = systems.potential(spec, slots, p, order)
+        c0[0] = c0[0] - shift
+        c1 = [-2.0 * c for c in systems.leibniz(f, f[1:], order)]
+        return (c0, c1, [-c for c in systems.leibniz(f, f, order)])
+
+    return DiffOperator2(coeffs, order=2)
+
+
 def apply_hamiltonian(spec, member_n, fn, point):
-    """(H fn)(point) for the member_n Hamiltonian of the family.
-
-    Uses the flux form -f^2 d2 - 2 f f' d1 + v_eff * value, which equals
-    pi^2 + v_raw pointwise.
-    """
-    v, d1, d2 = fn.derivs(point, 2)
-
-    def compute():
-        _, v_eff, f, f1, _ = systems.mass_and_potential(spec, member_n, point)
-        return (-f * f * d2 - 2.0 * f * f1 * d1 + v_eff * v,)
-
-    return _vanishing_far_out((v, d1, d2), compute)[0]
+    """(H fn)(point) for the member_n Hamiltonian: the flux operator of its slots."""
+    return flux_operator(spec, systems.FAMILIES[spec.family].slots(spec, member_n)).apply(fn)(point)
 
 
 def eigen_residual(spec, n, grid):

@@ -225,8 +225,8 @@ def default_grid(spec, member_n=0, count=None, k=3):
         if not levels:
             raise ParameterError("fixed Morse potential holds no levels")
         e_deep, e_shallow = levels[0][1], levels[-1][1]
-        b2 = spec.B**2 - 0.75 * a * a
-        c = spec.B * (2.0 * a_n + 1.0) + 0.5 * a
+        slots = systems.FAMILIES["morse"].slots(spec, member_n)
+        b2, c = slots[2], -slots[1]
         depth = c * c / (4.0 * max(b2, 1e-12))
         wall = 200.0 * max(abs(e_deep), depth)
         q_wall = (c + math.sqrt(c * c + 4.0 * max(b2, 1e-12) * wall)) / (

@@ -12,8 +12,8 @@ point canonical transformations preserve; ``FAMILIES`` also holds each
 coordinate as a function of the Morse coordinate x = -ln g
 (r = e^(-x/2), x, R = e^-x), the exponent sigma (1/2, 1, 0) of the
 family measure (1/2) g^(sigma-1) dg, from which ``measures`` and ``pct``
-build the measures and maps, and g/g' (r/2, -1, R), which is linear
-because g g''/g'^2 = sigma is constant.
+build the measures and maps, and rho = g/g' (r/2, -1, R), which is
+linear, rho' = 1 - sigma, because g g''/g'^2 = sigma is constant.
 
 Every bound state is one closed form
 
@@ -45,6 +45,25 @@ The point canonical transformations keep alpha and ``invariants(spec)``
 Lam = (w + alpha)/4, the table's ``spec_of`` inverts the pair: Morse
 B = sqrt(Lam (Lam - alpha)), A0 = pb/2 + (pb + 1)(Lam/B - 1)/2 (while
 Lam > alpha), Coulomb Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.
+
+Every member Hamiltonian is the flux form -d f^2 d + v with one potential
+
+    v = (g'/g)^2 (a0 + a1 g + a2 g^2) = a0/rho^2 + a1 g'/rho + a2 g'^2,
+
+built by ``potential`` on the right-hand basis, which never forms g.  The
+table's ``slots`` read each spec's own parameters, never ``invariants``,
+so the oracle stays independent of the closed forms:
+
+    family    a0               a1                           a2
+    ho        L(L + 1)/4       -alpha/4                     omega^2/16 - alpha^2/2
+    morse     0                -(B (2 A_n + 1) + alpha/2)   B^2 - 3 alpha^2/4
+    coulomb   Lcal(Lcal + 1)   -2 Z_n                       -alpha^2/4
+
+A hierarchy (``member_coupling``) moves only a1.  In x = -ln g,
+d/dq = -(1/rho) d/dx and rho^2 H = -(d/dx + 2s) f^2 d/dx + a0 + a1 g + a2 g^2
+with s = (1 - sigma)/2: conjugating by g^s leaves Morse's -d/dx f^2 d/dx
+and shifts the slots by s^2, 2 s (s - 1) alpha and s (s - 2) alpha^2, and
+an energy joins the slot of rho^2 = g/4, 1 or g^2 (a1, a0 or a2).
 
 Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
 """
@@ -270,6 +289,7 @@ class Family:
     linear: bool  # Morse: h carries -(pb/2) x, or -(la/2) x
     jacobi: object  # deformed spec -> (pa, pb)
     laguerre: object  # constant-mass spec -> (la, c)
+    slots: object  # (spec, n) -> (a0, a1, a2) of the member-n potential
     spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
 
 
@@ -287,6 +307,7 @@ FAMILIES = {
         linear=False,
         jacobi=lambda s: (s.lam / s.alpha - 0.5, s.L + 0.5),
         laguerre=lambda s: (s.L + 0.5, 0.5 * s.omega),
+        slots=lambda s, n: (s.L * (s.L + 1) / 4, -s.alpha / 4, s.omega**2 / 16 - s.alpha**2 / 2),
     ),
     "morse": Family(
         domain=(-math.inf, math.inf),
@@ -301,6 +322,9 @@ FAMILIES = {
         linear=True,
         jacobi=lambda s: (2.0 * s.lam_abs / s.alpha - 1.0, 2.0 * s.sqrt_eps),
         laguerre=lambda s: (2.0 * s.A0, 2.0 * s.B),
+        slots=lambda s, n: (
+            0.0, -s.B * (2 * member_coupling(s, n) + 1) - s.alpha / 2, s.B**2 - 0.75 * s.alpha**2
+        ),
         spec_of=_morse_of,
     ),
     "coulomb": Family(
@@ -316,6 +340,7 @@ FAMILIES = {
         linear=False,
         jacobi=lambda s: (2.0 * s.sqrt_energy / s.alpha, 2.0 * s.Lcal + 1.0),
         laguerre=lambda s: (2.0 * s.Lcal + 1.0, 2.0 * s.lam_abs),
+        slots=lambda s, n: (s.Lcal * (s.Lcal + 1.0), -2.0 * member_coupling(s, n), -s.alpha**2 / 4),
         spec_of=_coulomb_of,
     ),
 }
@@ -408,38 +433,37 @@ def _profile(spec, p):
     return (1.0 + a * g[0],) + tuple(a * gk for gk in g[1:])
 
 
-def mass_and_potential(spec, n, point):
-    """Mass profile and effective potential at a point.
+def potential(spec, slots, p, order):
+    """Derivatives 0..order (<= 3) of a0/rho^2 + a1 g'/rho + a2 g'^2, slots = (a0, a1, a2).
 
-    Returns ``(mass, v_eff, f, f1, f2)`` where mass = 1/f^2 and v_eff is
-    the potential of the flux form -d/dq (1/M) d/dq + v_eff, i.e. the raw
-    member potential minus (f f''/2 + f'^2/4).
+    Only a nonzero slot's basis stack is built: L = 0 stays finite where
+    1/rho^2 overflows.
     """
+    fam = FAMILIES[spec.family]
+    v = [np.zeros_like(p)] * (order + 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rho, g1 = fam.g_ratio(p), fam.g(p)[1:]
+
+        def over_rho(u):  # the quotient rule, with rho' = 1 - sigma and rho'' = 0
+            q = [u[0] / rho]
+            for m in range(1, order + 1):
+                q.append((u[m] - m * (1.0 - fam.sigma) * q[-1]) / rho)
+            return q
+
+        unit = [1.0] + [0.0] * order
+        for j, a in enumerate(slots):
+            if a:
+                b = leibniz(g1, g1, order) if j == 2 else over_rho(g1 if j else over_rho(unit))
+                v = [vk + a * bk for vk, bk in zip(v, b)]
+    return v
+
+
+def mass_and_potential(spec, n, point):
+    """(mass, v_eff, f, f1, f2) at a point; H = -d (1/M) d + v_eff with M = 1/f^2."""
     f, f1, f2, _, _ = deforming(spec, point)
-    p = np.asarray(point, dtype=float)
-    a = spec.alpha
-    if spec.family == "ho":
-        v_eff = (
-            _centrifugal(spec.L, p)
-            + 0.25 * (spec.omega**2 - 8.0 * a * a) * p * p
-            - a
-        )
-    elif spec.family == "morse":
-        q = np.exp(-p)
-        A_n = member_coupling(spec, n)
-        v_eff = (spec.B**2 - 0.75 * a * a) * q * q - (
-            spec.B * (2.0 * A_n + 1.0) + 0.5 * a
-        ) * q
-    else:
-        Z_n = member_coupling(spec, n)
-        v_eff = _centrifugal(spec.Lcal, p) - 2.0 * Z_n / p - 0.25 * a * a
+    slots = FAMILIES[spec.family].slots(spec, n)
+    v_eff = potential(spec, slots, np.asarray(point, dtype=float), 0)[0]
     return (1.0 / (f * f), v_eff, f, f1, f2)
-
-
-def _centrifugal(L, p):
-    """L (L + 1)/p^2, exactly 0 when L (L + 1) is, also where p * p underflows."""
-    ll = L * (L + 1.0)
-    return ll / (p * p) if ll else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,37 @@ def test_orderings_agree_on_eigenstates(family_spec):
             assert np.max(np.abs(left - right)) < 1e-12 * max(1.0, np.max(np.abs(left)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *CONSTANT_SPECS.values(),
+        *DEFORMED_SPECS.values(),
+        systems.OscillatorSpec(2.0, 0.0, 1.0),
+        systems.OscillatorSpec(1.3, 1.0, 0.4),
+        systems.MorseSpec(3.0, 1.2, 0.5),
+        systems.CoulombSpec(1.0, 2.0, 0.2),
+        systems.CoulombSpec(2.5, 4.0, 0.3),
+    ],
+    ids=str,
+)
+def test_hierarchy_slot_is_the_weight(spec):
+    # K0 = (2 g/(w g'^2)) (H - shift) with the member-free slot gamma, so on
+    # psi_n it is (2/w) (gamma - a1(n)): the n-dependent slot a1(n) of the
+    # member potential (the oscillator's energy E_n/4) is gamma - (w/2) mu_n
+    gs = algebra.generator_set(spec)
+    w, mu = gs.w_const, algebra.unirrep(gs).mu_of_n
+    a = spec.alpha
+    for n in range(40):
+        if spec.family == "ho":
+            slot, gamma = -0.25 * a - 0.25 * systems.energy(spec, n), -0.25 * a
+        elif spec.family == "morse":
+            slot = -(spec.B * (2.0 * systems.member_coupling(spec, n) + 1.0) + 0.5 * a)
+            gamma = -0.625 * a
+        else:
+            slot, gamma = -2.0 * systems.member_coupling(spec, n), -0.125 * a
+        assert slot == pytest.approx(gamma - 0.5 * w * mu(n), rel=1e-12), n
+
+
 def test_unirrep_examples():
     uni = algebra.unirrep(algebra.generator_set(CONSTANT_SPECS["ho"]))
     assert uni.k == pytest.approx(0.75, abs=1e-15)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from su11pct import cli, systems
+from su11pct import cli, specfun, systems
 from su11pct.errors import ParameterError
 
 
@@ -213,3 +213,31 @@ def test_verify_nmax_below_one_exits_2(capsys, nmax):
 def test_spectrum_negative_nmax_exits_2(capsys, family):
     assert exit_code("spectrum", *family, "--nmax", "-1") == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_state_nonpositive_grid_count_exits_2(capsys, count):
+    morse = ("--family", "morse", "--A", "1", "--B", "1")
+    assert exit_code("state", *morse, "--grid-count", count) == 2
+    assert capsys.readouterr().out == ""
+
+
+MAPPED = ("--from", "ho", "--to", "coulomb", "--omega", "2", "--L", "0", "--alpha", "0.1")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("spectrum", "--family", "coulomb", "--Z", "1", "--Lcal", "0"),
+        ("spectrum", *HO),
+        ("hierarchy", *MAPPED),
+    ],
+)
+def test_nmax_capped_at_max_degree(capsys, command):
+    # the Coulomb well holds infinitely many levels and a hierarchy has no
+    # last member, so --nmax is capped where the bound states stop
+    assert exit_code(*command, "--nmax", str(specfun.MAX_DEGREE + 1)) == 2
+    assert capsys.readouterr().out == ""
+    assert exit_code(*command, "--nmax", str(specfun.MAX_DEGREE)) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows["levels" if command[0] == "spectrum" else "members"]) == specfun.MAX_DEGREE + 1

@@ -184,6 +184,30 @@ def test_mass_and_potential_values():
     assert v_eff == pytest.approx(-2.25, abs=1e-14)
 
 
+def _reference_v_eff(spec, n, p, exp=np.exp):
+    """The effective potentials written out per family, as a reference."""
+    a = spec.alpha
+    if spec.family == "ho":
+        ll = spec.L * (spec.L + 1.0)
+        return (ll / (p * p) if ll else 0.0) + 0.25 * (spec.omega**2 - 8.0 * a * a) * p * p - a
+    if spec.family == "morse":
+        q = exp(-p)
+        A_n = systems.member_coupling(spec, n)
+        return (spec.B**2 - 0.75 * a * a) * q * q - (spec.B * (2.0 * A_n + 1.0) + 0.5 * a) * q
+    ll = spec.Lcal * (spec.Lcal + 1.0)
+    return (ll / (p * p) if ll else 0.0) - 2.0 * systems.member_coupling(spec, n) / p - 0.25 * a * a
+
+
+def test_v_eff_matches_reference_formulas(family_spec):
+    for n in range(4):
+        p = operators.default_residual_grid(family_spec, n)
+        if family_spec.family != "morse":
+            p = np.append(p, 1e-300)  # L = 0, where p * p underflows
+        v = systems.mass_and_potential(family_spec, n, p)[1]
+        ref = _reference_v_eff(family_spec, n, p)
+        assert np.all(np.abs(v - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), n
+
+
 def test_mass_and_potential_domain_error():
     with pytest.raises(DomainError):
         systems.mass_and_potential(systems.OscillatorSpec(1.0, 0.0), 0, -1.0)
@@ -340,3 +364,24 @@ def test_derivative_stack_matches_mpmath(spec):
             for k in range(5):
                 peak = np.max(np.abs(ref[k]))
                 assert np.max(np.abs(got[k] - ref[k])) <= 1e-12 * peak, (n, k)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"{s.family}-a{s.alpha}")
+def test_potential_stack_matches_mpmath(spec):
+    # orders 0-3 of the slot potential against mpmath's differentiation of
+    # the reference formulas; the generators consume up to order 2
+    with mp.workdps(40):
+        for n in (0, 3):
+            pts = operators.default_residual_grid(spec, n, count=7)
+            slots = systems.FAMILIES[spec.family].slots(spec, n)
+            got = np.array(systems.potential(spec, slots, pts, 3))
+
+            def v_mp(q):
+                return _reference_v_eff(spec, n, q, mp.exp)
+
+            ref = np.array(
+                [[float(d) for d in mp.diffs(v_mp, mp.mpf(p), 3)] for p in pts]
+            ).T
+            for k in range(4):
+                peak = np.max(np.abs(ref[k]))
+                assert np.max(np.abs(got[k] - ref[k])) <= 1e-12 * max(peak, 1.0), (n, k)
