@@ -7,6 +7,8 @@ one of them fails here instead of only under ``bench/run.py --trace 1``.
 import importlib.util
 import os
 
+import numpy as np
+
 from su11pct import algebra, measures, oracle, systems
 
 TRACE_LAYERS = os.path.join(
@@ -38,6 +40,13 @@ def test_tracer_installs_and_uninstalls():
         assert tracer.counts.get("measures.quadrature_levels", 0) > 0
         oracle.lowest_eigenvalues(oracle.discretize(spec, 0, oracle.default_grid(spec)), 2)
         assert tracer.counts.get("oracle.sturm_sweeps", 0) > 0
+        # the tabulate layer metrics count at specfun's module attributes, so
+        # BoundState.derivs must call the polynomial stacks through them
+        points = np.linspace(0.5, 2.0, 11)
+        for mass_spec in (systems.OscillatorSpec(1.0, 0.0, 0.3), spec):  # Jacobi, Laguerre
+            before = tracer.counts.get("specfun.degree_points", 0)
+            systems.bound_state(mass_spec, 3).derivs(points, 2)
+            assert tracer.counts.get("specfun.degree_points", 0) > before
     finally:
         tracer.uninstall()
     assert (systems.bound_state, algebra.casimir_apply) == originals

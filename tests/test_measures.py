@@ -91,7 +91,8 @@ def test_gram_matrices_near_identity(family, alpha):
 
 def test_coulomb_measure_integrable_near_half_angular():
     # |chi|^2 / R ~ R^(2 Lcal + 1) near zero stays integrable for Lcal > -1/2
-    spec = systems.CoulombSpec(-0.4, 1.0)
+    with pytest.warns(UserWarning, match="Lcal"):
+        spec = systems.CoulombSpec(-0.4, 1.0)
     meas = measures.family_measure("coulomb")
     s0 = systems.bound_state(spec, 0)
     assert measures.inner_product(meas, s0, s0) == pytest.approx(1.0, abs=1e-8)

@@ -185,3 +185,139 @@ def test_derivative_stacks_consistency():
         assert np.max(np.abs(stack[k] - (up - dn) / (2 * h))) < 1e-4 * np.max(
             np.abs(stack[k]) + 1.0
         )
+
+
+BAD_STACK_CALLS = {
+    # name: (stack, n, parameters, kmax)
+    "jacobi-negative-degree": (specfun.jacobi_derivs, -1, (1.0, 1.0), 0),
+    "laguerre-negative-degree": (specfun.laguerre_derivs, -3, (0.5,), 0),
+    "jacobi-degree-above-max": (specfun.jacobi_derivs, specfun.MAX_DEGREE + 1, (1.0, 1.0), 0),
+    "laguerre-degree-above-max": (specfun.laguerre_derivs, 500, (0.5,), 0),
+    "laguerre-parameter-below-minus-one": (specfun.laguerre_derivs, 2, (-3.0,), 0),
+    "laguerre-parameter-minus-one": (specfun.laguerre_derivs, 2, (-1.0,), 0),
+    "jacobi-a-minus-one": (specfun.jacobi_derivs, 2, (-1.0, 0.5), 0),
+    "jacobi-b-below-minus-one": (specfun.jacobi_derivs, 2, (0.5, -1.5), 0),
+    "laguerre-float-degree": (specfun.laguerre_derivs, 2.0, (0.5,), 0),
+    "jacobi-fractional-degree": (specfun.jacobi_derivs, 2.5, (1.0, 1.0), 0),
+    "laguerre-negative-kmax": (specfun.laguerre_derivs, 2, (0.5,), -1),
+    "jacobi-negative-kmax": (specfun.jacobi_derivs, 2, (1.0, 1.0), -1),
+    "jacobi-float-kmax": (specfun.jacobi_derivs, 2, (1.0, 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STACK_CALLS.values(), ids=BAD_STACK_CALLS.keys())
+def test_derivative_stacks_reject_bad_parameters(case):
+    stack, n, params, kmax = case
+    with pytest.raises(ParameterError):
+        stack(n, *params, np.array([0.2]), kmax)
+
+
+def _stacks(x, kmax=2):
+    """Laguerre and Jacobi stacks at n = 0, 1, 7, on |x| (Laguerre) and x."""
+    y = np.abs(x)
+    for n in (0, 1, 7):
+        yield specfun.laguerre_derivs(n, 0.8, y, kmax)
+        yield specfun.jacobi_derivs(n, 0.8, 1.2, x, kmax)
+
+
+def test_derivative_stacks_never_write_the_argument():
+    base = np.linspace(-0.9, 0.9, 31)
+    for x in (base, base[::3], base.reshape(31, 1)[5:20], base[::-2]):
+        y = np.abs(x)
+        x_before, y_before = x.copy(), y.copy()
+        for n in (0, 1, 7):
+            specfun.laguerre_derivs(n, 0.8, y, 3)
+            specfun.jacobi_derivs(n, 0.8, 1.2, x, 3)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+    assert np.array_equal(base, np.linspace(-0.9, 0.9, 31))
+
+
+def test_derivative_stack_entries_share_no_memory():
+    t = np.linspace(-0.9, 0.9, 31)
+    for stack in _stacks(t[::3], kmax=3):
+        for i, first in enumerate(stack):
+            assert not np.shares_memory(first, t)
+            for second in stack[i + 1 :]:
+                assert not np.shares_memory(first, second)
+
+
+def test_derivative_stacks_of_a_scalar_are_numpy_floats():
+    for x in (0.3, np.float64(0.3), np.array(0.3)):
+        for stack in _stacks(x, kmax=3):
+            assert len(stack) == 4
+            assert all(type(entry) is np.float64 for entry in stack)
+    arrays = list(_stacks(np.linspace(-0.9, 0.9, 5), kmax=3))
+    for stack, scalars in zip(arrays, _stacks(-0.45, kmax=3)):
+        assert [entry[1] for entry in stack] == scalars
+
+
+def test_derivative_stacks_of_a_2d_argument_match_flat():
+    t = np.linspace(-0.95, 0.95, 24)
+    for grid, flat in zip(_stacks(t.reshape(4, 6)), _stacks(t)):
+        for entry_grid, entry_flat in zip(grid, flat):
+            assert entry_grid.shape == (4, 6)
+            assert np.array_equal(entry_grid, entry_flat.reshape(4, 6))
+
+
+def mp_laguerre_terms(n, a, y):
+    """mp_laguerre with each term formed from the one before (faster)."""
+    a, y = mp.mpf(a), mp.mpf(y)
+    term = total = mp.binomial(n + a, n)
+    for k in range(1, n + 1):
+        term *= -(n - k + 1) * y / ((k + a) * k)
+        total += term
+    return total
+
+
+def mp_jacobi_terms(n, a, b, t):
+    """mp_jacobi with each term formed from the one before; needs t > -1."""
+    a, b, t = mp.mpf(a), mp.mpf(b), mp.mpf(t)
+    u, v = (t - 1) / 2, (t + 1) / 2
+    term = total = mp.binomial(n + a, n) * v**n
+    for k in range(1, n + 1):
+        term *= (n - k + 1) * (n + b - k + 1) * u / ((a + k) * k * v)
+        total += term
+    return total
+
+
+HIGH_DEGREE_CASES = {
+    # kind: (stack, reference, shift factor c_k, points, weight of entry k)
+    "laguerre": (
+        specfun.laguerre_derivs,
+        mp_laguerre_terms,
+        lambda n, params, k: -1,
+        lambda n, params: np.linspace(0.0, 4.0 * n + 2.0 * params[0] + 20.0, 17),
+        lambda x, params, k: np.exp(-x / 2) * x ** ((params[0] + k) / 2),
+    ),
+    "jacobi": (
+        specfun.jacobi_derivs,
+        mp_jacobi_terms,
+        lambda n, params, k: mp.mpf(n + sum(params) + k) / 2,
+        lambda n, params: np.linspace(-0.995, 0.995, 17),
+        lambda x, params, k: (1 - x) ** ((params[0] + k) / 2) * (1 + x) ** ((params[1] + k) / 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [100, 150, 200])
+@pytest.mark.parametrize(
+    "kind, params", [("laguerre", (0.5,)), ("jacobi", (1.5, 0.5)), ("jacobi", (40.0, 2.0))]
+)
+def test_derivative_stacks_match_mpmath_at_high_degree(kind, params, n):
+    # d^k/dx^k p_n = c_1 ... c_k p_{n-k} with parameters shifted by k is
+    # exact, so the reference differentiates by it too.  The coefficient sums
+    # cancel by at most about e^(2n) of the value, so they run with n guard
+    # digits above 40.  Errors are relative to the largest value under the
+    # weight of the orthogonality measure, which a bound state multiplies by.
+    stack, reference, factor, points, weight = HIGH_DEGREE_CASES[kind]
+    x = points(n, params)
+    got = stack(n, *params, x, 2)
+    coeff = mp.mpf(1)
+    for k in range(3):
+        if k:
+            coeff *= factor(n, params, k)
+        with mp.workdps(40 + n):
+            shifted = [p + k for p in params]
+            ref = np.array([float(coeff * reference(n - k, *shifted, xi)) for xi in x])
+        w = weight(x, params, k)
+        assert np.max(np.abs(got[k] - ref) * w) < 1e-12 * np.max(np.abs(ref) * w)
