@@ -19,7 +19,7 @@ def main():
     print("source: oscillator omega=1, L=0 with E_n = 2n + 3/2")
 
     morse, _ = pct.map_parameters(ho, 0, "morse")
-    print(f"Morse image: A0={morse.A0}, B={morse.B}, fixed energy {morse.epsilon}")
+    print(f"Morse image: A0={morse.A0}, B={morse.B}, fixed energy {systems.energy(morse, 0)}")
     print("hierarchy members (A_n grows, energy fixed):")
     for m in pct.hierarchy(ho, "morse", 3):
         print(f"  n={m.n}: A_n = {m.coupling:.2f}, energy = {m.energy:+.4f}")

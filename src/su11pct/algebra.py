@@ -319,17 +319,21 @@ def casimir_apply(gs, state, points):
     return -pm + zz - lin * z - const * v
 
 
-def pointwise_grid(spec, n, count=120, density_floor=1e-3):
+# a pointwise grid covers where w psi_n^2 reaches this share of its peak
+DENSITY_FLOOR = 1e-3
+
+
+def pointwise_grid(spec, n, count=120):
     """Interior grid for composed-operator identities.
 
     Covers the region where the measure-weighted density w(p) psi_n(p)^2
-    stays above a relative floor.  Double applications consume fourth
-    derivatives and gauge factors (e^x, R) that amplify rounding at the
-    domain extremes; restricting to where the state carries its norm keeps
-    every point well conditioned for all six families.
+    stays above DENSITY_FLOOR of its peak.  Double applications consume
+    fourth derivatives and gauge factors (e^x, R) that amplify rounding at
+    the domain extremes; restricting to where the state carries its norm
+    keeps every point well conditioned for all six families.
     """
     weight = measures.family_measure(spec.family).weight
-    return operators.support_grid(spec, n, count, density_floor, weight)
+    return operators.support_grid(spec, n, count, DENSITY_FLOOR, weight)
 
 
 @dataclass(frozen=True)

@@ -432,10 +432,9 @@ def _dispatch(parser, args):
 
     # oracle-compare
     spec = _spec_from_args(parser, args.family, args)
-    k = args.nmax + 1
-    if k > 10:
-        parser.error("oracle-compare supports at most 10 levels")
-    closed = [e for _, e in _closed_levels(spec, k)]
+    if not 0 <= args.nmax <= 9:
+        parser.error(f"--nmax must be in [0, 9], got {args.nmax}")
+    closed = [e for _, e in _closed_levels(spec, args.nmax + 1)]
     k = len(closed)
     bounds = _grid_bounds(parser, args)
     if bounds is not None:

@@ -165,27 +165,33 @@ def eigen_residual(spec, n, grid):
     return float(np.max(np.abs(h - state.energy * v)) / scale)
 
 
-def default_residual_grid(spec, n, count=200, rel_floor=1e-5):
-    """Interior grid covering where |psi_n| is at least rel_floor of its peak.
+# a residual grid covers where |psi_n| reaches this share of its peak
+RESIDUAL_FLOOR = 1e-5
+# points on which ``support`` scans a family's probe interval
+PROBE_COUNT = 6001
+
+
+def default_residual_grid(spec, n, count=200):
+    """Interior grid covering where |psi_n| is at least RESIDUAL_FLOOR of its peak.
 
     Half-line families get geometric spacing (their states live over several
     decades), the Morse line a uniform one.  The floor keeps the grid away
     from the extreme edges where high-order derivative assembly of composed
     operators loses digits to cancellation.
     """
-    return support_grid(spec, n, count, rel_floor)
+    return support_grid(spec, n, count, RESIDUAL_FLOOR)
 
 
-def support(spec, n, rel_floor, weight=None, probe_count=6001):
+def support(spec, n, rel_floor, weight=None):
     """Probe interval (lo, hi) where the n-th state carries its weight.
 
-    The family's probe interval is scanned on probe_count points, spaced
+    The family's probe interval is scanned on PROBE_COUNT points, spaced
     like its grids; kept are the points where |psi_n|, or
     weight * psi_n^2 when a measure weight is given, reaches rel_floor of
     its peak.
     """
     fam = systems.FAMILIES[spec.family]
-    probe = fam.spacing(*fam.probe, probe_count)
+    probe = fam.spacing(*fam.probe, PROBE_COUNT)
     with np.errstate(over="ignore"):
         v = systems.bound_state(spec, n)(probe)
         v = np.abs(v) if weight is None else weight(probe) * v**2

@@ -217,15 +217,12 @@ def default_grid(spec, member_n=0, count=None, k=3):
     grows as the square root of the unit.
     """
     a = spec.alpha
+    slots = systems.FAMILIES[spec.family].slots(spec, member_n)
+    levels = systems.levels(spec.family, slots, a, max(k, 1))
     if spec.family == "morse":
-        a_n = systems.member_coupling(spec, member_n)
-        levels = systems.spectrum_fixed_potential(
-            "morse", (a_n, spec.B), a, max_count=max(k, 1)
-        )
         if not levels:
             raise ParameterError("fixed Morse potential holds no levels")
         e_deep, e_shallow = levels[0][1], levels[-1][1]
-        slots = systems.FAMILIES["morse"].slots(spec, member_n)
         b2, c = slots[2], -slots[1]
         depth = c * c / (4.0 * max(b2, 1e-12))
         wall = 200.0 * max(abs(e_deep), depth)
@@ -243,17 +240,14 @@ def default_grid(spec, member_n=0, count=None, k=3):
             count = max(COUNT, math.ceil((x_max - x_min) / step))
         return GridSpec(x_min, x_max, count)
     if spec.family == "ho":
+        lam = 0.5 * systems.invariants(spec)[1]  # (alpha + sqrt(omega^2 + alpha^2))/2
         e_top = systems.energy(spec, k + 2)
-        r_max = 2.0 * math.sqrt(e_top) / spec.lam  # twice the turning point
+        r_max = 2.0 * math.sqrt(e_top) / lam  # twice the turning point
         if a > 0:  # power-law tail r^-(pa+3/2) past r ~ 1/sqrt(alpha)
             power = systems.jacobi_params(spec)[0] + 1.5
             r_max = max(r_max, 1.0 / math.sqrt(a)) * TAIL ** (-1.0 / power)
-        unit, length = spec.lam, 1.0 / math.sqrt(spec.lam)  # e^(-lam r^2 / 2)
+        unit, length = lam, 1.0 / math.sqrt(lam)  # e^(-lam r^2 / 2)
     else:
-        z_n = systems.member_coupling(spec, member_n)
-        levels = systems.spectrum_fixed_potential(
-            "coulomb", (z_n, spec.Lcal), a, max_count=max(k, 1)
-        )
         kappa = math.sqrt(abs(levels[min(k, len(levels)) - 1][1]))
         unit = abs(levels[0][1])
         length = 0.5 / math.sqrt(unit)  # e^(-kappa_0 R) = e^(-y/2)

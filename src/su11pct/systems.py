@@ -20,13 +20,11 @@ Every bound state is one closed form
     psi_n(q) = sign * q^m * exp(log_norm + h(q)) * P_n(y(q)),
 
 and the families differ only in the data of ``FAMILIES``: g, the
-coordinate power m (L + 1, 0, Lcal + 1), Morse's linear exponent term and
-the maps from a spec to the parameters of the polynomial P_n:
-
-    family    deformed (pa, pb)                  constant mass (la, c)
-    ho        (lam/alpha - 1/2, L + 1/2)         (L + 1/2, omega/2)
-    morse     (2 |lam|/alpha - 1, 2 sqrt|eps|)   (2 A0, 2 B)
-    coulomb   (2 sqrt|E|/alpha, 2 Lcal + 1)      (2 Lcal + 1, 2 Z0/(Lcal + 1))
+coordinate power m (L + 1, 0, Lcal + 1), Morse's linear exponent term,
+the member potentials and the slot an energy enters.  The parameters of
+P_n come from the pair (pb, w) of the level law below:
+pa = (w - alpha)/(2 alpha) when deformed, (la, c) = (pb, w/2) at constant
+mass.
 
 Deformed: P_n = Jacobi P_n^(pa,pb)(t), t = 1 - 2/f, h = -((pa + pb + 2)/2) ln f,
 sign +1 and log_norm = (1/2)[ln 2 + (pb + 1) ln alpha + lnG(n + 1)
@@ -40,18 +38,12 @@ compositions: ln f, t = 1 - 2/f (``jacobi_argument``), e^h and P_n(y) are
 compositions and psi_n is the product of q^m, e^h and P_n(y).  The other
 modules combine stacks only through these rules, never by differencing.
 
-The point canonical transformations keep alpha and ``invariants(spec)``
-= (pb, w), w = alpha (2pa + 1), which is (la, 2c) at constant mass.  With
-Lam = (w + alpha)/4, the table's ``spec_of`` inverts the pair: Morse
-B = sqrt(Lam (Lam - alpha)), A0 = pb/2 + (pb + 1)(Lam/B - 1)/2 (while
-Lam > alpha), Coulomb Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.
-
 Every member Hamiltonian is the flux form -d f^2 d + v with one potential
 
     v = (g'/g)^2 (a0 + a1 g + a2 g^2) = a0/rho^2 + a1 g'/rho + a2 g'^2,
 
 built by ``potential`` on the right-hand basis, which never forms g.  The
-table's ``slots`` read each spec's own parameters, never ``invariants``,
+table's ``slots`` read each spec's own parameters, never ``level``,
 so the oracle stays independent of the closed forms:
 
     family    a0               a1                           a2
@@ -62,8 +54,26 @@ so the oracle stays independent of the closed forms:
 A hierarchy (``member_coupling``) moves only a1.  In x = -ln g,
 d/dq = -(1/rho) d/dx and rho^2 H = -(d/dx + 2s) f^2 d/dx + a0 + a1 g + a2 g^2
 with s = (1 - sigma)/2: conjugating by g^s leaves Morse's -d/dx f^2 d/dx
-and shifts the slots by s^2, 2 s (s - 1) alpha and s (s - 2) alpha^2, and
-an energy joins the slot of rho^2 = g/4, 1 or g^2 (a1, a0 or a2).
+and the slots b0 = a0 + s^2, b1 = a1 + 2 s (s - 1) alpha and
+b2 = a2 + s (s - 2) alpha^2, and an energy E joins the slot of
+rho^2 = g/4, 1 or g^2 as a_j - c E, (j, c) = (1, 1/4), (0, 1), (2, 1).
+With pb = 2 sqrt(b0) and w = alpha + 4 sqrt(b2 + alpha^2), level n obeys
+the one su(1,1) law (``level``)
+
+    -4 b1 = w (2n + pb + 1) + alpha (4n^2 + 2n + 3 + pb (4n + 1)),
+
+which is (w/2) mu_n = -b1 - 5 alpha/8 with the weights mu_n of
+``algebra.unirrep``.  It is linear in each of b1, pb and w, and solved
+for the one that holds the energy: the oscillator's b1 gives
+E = 2 w mu_n (a spectrum-generating algebra), Morse's pb gives
+E = -pb^2/4 and Coulomb's w gives E = -((w - alpha)/4)^2 (potential
+algebras: member n's level n is the hierarchy's one energy).  A level of
+a fixed well exists while that root is positive, pb > 0 or w > alpha.
+
+The point canonical transformations keep alpha and ``invariants(spec)``
+= (pb, w).  With Lam = (w + alpha)/4, the table's ``spec_of`` inverts the
+pair: Morse B = sqrt(Lam (Lam - alpha)), A0 = pb/2 + (pb + 1)(Lam/B - 1)/2
+(while Lam > alpha), Coulomb Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.
 
 Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
 """
@@ -132,16 +142,6 @@ class OscillatorSpec(_Spec):
 
     family = "ho"
 
-    @property
-    def delta(self):
-        """sqrt(omega^2 + alpha^2)."""
-        return math.hypot(self.omega, self.alpha)
-
-    @property
-    def lam(self):
-        """(alpha + sqrt(omega^2 + alpha^2)) / 2; equals omega/2 at alpha = 0."""
-        return 0.5 * (self.alpha + self.delta)
-
 
 @dataclass(frozen=True)
 class MorseSpec(_Spec):
@@ -158,7 +158,7 @@ class MorseSpec(_Spec):
             raise ParameterError(f"B must be positive, got {self.B}")
         if self.alpha < 0:
             raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
-        if self.deformed and not self.sqrt_eps > 0:
+        if self.deformed and not invariants(self)[0] > 0:
             raise ParameterError(
                 "no normalizable lowest state: (2*A0+1)*B must exceed "
                 f"(alpha + sqrt(4B^2+alpha^2))/2, got A0={self.A0}, B={self.B}, "
@@ -168,28 +168,9 @@ class MorseSpec(_Spec):
     family = "morse"
 
     @property
-    def delta(self):
-        """sqrt(4 B^2 + alpha^2)."""
-        return math.hypot(2.0 * self.B, self.alpha)
-
-    @property
     def lam_abs(self):
         """(alpha + sqrt(4B^2 + alpha^2)) / 2; equals B at alpha = 0."""
-        return 0.5 * (self.alpha + self.delta)
-
-    @property
-    def sqrt_eps(self):
-        """sqrt(|epsilon|); equals A0 at alpha = 0."""
-        if self.alpha == 0:
-            return self.A0
-        return 0.5 * ((2.0 * self.A0 + 1.0) * self.B / self.lam_abs - 1.0)
-
-    @property
-    def epsilon(self):
-        """The fixed energy shared by all hierarchy members, -sqrt_eps^2."""
-        if self.alpha == 0:
-            return -self.A0 * self.A0
-        return -self.sqrt_eps**2
+        return 0.5 * (self.alpha + math.hypot(2.0 * self.B, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -220,21 +201,6 @@ class CoulombSpec(_Spec):
     def lam_abs(self):
         """Z0 / (Lcal + 1), the Morse-side scale of the family."""
         return self.Z0 / (self.Lcal + 1.0)
-
-    @property
-    def B(self):
-        """Range parameter of the Morse preimage, sqrt(lam*(lam - alpha))."""
-        return math.sqrt(self.lam_abs * (self.lam_abs - self.alpha))
-
-    @property
-    def sqrt_energy(self):
-        """sqrt(|E|) = lam - alpha/2; equals Z0/(Lcal+1) at alpha = 0."""
-        return self.lam_abs - 0.5 * self.alpha
-
-    @property
-    def energy(self):
-        """The fixed energy shared by all hierarchy members."""
-        return -self.sqrt_energy**2
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +234,28 @@ def _morse_of(pb, w, alpha):
     return MorseSpec(A0=0.5 * pb + 0.5 * (pb + 1.0) * (lam / B - 1.0), B=B, alpha=alpha)
 
 
+def _morse_well(A_bar, B, alpha):
+    """Slots of the Morse potential with coupling A_bar, and its constant-mass level count."""
+    if not A_bar > 0 or not B > 0:
+        raise ParameterError("Morse parameters must be positive")
+    return (0.0, -B * (2 * A_bar + 1) - alpha / 2, B**2 - 0.75 * alpha**2), math.ceil(A_bar)
+
+
+def _coulomb_well(Z_bar, Lcal, alpha):
+    """Slots of the Coulomb potential with charge Z_bar, and None: at constant
+    mass it holds infinitely many levels, and a deformation leaves finitely many."""
+    if not Z_bar > 0:
+        raise ParameterError("Z_bar must be positive")
+    if Lcal <= -0.5:
+        raise ParameterError("Lcal must be > -1/2")
+    return (Lcal * (Lcal + 1.0), -2.0 * Z_bar, -alpha**2 / 4), None
+
+
+# the fixed potentials of ``spectrum_fixed_potential``:
+# (params, alpha) -> (slots, levels held at constant mass)
+_WELLS = {"morse": _morse_well, "coulomb": _coulomb_well}
+
+
 def _coulomb_of(pb, w, alpha):
     Z0 = 0.125 * (w + alpha) * (pb + 1.0)
     return _mapped_spec(CoulombSpec, Lcal=0.5 * (pb - 1.0), Z0=Z0, alpha=alpha)
@@ -287,9 +275,8 @@ class Family:
     to_x: object  # q -> (x, dx/dq, d2x/dq2)
     power: object  # spec -> exponent m of the coordinate power q^m
     linear: bool  # Morse: h carries -(pb/2) x, or -(la/2) x
-    jacobi: object  # deformed spec -> (pa, pb)
-    laguerre: object  # constant-mass spec -> (la, c)
     slots: object  # (spec, n) -> (a0, a1, a2) of the member-n potential
+    energy_slot: tuple  # (j, c): an energy E enters slot a_j as a_j - c E
     spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
 
 
@@ -305,9 +292,8 @@ FAMILIES = {
         to_x=lambda r: (-2.0 * np.log(r), -2.0 / r, 2.0 / (r * r)),
         power=lambda s: s.L + 1.0,
         linear=False,
-        jacobi=lambda s: (s.lam / s.alpha - 0.5, s.L + 0.5),
-        laguerre=lambda s: (s.L + 0.5, 0.5 * s.omega),
         slots=lambda s, n: (s.L * (s.L + 1) / 4, -s.alpha / 4, s.omega**2 / 16 - s.alpha**2 / 2),
+        energy_slot=(1, 0.25),
     ),
     "morse": Family(
         domain=(-math.inf, math.inf),
@@ -320,11 +306,8 @@ FAMILIES = {
         to_x=_identity,
         power=lambda s: 0.0,
         linear=True,
-        jacobi=lambda s: (2.0 * s.lam_abs / s.alpha - 1.0, 2.0 * s.sqrt_eps),
-        laguerre=lambda s: (2.0 * s.A0, 2.0 * s.B),
-        slots=lambda s, n: (
-            0.0, -s.B * (2 * member_coupling(s, n) + 1) - s.alpha / 2, s.B**2 - 0.75 * s.alpha**2
-        ),
+        slots=lambda s, n: _morse_well(member_coupling(s, n), s.B, s.alpha)[0],
+        energy_slot=(0, 1.0),
         spec_of=_morse_of,
     ),
     "coulomb": Family(
@@ -338,33 +321,70 @@ FAMILIES = {
         to_x=lambda R: (-np.log(R), -1.0 / R, 1.0 / (R * R)),
         power=lambda s: s.Lcal + 1.0,
         linear=False,
-        jacobi=lambda s: (2.0 * s.sqrt_energy / s.alpha, 2.0 * s.Lcal + 1.0),
-        laguerre=lambda s: (2.0 * s.Lcal + 1.0, 2.0 * s.lam_abs),
-        slots=lambda s, n: (s.Lcal * (s.Lcal + 1.0), -2.0 * member_coupling(s, n), -s.alpha**2 / 4),
+        slots=lambda s, n: _coulomb_well(member_coupling(s, n), s.Lcal, s.alpha)[0],
+        energy_slot=(2, 1.0),
         spec_of=_coulomb_of,
     ),
 }
 
 
+def level(family, slots, alpha, n):
+    """(pb, w, E) of level n of the potential with these slots.
+
+    The su(1,1) law of the module docstring, solved in the Morse frame for
+    the one of b1, pb and w whose slot the energy enters.
+    """
+    fam = FAMILIES[family]
+    j, c = fam.energy_slot
+    s = 0.5 * (1.0 - fam.sigma)
+    b0 = slots[0] + s * s
+    b1 = slots[1] + 2.0 * s * (s - 1.0) * alpha
+    d2 = slots[2] + (1.0 - s) ** 2 * alpha**2  # b2 + alpha^2
+    m, q = alpha * (4.0 * n * n + 2.0 * n + 3.0), alpha * (4.0 * n + 1.0)
+    # solve for the unknown in slot j; root is the value the law gives that slot
+    if j == 0:
+        w = alpha + 4.0 * math.sqrt(d2)
+        pb = -(4.0 * b1 + w * (2.0 * n + 1.0) + m) / (w + q)
+        root = 0.25 * pb * pb
+    elif j == 1:
+        pb, w = 2.0 * math.sqrt(b0), alpha + 4.0 * math.sqrt(d2)
+        root = -0.25 * (w * (2.0 * n + pb + 1.0) + m + pb * q)
+    else:
+        pb = 2.0 * math.sqrt(b0)
+        w = -(4.0 * b1 + m + pb * q) / (2.0 * n + pb + 1.0)
+        root = (0.25 * (w - alpha)) ** 2
+    return pb, w, ((b0, b1, d2)[j] - root) / c
+
+
+def _state_level(spec, n):
+    """(pb, w, E) of bound state n.
+
+    The oscillator's energy enters a1, the slot a hierarchy moves, so n
+    counts the levels of its one Hamiltonian.  A Morse or Coulomb state n
+    is level n of member n, whose energy the hierarchy shares; it is read
+    at member 0's level 0, so it is the same float for every n.
+    """
+    fam = FAMILIES[spec.family]
+    k = n if fam.energy_slot[0] == 1 else 0
+    return level(spec.family, fam.slots(spec, k), spec.alpha, k)
+
+
 def jacobi_params(spec):
-    """Jacobi parameters (pa, pb) of a deformed spec."""
+    """Jacobi parameters (pa, pb) of a deformed spec, pa = (w - alpha)/(2 alpha)."""
     if not spec.deformed:
         raise NotApplicableError("defined only for deformed families (alpha > 0)")
-    return FAMILIES[spec.family].jacobi(spec)
+    pb, w = invariants(spec)
+    return (w - spec.alpha) / (2.0 * spec.alpha), pb
 
 
 def invariants(spec):
-    """The pair (pb, w) that the parameter maps keep, continuous in alpha >= 0.
+    """The pair (pb, w) of the level law, which the parameter maps keep.
 
-    Deformed: (pb, alpha (2pa + 1)); constant mass: (la, 2c), the limit of
-    the deformed pair as alpha -> 0.  ``FAMILIES[family].spec_of`` inverts
-    it for the Morse and Coulomb families.
+    Continuous in alpha >= 0: w = alpha (2pa + 1) for a deformed spec, and
+    the pair is (la, 2c) at constant mass.  ``FAMILIES[family].spec_of``
+    inverts it for the Morse and Coulomb families.
     """
-    if spec.deformed:
-        pa, pb = jacobi_params(spec)
-        return pb, spec.alpha * (2.0 * pa + 1.0)
-    la, c = FAMILIES[spec.family].laguerre(spec)
-    return la, 2.0 * c
+    return _state_level(spec, 0)[:2]
 
 
 def check_point(spec, point):
@@ -403,20 +423,13 @@ def member_coupling(spec, n):
 def energy(spec, n):
     """Energy of the n-th bound state (oscillator) or the fixed family energy.
 
-    The oscillator value alpha*(4n^2 + 4n(L+1) + L + 1) + (4n+2L+3)*lam
-    reduces exactly to omega*(2n + L + 3/2) at alpha = 0.  Morse and
-    Coulomb hierarchies share one energy independent of n.
+    The oscillator's E_n = 2 w mu_n reduces to omega (2n + L + 3/2) at
+    alpha = 0.  Morse and Coulomb hierarchies share one energy independent
+    of n.
     """
     if n < 0:
         raise ParameterError("quantum number must be non-negative")
-    if spec.family == "ho":
-        L, a = spec.L, spec.alpha
-        return a * (4.0 * n * n + 4.0 * n * (L + 1.0) + L + 1.0) + (
-            4.0 * n + 2.0 * L + 3.0
-        ) * spec.lam
-    if spec.family == "morse":
-        return spec.epsilon
-    return spec.energy
+    return _state_level(spec, n)[2]
 
 
 def deforming(spec, point):
@@ -536,13 +549,14 @@ class _ClosedForm:
     1/p^2-sized terms near the origin in high-order derivatives.
     """
 
-    def __init__(self, spec, n):
+    def __init__(self, spec, n, pb, w):
         fam = FAMILIES[spec.family]
         lg = specfun.log_gamma
         self.spec, self.n = spec, n
         self.power = fam.power(spec)
         if spec.deformed:
-            pa, pb = self.params = fam.jacobi(spec)
+            pa = (w - spec.alpha) / (2.0 * spec.alpha)
+            self.params = pa, pb
             self.log_norm = 0.5 * (
                 LN2
                 + (pb + 1.0) * math.log(spec.alpha)
@@ -558,7 +572,7 @@ class _ClosedForm:
             self._bound = lg(n + top + 1.0) - lg(n + 1.0) - lg(top + 1.0) + n * LN2 + 150.0
             slope = 0.5 * pb
         else:
-            la, c = self.params = fam.laguerre(spec)
+            la, c = self.params = pb, 0.5 * w
             self.log_norm = 0.5 * (la + 1.0) * math.log(c) + 0.5 * (
                 LN2 + lg(n + 1.0) - lg(n + la + 1.0)
             )
@@ -617,8 +631,8 @@ class BoundState:
         self.spec = spec
         self.family = spec.family
         self.n = int(n)
-        self.energy = energy(spec, n)
-        self._parts = _ClosedForm(spec, n)
+        pb, w, self.energy = _state_level(spec, self.n)
+        self._parts = _ClosedForm(spec, self.n, pb, w)
         self.norm_coeff = self._parts.sign * math.exp(self._parts.log_norm)
 
     def derivs(self, point, order=2):
@@ -681,16 +695,22 @@ def bound_state(spec, n):
 # ---------------------------------------------------------------------------
 
 
-def _positive_root_levels(roots_iter, max_count):
-    # keep k while the signed square root of the level stays positive;
-    # it decreases strictly, so the energies -s_k^2 increase while kept.
-    # Squaring first would hide the sign and admit non-normalizable
-    # candidates (confirmed against the finite-difference oracle).
+def levels(family, slots, alpha, count):
+    """Levels (k, E_k), k < count, of the potential with these slots, while they exist.
+
+    The law's unknown, pb (Morse) or w - alpha (Coulomb), decreases
+    strictly in k, and level k exists while it is positive: the state
+    decays like it.  The oscillator's levels never end.  Testing the
+    energy, its square, would admit non-normalizable candidates (confirmed
+    against the finite-difference oracle).
+    """
+    j = FAMILIES[family].energy_slot[0]
     out = []
-    for k, s in roots_iter:
-        if len(out) >= max_count or s <= 0:
+    for k in range(count):
+        pb, w, e = level(family, slots, alpha, k)
+        if (pb, math.inf, w - alpha)[j] <= 0:
             break
-        out.append((k, -s * s))
+        out.append((k, e))
     return out
 
 
@@ -700,53 +720,22 @@ def spectrum_fixed_potential(family, params, alpha, max_count):
     ``params`` is (A_bar, B) for Morse or (Z_bar, Lcal) for Coulomb.  At
     alpha = 0 the Morse well holds ceil(A_bar) levels -(A_bar - k)^2 and
     the Coulomb well infinitely many -(Z_bar/(k+Lcal+1))^2, truncated at
-    ``max_count``.  For alpha > 0 a level -s_k^2 is kept while its signed
-    root s_k is positive (the associated eigenfunction decays like s_k);
-    the deformation can therefore suppress levels, down to a finite
-    Coulomb count.
+    ``max_count``.  A deformation can suppress levels, down to a finite
+    Coulomb count; losing constant-mass Morse levels warns.
     """
     if max_count < 1:
         raise ParameterError("max_count must be at least 1")
     if alpha < 0:
         raise ParameterError("alpha must be non-negative")
-    if family == "morse":
-        A_bar, B = params
-        if not A_bar > 0 or not B > 0:
-            raise ParameterError("Morse parameters must be positive")
-        if alpha == 0:
-            n_top = min(math.ceil(A_bar) - 1, max_count - 1)
-            return [(k, -((A_bar - k) ** 2)) for k in range(n_top + 1)]
-        lam = 0.5 * (alpha + math.hypot(2.0 * B, alpha))
-
-        def roots():
-            for k in range(max_count):
-                num = (2.0 * A_bar + 1.0) * B - alpha * k * k - (2.0 * k + 1.0) * lam
-                yield k, num / (2.0 * (alpha * k + lam))
-
-        out = _positive_root_levels(roots(), max_count)
-        if len(out) < min(math.ceil(A_bar), max_count):
-            warnings.warn(
-                f"deformation alpha={alpha} suppresses Morse levels: kept "
-                f"{len(out)} of the {math.ceil(A_bar)} constant-mass ones",
-                UserWarning,
-                stacklevel=2,
-            )
-        return out
-    if family == "coulomb":
-        Z_bar, Lcal = params
-        if not Z_bar > 0:
-            raise ParameterError("Z_bar must be positive")
-        if Lcal <= -0.5:
-            raise ParameterError("Lcal must be > -1/2")
-        if alpha == 0:
-            return [
-                (k, -((Z_bar / (k + Lcal + 1.0)) ** 2)) for k in range(max_count)
-            ]
-
-        def roots():
-            for k in range(max_count):
-                num = 2.0 * Z_bar - alpha * (k * k + (Lcal + 1.0) * (2.0 * k + 1.0))
-                yield k, num / (2.0 * (k + Lcal + 1.0))
-
-        return _positive_root_levels(roots(), max_count)
-    raise ParameterError(f"fixed-potential spectra exist for morse/coulomb, not {family}")
+    if family not in _WELLS:
+        raise ParameterError(f"fixed-potential spectra exist for morse/coulomb, not {family}")
+    slots, held = _WELLS[family](*params, alpha)
+    out = levels(family, slots, alpha, max_count)
+    if alpha > 0 and held is not None and len(out) < min(held, max_count):
+        warnings.warn(
+            f"deformation alpha={alpha} suppresses {family.capitalize()} levels: kept "
+            f"{len(out)} of the {held} constant-mass ones",
+            UserWarning,
+            stacklevel=2,
+        )
+    return out

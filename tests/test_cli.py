@@ -213,6 +213,13 @@ def test_verify_nmax_below_one_exits_2(capsys, nmax):
 def test_spectrum_negative_nmax_exits_2(capsys, family):
     assert exit_code("spectrum", *family, "--nmax", "-1") == 2
     assert capsys.readouterr().out == ""
+    assert exit_code("oracle-compare", *family, "--nmax", "-1") == 2
+    assert "--nmax must be in [0, 9]" in capsys.readouterr().err
+
+
+def test_oracle_compare_nmax_capped_at_9(capsys):
+    assert exit_code("oracle-compare", *HO, "--nmax", "10") == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("count", ["-3", "0"])

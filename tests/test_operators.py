@@ -81,7 +81,7 @@ def test_eigen_relation_pointwise():
     spec = systems.CoulombSpec(0.0, 1.0, 0.1)
     st = systems.bound_state(spec, 0)
     assert operators.apply_hamiltonian(spec, 0, st, 3.0) == pytest.approx(
-        spec.energy * st(3.0), abs=1e-10
+        systems.energy(spec, 0) * st(3.0), abs=1e-10
     )
 
 

@@ -4,8 +4,10 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from su11pct import measures, operators, pct, specfun, systems
+from su11pct import algebra, measures, operators, pct, specfun, systems
 from su11pct.errors import DomainError, ParameterError
 
 from conftest import ALL_SPECS, CONSTANT_SPECS
@@ -60,15 +62,15 @@ def test_bound_state_degree_limit():
 def test_morse_spec_consistency():
     # constant mass: A0 = sqrt(|epsilon|)
     spec = systems.MorseSpec(0.7, 0.4)
-    assert spec.sqrt_eps == pytest.approx(math.sqrt(-spec.epsilon), abs=1e-15)
+    assert spec.A0 == pytest.approx(math.sqrt(-systems.energy(spec, 0)), abs=1e-15)
     # deformed: the two routes to the Coulomb angular constant agree
     for spec in (systems.MorseSpec(1.0, 0.75, 0.3), systems.MorseSpec(2.0, 0.5, 0.7)):
-        lcal_a = spec.sqrt_eps - 0.5
+        lcal_a = 0.5 * systems.invariants(spec)[0] - 0.5  # sqrt|epsilon| - 1/2
         lam = spec.lam_abs
         lcal_b = ((2.0 * spec.A0 + 1.0) * spec.B - 2.0 * lam) / (2.0 * lam)
         assert lcal_a == pytest.approx(lcal_b, abs=1e-12)
         assert lcal_a * (lcal_a + 1.0) == pytest.approx(
-            -spec.epsilon - 0.25, abs=1e-12
+            -systems.energy(spec, 0) - 0.25, abs=1e-12
         )
 
 
@@ -77,7 +79,7 @@ def test_derived_scale_identities():
     for A0, B, a in [(0.25, 0.25, 0.0), (1.0, 0.75, 0.3), (2.0, 0.5, 0.8)]:
         morse = systems.MorseSpec(A0, B, a)
         coul, _ = pct.map_parameters(morse, 0, "coulomb")
-        assert 4.0 * coul.sqrt_energy + a == pytest.approx(
+        assert 4.0 * math.sqrt(-systems.energy(coul, 0)) + a == pytest.approx(
             4.0 * morse.lam_abs - a, abs=1e-12
         )
         assert coul.Z0 == pytest.approx(coul.lam_abs * (coul.Lcal + 1.0), abs=1e-12)
@@ -317,7 +319,7 @@ def _mp_closed_form(spec, n):
     m = mp.mpf(fam.power(spec))
     lg = mp.loggamma
     if spec.deformed:
-        pa, pb = (mp.mpf(v) for v in fam.jacobi(spec))
+        pa, pb = (mp.mpf(v) for v in systems.jacobi_params(spec))
         alpha = mp.mpf(spec.alpha)
         log_norm = (
             mp.log(2) + (pb + 1) * mp.log(alpha) + lg(n + 1) + mp.log(2 * n + pa + pb + 1)
@@ -325,7 +327,8 @@ def _mp_closed_form(spec, n):
         ) / 2
         sign, slope = 1, pb / 2
     else:
-        la, c = (mp.mpf(v) for v in fam.laguerre(spec))
+        pb, w = systems.invariants(spec)
+        la, c = mp.mpf(pb), mp.mpf(w) / 2
         log_norm = (la + 1) / 2 * mp.log(c) + (mp.log(2) + lg(n + 1) - lg(n + la + 1)) / 2
         sign, slope = (-1) ** n, la / 2
     slope = slope if fam.linear else 0
@@ -385,3 +388,48 @@ def test_potential_stack_matches_mpmath(spec):
             for k in range(4):
                 peak = np.max(np.abs(ref[k]))
                 assert np.max(np.abs(got[k] - ref[k])) <= 1e-12 * max(peak, 1.0), (n, k)
+
+
+@st.composite
+def _specs(draw):
+    """A spec of any of the six kinds, alpha = 0 or log-uniform in [1e-8, 1]."""
+    family = draw(st.sampled_from(["ho", "morse", "coulomb"]))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)))
+    half = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    try:
+        if family == "ho":
+            return systems.OscillatorSpec(draw(st.floats(0.2, 5.0)), draw(half), alpha)
+        if family == "morse":
+            return systems.MorseSpec(draw(st.floats(0.1, 8.0)), draw(st.floats(0.1, 3.0)), alpha)
+        return systems.CoulombSpec(draw(half), draw(st.floats(0.2, 6.0)), alpha)
+    except ParameterError:  # a deformed well without a lowest state
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs(), n=st.integers(0, 60))
+def test_level_law(spec, n):
+    fam = systems.FAMILIES[spec.family]
+    j, c = fam.energy_slot
+    s, a = 0.5 * (1.0 - fam.sigma), spec.alpha
+    pb, w = systems.invariants(spec)
+    e = systems.energy(spec, n)
+    slots = fam.slots(spec, n)
+    if j != 1:
+        # potential algebra: member n's level n is the hierarchy's one energy
+        e0 = systems.energy(spec, 0)
+        assert systems.level(spec.family, slots, a, n)[2] == pytest.approx(e0, rel=1e-12)
+        # member_coupling's a1(n) is the one the law asks of b1 = a1 + 2 s (s - 1) alpha
+        b1 = -0.25 * (w * (2 * n + pb + 1) + a * (4 * n * n + 2 * n + 3 + pb * (4 * n + 1)))
+        assert slots[1] == pytest.approx(b1 - 2 * s * (s - 1) * a, rel=1e-12)
+    # (w/2) mu_n = -b1 - 5 alpha/8, the energy in its slot
+    a1 = slots[1] - (c * e if j == 1 else 0.0)
+    b1 = a1 + 2 * s * (s - 1) * a
+    mu = algebra.unirrep(algebra.generator_set(spec)).mu_of_n(n)
+    assert 0.5 * w * mu == pytest.approx(-b1 - 0.625 * a, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=st.floats(0.01, 20.0), B=st.floats(0.05, 5.0))
+def test_constant_mass_morse_well_holds_ceil_A_levels(A, B):
+    assert len(systems.spectrum_fixed_potential("morse", (A, B), 0.0, 25)) == math.ceil(A)
