@@ -10,7 +10,7 @@ delta spectrum.
 
 The three realizations are one algebra, and so are the two mass kinds:
 its scalar data depend only on the pair (pb, w) of ``systems.invariants``
-(pb the second Jacobi parameter, w = alpha (2pa + 1); la and 2c at
+(pb the second Jacobi parameter, w = alpha (2pa + 1), with pa = inf at
 constant mass) through pb and eps = alpha/w = 1/(2pa + 1), which is 0 at
 constant mass.  With s = 2n + pb + 1 and c-(n) = c+(n - 1) throughout:
 
@@ -18,7 +18,7 @@ constant mass.  With s = 2n + pb + 1 and c-(n) = c+(n - 1) throughout:
     Casimir = (1 + eps)(1 - 3 eps)(pb^2 - 1)/4 - 9 eps^2/16,
     c+(n) = sqrt((n + 1)(n + pb + 1)(1 + (2n + 1) eps)(1 + (2n + 2pb + 1) eps)),
 
-so at constant mass mu_n = n + (la + 1)/2 and c+(n) = sqrt((n + 1)(n + la + 1)).
+so at constant mass mu_n = n + (pb + 1)/2 and c+(n) = sqrt((n + 1)(n + pb + 1)).
 Only the deformed delta spectrum delta_n = 2n + pa + pb + 1 reads pa itself.
 
 The operators are formulas in the coordinate function g of
@@ -29,8 +29,8 @@ the ``operators.flux_operator`` of the slots with a1 set to the member-free
 gamma = alpha (k - k^2/2 - 5/8), k = 1 - sigma.  On psi_n it is
 (2/w)(gamma - a1(n)), so a member's slot is a1(n) = gamma - (w/2) mu_n:
 E_n = 2 w mu_n for the oscillator.  The constant-mass ladders are
-K+- = -K0 + (c/2) g -+ ((g/g') d/dq + sigma/2), with y = c g the Laguerre
-argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
+K+- = -K0 + (w/4) g -+ ((g/g') d/dq + sigma/2), with y = (w/2) g the
+Laguerre argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
 c1 = -16 alpha g/g' and c0 = -8 alpha sigma - 4 alpha (1 -+ delta_n) t
 + 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.  One core for
 both mass kinds would freeze the constant-mass commutator checks to a sector.
@@ -46,9 +46,9 @@ Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
 state ladder it reduces to the scalar delta_n of the state a factor meets:
 the occurrences inside A and the outer factor of the "A on the left" form
-see the input state (delta_n), while the outer factor of the "A on the
-right" form sees the shifted output (delta_n +- 2).  Both orderings are
-implemented; their agreement on eigenstates is exercised by the tests.
+see the input state (delta_n).  The "A on the right" form, whose outer
+factor sees the shifted output d = delta_n +- 2, gives the same scalar:
+(d -+ 1) sqrt(d/(d -+ 2)) = (delta_n +- 1) sqrt((delta_n +- 2)/delta_n).
 The minus action on n = 0 is short-circuited to the zero function before
 any singular factor is formed.
 """
@@ -203,7 +203,7 @@ def _zero_operator(gs):
 
 
 def _const_ladder_operator(gs, direction):
-    """K+- = -K0 + (c/2) g -+ ((g/g') d + sigma/2) at constant mass, y = c g."""
+    """K+- = -K0 + (w/4) g -+ ((g/g') d + sigma/2) at constant mass, y = (w/2) g."""
     sgn = 1.0 if direction == PLUS else -1.0
     fam = systems.FAMILIES[gs.family]
     half_c = 0.25 * gs.w_const
@@ -248,7 +248,7 @@ def apply_shift_core(gs, direction, state):
     return op.apply(state)
 
 
-def apply_generator_fn(gs, which, fn, n, ordering="left"):
+def apply_generator_fn(gs, which, fn, n):
     """Generator action on a function known to live in the sector of psi_n."""
     if which == ZERO:
         return _zero_operator(gs).apply(fn)
@@ -260,23 +260,17 @@ def apply_generator_fn(gs, which, fn, n, ordering="left"):
         return operators.zero_function()
     sgn = 1.0 if which == PLUS else -1.0
     delta_n = delta_spectrum(gs).delta_of_n(n)
-    if ordering == "left":
-        outer = (delta_n + sgn) * math.sqrt((delta_n + 2.0 * sgn) / delta_n)
-    elif ordering == "right":
-        d_out = delta_n + 2.0 * sgn
-        outer = (d_out - sgn) * math.sqrt(d_out / (d_out - 2.0 * sgn))
-    else:
-        raise ParameterError(f"ordering must be 'left' or 'right', got {ordering}")
+    outer = (delta_n + sgn) * math.sqrt((delta_n + 2.0 * sgn) / delta_n)
     scale = sgn * (1.0 / (8.0 * gs.w_const)) * outer
     op = _shift_core_operator(gs, which, delta_n, scale=scale)
     return op.apply(fn)
 
 
-def apply_generator(gs, which, state, ordering="left"):
+def apply_generator(gs, which, state):
     """Apply the zero/plus/minus generator to a bound state of the family."""
     if state.spec != gs.spec:
         raise ParameterError("state does not belong to this generator set")
-    return apply_generator_fn(gs, which, state, state.n, ordering=ordering)
+    return apply_generator_fn(gs, which, state, state.n)
 
 
 def matrix_element_numeric(gs, n, direction, rtol=1e-10):

@@ -1,26 +1,34 @@
-"""Generalized Laguerre and Jacobi polynomials and log-gamma.
+"""Jacobi polynomials in a scaled argument, their Laguerre limit, and log-gamma.
 
-Both polynomial families are evaluated with the standard upward three-term
-recurrence in the degree (DLMF 18.9(i)), which is stable for the moderate
-degrees (n <= 200) and argument ranges the bound-state formulas require.
-First derivatives come from the parameter-shift identities
+Every polynomial of the package is one scaled Jacobi polynomial
 
-    d/dy L_n^(a)(y)   = -L_{n-1}^(a+1)(y)
-    d/dt P_n^(a,b)(t) = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1)(t)
+    Q_n^(a,b)(y) = P_n^(a,b)(2y/(a+1) - 1),    0 <= y <= a + 1,
+
+whose a -> inf member is (-1)^n L_n^(b)(y) (DLMF 18.7(iii)).  With
+eps = 1/(a+1) and m = 2k + b, the upward three-term recurrence in the
+degree (DLMF 18.9.2, rewritten in y) is
+
+    2k (1 + (k+b-1) eps)(1 + (m-3) eps) Q_k
+        = (1 + (m-2) eps) [2 (1 + (m-1) eps)(1 + (m-3) eps) y
+                           - 2(m-1) + (4m - m^2 - 2 - b^2) eps] Q_{k-1}
+          - 2 (k+b-1)(1 + (k-2) eps)(1 + (m-1) eps) Q_{k-2}
+
+from Q_0 = 1 and Q_1 = (1 + (b+1) eps) y - (b+1).  At eps = 0 it is the
+Laguerre recurrence, so one code path serves every a, and near the
+Laguerre limit nothing cancels: the textbook step in t = 2 eps y - 1
+rounds away 1 + t where t is near -1, and its bracket
+c(c-2) t + a^2 - b^2 cancels two O(a^2) terms.  It is stable for the
+moderate degrees (n <= 200) and arguments the bound states require.
+Derivatives come from the parameter shift
+
+    d/dy Q_n^(a,b)(y) = (1 + (n+b) eps) Q_{n-1}^(a+1,b+1)((1 + eps) y),
 
 so they inherit the accuracy of the recurrence itself.
 
-The recurrences run in place on three buffers of the argument's shape
+The recurrence runs in place on three buffers of the argument's shape
 (``prev``, ``cur`` and a scratch ``tmp``), so a step allocates nothing and
-divides no array: the per-degree constants are folded into one scalar
-factor each for ``cur`` and ``prev``.  Only well-conditioned factors are
-folded.  The Jacobi bracket ``c(c-2) t + a^2 - b^2`` is still formed as
-``t * c(c-2)``, then ``+ a^2``, then ``- b^2``, bit for bit as the textbook
-step: for a large parameter ``a`` and ``t`` near -1 (the ``alpha -> 0+``
-limit of the deformed families) its two O(a^2) terms cancel to O(a), and
-folding it into one affine map of ``t`` rounds that cancellation
-differently and worsens the deformed residuals.  The bracket is left for
-the rewrite of the recurrence in ``s = 1 + t``.
+divides no array: the per-degree constants are folded into one affine
+map of y for ``cur`` and one scalar factor for ``prev``.
 """
 
 import math
@@ -40,44 +48,86 @@ class PolyEval(NamedTuple):
     d1: object
 
 
-def _check_degree(n):
+def _check(n, *params):
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ParameterError(f"degree must be a non-negative integer, got {n!r}")
     if n > MAX_DEGREE:
         raise ParameterError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
+    if any(p <= -1.0 for p in params):
+        raise ParameterError(f"polynomial parameters must exceed -1, got {params}")
 
 
-def _check_laguerre(n, a):
-    _check_degree(n)
-    if a <= -1.0:
-        raise ParameterError(f"Laguerre parameter must exceed -1, got {a}")
-
-
-def _check_jacobi(n, a, b):
-    _check_degree(n)
-    if a <= -1.0 or b <= -1.0:
-        raise ParameterError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
-
-
-def _laguerre_value(n, a, y):
-    """L_n^(a)(y) by upward recurrence on three buffers; y is a float ndarray.
+def _value(n, a, b, y):
+    """Q_n^(a,b)(y) by upward recurrence on three buffers; y is a float array or scalar.
 
     The result is a new array that no other result shares.
     """
+    e = 1.0 / (a + 1.0)
     cur = np.ones_like(y)
     if n == 0:
         return cur
     prev, cur, tmp = cur, np.empty_like(y), np.empty_like(y)
-    np.subtract(1.0 + a, y, out=cur)
-    for k in range(1, n):
-        # L_{k+1} = ((2k+1+a-y) L_k - (k+a) L_{k-1}) / (k+1)
-        np.subtract(2.0 * k + 1.0 + a, y, out=tmp)
+    np.multiply(y, 1.0 + (b + 1.0) * e, out=cur)
+    cur -= b + 1.0
+    for k in range(2, n + 1):
+        # Q_k = (s1 y + s0) Q_{k-1} - s2 Q_{k-2}, the module docstring's step
+        m = 2.0 * k + b
+        e1, e3 = 1.0 + (m - 1.0) * e, 1.0 + (m - 3.0) * e
+        den = 2.0 * k * (1.0 + (k + b - 1.0) * e) * e3
+        c = (1.0 + (m - 2.0) * e) / den
+        np.multiply(y, 2.0 * c * e1 * e3, out=tmp)
+        tmp += c * (-2.0 * (m - 1.0) + (4.0 * m - m * m - 2.0 - b * b) * e)
         tmp *= cur
-        tmp *= 1.0 / (k + 1.0)
-        prev *= (k + a) / (k + 1.0)
+        prev *= 2.0 * (k + b - 1.0) * (1.0 + (k - 2.0) * e) * e1 / den
         np.subtract(tmp, prev, out=prev)
         prev, cur = cur, prev
     return cur
+
+
+def _stack(n, a, b, y, kmax):
+    """[Q, Q', ..., Q^(kmax)] of Q_n^(a,b)(y) by repeated parameter shifts.
+
+    Entry k is prod_{j<=k} (1 + (n+b+j-1) eps) Q_{n-k}^(a+k,b+k)((1 + k eps) y).
+    Every entry is a new array, or a numpy float for a 0-d ``y``.
+    """
+    if not isinstance(kmax, (int, np.integer)) or kmax < 0:
+        raise ParameterError(
+            f"derivative order must be a non-negative integer, got {kmax!r}"
+        )
+    y = np.asarray(y, dtype=float)
+    e = 1.0 / (a + 1.0)
+    out = [_value(n, a, b, y)]
+    coeff = 1.0
+    for k in range(1, kmax + 1):
+        if k > n:
+            out.append(np.zeros_like(y))
+        else:
+            coeff *= 1.0 + (n + b + k - 1.0) * e
+            entry = _value(n - k, a + k, b + k, y * (1.0 + k * e))
+            entry *= coeff
+            out.append(entry)
+    return [entry[()] for entry in out] if y.ndim == 0 else out
+
+
+def jacobi_derivs(n, a, b, y, kmax):
+    """Stack [Q, Q', ..., Q^(kmax)] of d^k/dy^k Q_n^(a,b)(y).
+
+    Q_n^(a,b)(y) = P_n^(a,b)(2y/(a+1) - 1), and ``a = math.inf`` gives
+    (-1)^n L_n^(b)(y) and its derivatives.  Parameters are checked as in
+    `jacobi`, save that a may be infinite; the argument is not.
+    """
+    _check(n, a, b)
+    return _stack(n, a, b, y, kmax)
+
+
+def laguerre_derivs(n, a, y, kmax):
+    """Stack [L, L', ..., L^(kmax)] of d^k/dy^k L_n^(a)(y) = (-1)^n d^k/dy^k Q_n^(inf,a)(y).
+
+    Parameters are checked as in `laguerre`; the argument is not.
+    """
+    _check(n, a)
+    stack = _stack(n, math.inf, a, y, kmax)
+    return [-entry for entry in stack] if n % 2 else stack
 
 
 def laguerre(n, a, y):
@@ -97,42 +147,15 @@ def laguerre(n, a, y):
     PolyEval
         Value and d/dy, with the same shape as ``y``.
     """
-    _check_laguerre(n, a)
+    _check(n, a)
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise DomainError("Laguerre argument must be non-negative")
-    value = _laguerre_value(n, a, y)
-    d1 = -_laguerre_value(n - 1, a + 1.0, y) if n > 0 else np.zeros_like(y)
-    if value.ndim == 0:
+    sign = -1.0 if n % 2 else 1.0
+    value, d1 = (sign * entry for entry in _stack(n, math.inf, a, y, 1))
+    if y.ndim == 0:
         return PolyEval(float(value), float(d1))
     return PolyEval(value, d1)
-
-
-def _jacobi_value(n, a, b, t):
-    """P_n^(a,b)(t) by upward recurrence on three buffers; t is a float ndarray.
-
-    The result is a new array that no other result shares.
-    """
-    cur = np.ones_like(t)
-    if n == 0:
-        return cur
-    prev, cur, tmp = cur, np.empty_like(t), np.empty_like(t)
-    np.multiply(0.5 * (a + b + 2.0), t, out=cur)
-    cur += 0.5 * (a - b)
-    for k in range(2, n + 1):
-        # P_k = ((c-1) (c(c-2) t + a^2 - b^2) P_{k-1}
-        #        - 2 (k+a-1)(k+b-1) c P_{k-2}) / denom
-        c = 2.0 * k + a + b
-        denom = 2.0 * k * (k + a + b) * (c - 2.0)
-        np.multiply(t, c * (c - 2.0), out=tmp)
-        tmp += a * a
-        tmp -= b * b
-        tmp *= cur
-        tmp *= (c - 1.0) / denom
-        prev *= 2.0 * (k + a - 1.0) * (k + b - 1.0) * c / denom
-        np.subtract(tmp, prev, out=prev)
-        prev, cur = cur, prev
-    return cur
 
 
 def jacobi(n, a, b, t):
@@ -143,7 +166,7 @@ def jacobi(n, a, b, t):
     n : int
         Degree, 0 <= n <= 200.
     a, b : float
-        Parameters, both > -1.
+        Parameters, both > -1, and a finite.
     t : float or ndarray
         Argument in [-1, 1].
 
@@ -152,18 +175,18 @@ def jacobi(n, a, b, t):
     PolyEval
         Value and d/dt, with the same shape as ``t``.
     """
-    _check_jacobi(n, a, b)
+    _check(n, a, b)
+    if not math.isfinite(a):
+        raise ParameterError(f"Jacobi parameter a must be finite, got {a}")
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0):
         raise DomainError("Jacobi argument must lie in [-1, 1]")
-    value = _jacobi_value(n, a, b, t)
-    if n > 0:
-        d1 = 0.5 * (n + a + b + 1.0) * _jacobi_value(n - 1, a + 1.0, b + 1.0, t)
-    else:
-        d1 = np.zeros_like(t)
-    if value.ndim == 0:
-        return PolyEval(float(value), float(d1))
-    return PolyEval(value, d1)
+    # t = 2y/(a+1) - 1, so d/dt = ((a+1)/2) d/dy
+    half = 0.5 * (a + 1.0)
+    value, d1 = _stack(n, a, b, (1.0 + t) * half, 1)
+    if t.ndim == 0:
+        return PolyEval(float(value), float(d1 * half))
+    return PolyEval(value, d1 * half)
 
 
 def log_gamma(x):
@@ -178,48 +201,24 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
-def _shift_stack(value, n, params, x, kmax, factor):
-    """[p, p', ..., p^(kmax)] of p(x) = value(n, *params, x) by parameter shifts.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)  # B_2j / (2j (2j-1))
 
-    Uses d^k/dx^k p_n^(params) = factor(1) ... factor(k) p_{n-k}^(params+k).
-    Every entry is a new array, or a numpy float for a 0-d ``x``.
+
+def log_gamma_ratio(x, b):
+    """R(x, b) = ln Gamma(x+b) - ln Gamma(x) - b ln x for x > 0, x + b > 0; R(inf, b) = 0.
+
+    Below x = 20 it is a difference of `math.lgamma` values.  Above, it is
+    (x + b - 1/2) ln(1 + b/x) - b plus the difference of the Stirling
+    series (DLMF 5.11.1), which never forms ln Gamma(x): its ulp, 1e-12 at
+    x = 1e3, would swamp the difference.  The error is below 1e-13
+    absolute for -1/2 < b <= 20.
     """
-    if not isinstance(kmax, (int, np.integer)) or kmax < 0:
-        raise ParameterError(
-            f"derivative order must be a non-negative integer, got {kmax!r}"
-        )
-    x = np.asarray(x, dtype=float)
-    out = [value(n, *params, x)]
-    coeff = 1.0
-    for k in range(1, kmax + 1):
-        coeff *= factor(k)
-        if k > n:
-            out.append(np.zeros_like(x))
-        else:
-            entry = value(n - k, *(p + k for p in params), x)
-            entry *= coeff
-            out.append(entry)
-    return [entry[()] for entry in out] if x.ndim == 0 else out
-
-
-def laguerre_derivs(n, a, y, kmax):
-    """Stack [L, L', ..., L^(kmax)] of d^k/dy^k L_n^(a)(y).
-
-    Repeated parameter shifts give d^k/dy^k L_n^(a) = (-1)^k L_{n-k}^(a+k).
-    Parameters are checked as in `laguerre`; the argument is not.
-    """
-    _check_laguerre(n, a)
-    return _shift_stack(_laguerre_value, n, (a,), y, kmax, lambda k: -1.0)
-
-
-def jacobi_derivs(n, a, b, t, kmax):
-    """Stack [P, P', ..., P^(kmax)] of d^k/dt^k P_n^(a,b)(t).
-
-    Repeated parameter shifts give
-    d^k/dt^k P_n^(a,b) = 2^-k (n+a+b+1)_k P_{n-k}^(a+k,b+k).
-    Parameters are checked as in `jacobi`; the argument is not.
-    """
-    _check_jacobi(n, a, b)
-    return _shift_stack(
-        _jacobi_value, n, (a, b), t, kmax, lambda k: 0.5 * (n + a + b + k)
-    )
+    if x < 20.0:
+        return math.lgamma(x + b) - math.lgamma(x) - b * math.log(x)
+    if math.isinf(x):
+        return 0.0
+    s = x + b
+    out = (s - 0.5) * math.log1p(b / x) - b
+    for j, c in enumerate(_STIRLING):
+        out += c * (s ** (-2 * j - 1) - x ** (-2 * j - 1))
+    return out

@@ -15,27 +15,29 @@ family measure (1/2) g^(sigma-1) dg, from which ``measures`` and ``pct``
 build the measures and maps, and rho = g/g' (r/2, -1, R), which is
 linear, rho' = 1 - sigma, because g g''/g'^2 = sigma is constant.
 
-Every bound state is one closed form
+Every bound state, at either mass kind, is one closed form
 
-    psi_n(q) = sign * q^m * exp(log_norm + h(q)) * P_n(y(q)),
+    psi_n(q) = q^m * exp(log_norm + h(q)) * Q_n(y(q)),
 
 and the families differ only in the data of ``FAMILIES``: g, the
 coordinate power m (L + 1, 0, Lcal + 1), Morse's linear exponent term,
-the member potentials and the slot an energy enters.  The parameters of
-P_n come from the pair (pb, w) of the level law below:
-pa = (w - alpha)/(2 alpha) when deformed, (la, c) = (pb, w/2) at constant
-mass.
+the member potentials and the slot an energy enters.  Q_n is the scaled
+Jacobi polynomial Q_n^(pa,pb)(y) = P_n^(pa,pb)(2y/(pa + 1) - 1) of
+``specfun``.  Its parameters come from the pair (pb, w) of the level law
+below: pa = (w - alpha)/(2 alpha), which is inf at constant mass, where
+Q_n = (-1)^n L_n^(pb).  With eps = 1/(pa + 1) = 2 alpha/(w + alpha),
 
-Deformed: P_n = Jacobi P_n^(pa,pb)(t), t = 1 - 2/f, h = -((pa + pb + 2)/2) ln f,
-sign +1 and log_norm = (1/2)[ln 2 + (pb + 1) ln alpha + lnG(n + 1)
-+ ln(2n + pa + pb + 1) + lnG(n + pa + pb + 1) - lnG(n + pa + 1) - lnG(n + pb + 1)].
-Constant mass: P_n = Laguerre L_n^(la)(y), y = c g, h = -y/2, sign (-1)^n
-and log_norm = ((la + 1)/2) ln c + (1/2)[ln 2 + lnG(n + 1) - lnG(n + la + 1)].
-Morse adds -(pb/2) x, or -(la/2) x = -A0 x, to h.  Derivatives up to
+    y = ((w + alpha)/2) g/f,    h = -((w + alpha (2pb + 3))/4) ln(f)/alpha,
+    log_norm = (1/2)[ln 2 + lnG(n + 1) - lnG(n + pb + 1) + (pb + 1) ln((w + alpha)/2)
+               + ln(1 + (2n + pb) eps) + pb ln(1 + n eps) + R(n + pa + 1, pb)],
+
+with R(x, b) = lnG(x + b) - lnG(x) - b ln x (``specfun.log_gamma_ratio``),
+which is 0 at x = inf.  At alpha = 0 these are the Laguerre state's
+y = (w/2) g and h = -y/2.  Morse adds -(pb/2) x to h.  Derivatives up to
 fourth order are derivative stacks (value, d1, ..., d_k) combined by two
 rules, ``leibniz`` for products and ``chain`` (Faa di Bruno) for
-compositions: ln f, t = 1 - 2/f (``jacobi_argument``), e^h and P_n(y) are
-compositions and psi_n is the product of q^m, e^h and P_n(y).  The other
+compositions: y and h are functions of g, e^h and Q_n(y) are
+compositions and psi_n is the product of q^m, e^h and Q_n(y).  The other
 modules combine stacks only through these rules, never by differencing.
 
 Every member Hamiltonian is the flux form -d f^2 d + v with one potential
@@ -274,7 +276,7 @@ class Family:
     from_x: object  # Morse coordinate x = -ln g -> (q, dq/dx, d2q/dx2)
     to_x: object  # q -> (x, dx/dq, d2x/dq2)
     power: object  # spec -> exponent m of the coordinate power q^m
-    linear: bool  # Morse: h carries -(pb/2) x, or -(la/2) x
+    linear: bool  # Morse: h carries -(pb/2) x
     slots: object  # (spec, n) -> (a0, a1, a2) of the member-n potential
     energy_slot: tuple  # (j, c): an energy E enters slot a_j as a_j - c E
     spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
@@ -380,9 +382,9 @@ def jacobi_params(spec):
 def invariants(spec):
     """The pair (pb, w) of the level law, which the parameter maps keep.
 
-    Continuous in alpha >= 0: w = alpha (2pa + 1) for a deformed spec, and
-    the pair is (la, 2c) at constant mass.  ``FAMILIES[family].spec_of``
-    inverts it for the Morse and Coulomb families.
+    Continuous in alpha >= 0, with w = alpha (2pa + 1).
+    ``FAMILIES[family].spec_of`` inverts it for the Morse and Coulomb
+    families.
     """
     return _state_level(spec, 0)[:2]
 
@@ -435,11 +437,7 @@ def energy(spec, n):
 def deforming(spec, point):
     """Deforming profile f = 1 + alpha g and derivatives (f, f', f'', f''', f'''')."""
     check_point(spec, point)
-    return _profile(spec, np.asarray(point, dtype=float))
-
-
-def _profile(spec, p):
-    a = spec.alpha
+    p, a = np.asarray(point, dtype=float), spec.alpha
     if a == 0.0:  # f = 1 exactly, also where g overflows
         return (np.ones_like(p),) + (np.zeros_like(p),) * 4
     g = FAMILIES[spec.family].g(p)
@@ -542,7 +540,7 @@ def jacobi_argument(f, order):
 
 
 class _ClosedForm:
-    """The template sign * q^power * exp(log_norm + h(q)) * P_n(y(q)) of one state.
+    """The template q^power * exp(log_norm + h(q)) * Q_n(y(q)) of one state.
 
     The coordinate power is kept out of h: its derivatives are exact
     falling factorials, which avoids catastrophic cancellation of
@@ -551,64 +549,57 @@ class _ClosedForm:
 
     def __init__(self, spec, n, pb, w):
         fam = FAMILIES[spec.family]
+        a = spec.alpha
         lg = specfun.log_gamma
         self.spec, self.n = spec, n
         self.power = fam.power(spec)
-        if spec.deformed:
-            pa = (w - spec.alpha) / (2.0 * spec.alpha)
-            self.params = pa, pb
-            self.log_norm = 0.5 * (
-                LN2
-                + (pb + 1.0) * math.log(spec.alpha)
-                + lg(n + 1.0)
-                + math.log(2.0 * n + pa + pb + 1.0)
-                + lg(n + pa + pb + 1.0)
-                - lg(n + pa + 1.0)
-                - lg(n + pb + 1.0)
-            )
-            self.sign = 1.0
-            self.exponent = 0.5 * (pa + pb + 2.0)  # h = -exponent * ln f
-            top = max(pa, pb)
-            self._bound = lg(n + top + 1.0) - lg(n + 1.0) - lg(top + 1.0) + n * LN2 + 150.0
-            slope = 0.5 * pb
-        else:
-            la, c = self.params = pb, 0.5 * w
-            self.log_norm = 0.5 * (la + 1.0) * math.log(c) + 0.5 * (
-                LN2 + lg(n + 1.0) - lg(n + la + 1.0)
-            )
-            self.sign = -1.0 if n % 2 else 1.0
-            self.exponent = 0.5  # h = -y/2
-            slope = 0.5 * la
-        self.slope = slope if fam.linear else 0.0  # h carries -slope * q
+        self.scale = 0.5 * (w + a)  # y = scale g/f
+        self.rate = 0.25 * (w + a * (2.0 * pb + 3.0))  # h = -rate ln(f)/alpha
+        eps = a / self.scale  # 1/(pa + 1)
+        pa = (w - a) / (2.0 * a) if a else math.inf
+        self.params = pa, pb
+        self.log_norm = 0.5 * (
+            LN2
+            + lg(n + 1.0)
+            - lg(n + pb + 1.0)
+            + (pb + 1.0) * math.log(self.scale)
+            + math.log1p((2.0 * n + pb) * eps)
+            + pb * math.log1p(n * eps)
+            + specfun.log_gamma_ratio(n + pa + 1.0, pb)
+        )
+        self.slope = 0.5 * pb if fam.linear else 0.0  # h carries -slope * q
+        # |Q_n^(k)(y)| <= binom(n + pb, n) (1 + lam y)^n, up to factors
+        # (lam n)^k that the slack of 150 covers for k <= 4
+        self._lam = (1.0 + 4.0 * eps) * (1.0 + (2.0 * n + pb) * eps)
+        self._bound = lg(n + pb + 1.0) - lg(n + 1.0) - lg(pb + 1.0) + 150.0
 
     def h_and_y(self, p, order):
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
-        if self.spec.deformed:
-            f = _profile(self.spec, p)
-            # d/df ln f = 1/f
-            lf = chain([np.log(f[0])] + _reciprocal(f[0], order - 1), f, order)
-            y = jacobi_argument(f, order)
+        g = FAMILIES[self.spec.family].g(p)[: order + 1]
+        a = self.spec.alpha
+        if a == 0.0:  # f = 1: both are linear in g, also where g overflows
+            y = [self.scale * gk for gk in g]
+            h = [-self.rate * gk for gk in g]
         else:
-            g = FAMILIES[self.spec.family].g(p)
-            y = lf = [self.params[1] * gk for gk in g[: order + 1]]
-        h = [-self.exponent * lk for lk in lf]
+            # y = scale (1 - 1/f)/alpha and h = -rate ln(f)/alpha as functions
+            # of g, whose k-th derivatives are alpha^(k-1) times those of 1/f
+            # and ln f with respect to f
+            ag = a * g[0]
+            inv = _reciprocal(1.0 + ag, order)
+            y0 = self.scale * np.where(ag > 1.0, (1.0 - inv[0]) / a, g[0] * inv[0])
+            dy = [-self.scale * a ** (k - 1) * inv[k] for k in range(1, order + 1)]
+            dh = [-self.rate * a ** (k - 1) * inv[k - 1] for k in range(1, order + 1)]
+            y = chain([y0] + dy, g, order)
+            h = chain([-self.rate * np.log1p(ag) / a] + dh, g, order)
         if self.slope:
             h[0] = h[0] - self.slope * p
             if order >= 1:
                 h[1] = h[1] - self.slope
         return h, y
 
-    def poly(self, y, order):
-        """P_n and its derivatives up to order at y."""
-        if self.spec.deformed:
-            return specfun.jacobi_derivs(self.n, *self.params, y, order)
-        return specfun.laguerre_derivs(self.n, self.params[0], y, order)
-
-    def log_bound(self, abs_y):
-        """Log bound on |P_n^(k)(y)| for every k <= 4."""
-        if self.spec.deformed:
-            return self._bound
-        return self.n * np.log1p(abs_y) + 150.0
+    def log_bound(self, y):
+        """Log bound on |Q_n^(k)(y)| for every k <= 4 and 0 <= y <= pa + 1."""
+        return self._bound + self.n * np.log1p(self._lam * y)
 
 
 class BoundState:
@@ -633,7 +624,9 @@ class BoundState:
         self.n = int(n)
         pb, w, self.energy = _state_level(spec, self.n)
         self._parts = _ClosedForm(spec, self.n, pb, w)
-        self.norm_coeff = self._parts.sign * math.exp(self._parts.log_norm)
+        # the coefficient of L_n = (-1)^n Q_n at constant mass
+        sign = -1.0 if spec.alpha == 0 and self.n % 2 else 1.0
+        self.norm_coeff = sign * math.exp(self._parts.log_norm)
 
     def derivs(self, point, order=2):
         """Value and derivatives (value, d1, ..., d_order) at a point."""
@@ -655,11 +648,11 @@ class BoundState:
                 big = p > 1.0
                 lead = np.where(big, log_amp, lead)
             # a NaN sum means p*p or e^-x overflowed, which sends h to -inf
-            dead = ~(log_amp + form.log_bound(np.abs(y[0])) >= -745.0)
-            poly = form.poly(np.where(dead, 0.0, y[0]), order)
-            u0 = form.sign * np.exp(lead)
+            dead = ~(log_amp + form.log_bound(y[0]) >= -745.0)
+            poly = specfun.jacobi_derivs(self.n, *form.params, np.where(dead, 0.0, y[0]), order)
+            u0 = np.exp(lead)
             u = [u0] + [u0 * b for b in chain((1.0,) * 5, h, order)[1:]]
-            # smooth part G = u * P(y)
+            # smooth part G = u * Q(y)
             out = leibniz(u, chain(poly, y, order), order)
             if m != 0.0:
                 # d^j/dp^j p^m = fall_j p^(m-j), with p^m in u0 where p > 1;

@@ -123,19 +123,6 @@ def test_deformed_minus_short_circuits_to_zero():
     assert np.all(out(pts) == 0.0)
 
 
-def test_orderings_agree_on_eigenstates(family_spec):
-    if not family_spec.deformed:
-        return
-    gs = algebra.generator_set(family_spec)
-    for n in (0, 1, 3):
-        st = systems.bound_state(family_spec, n)
-        pts = algebra.pointwise_grid(family_spec, n, count=40)
-        for which in ("plus", "minus"):
-            left = algebra.apply_generator(gs, which, st, ordering="left")(pts)
-            right = algebra.apply_generator(gs, which, st, ordering="right")(pts)
-            assert np.max(np.abs(left - right)) < 1e-12 * max(1.0, np.max(np.abs(left)))
-
-
 @pytest.mark.parametrize(
     "spec",
     [

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +252,32 @@ def test_nmax_capped_at_max_degree(capsys, command):
     assert exit_code(*command, "--nmax", str(specfun.MAX_DEGREE)) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows["levels" if command[0] == "spectrum" else "members"]) == specfun.MAX_DEGREE + 1
+
+
+NUMPY_ONLY = """
+import sys
+
+class TestOnly:
+    # numpy is the one runtime dependency; these serve only tests and benches
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in {"scipy", "mpmath", "hypothesis", "pytest"}:
+            raise ImportError(f"{name} is not a runtime dependency")
+
+sys.meta_path.insert(0, TestOnly())
+import su11pct
+from su11pct import cli
+
+argv = ["verify", "--family", "coulomb", "--Z", "1", "--Lcal", "0", "--alpha", "0.1"]
+sys.exit(cli.main(argv))
+"""
+
+
+def test_verify_runs_with_numpy_as_the_only_dependency():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "verify"

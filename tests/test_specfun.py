@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11pct import specfun
+from su11pct import specfun, systems
 from su11pct.errors import DomainError, ParameterError
 
 mp.mp.dps = 40
@@ -28,6 +28,11 @@ def mp_jacobi(n, a, b, t):
         c = mp.binomial(n + a, n - k) * mp.binomial(n + b, k)
         total += c * ((t - 1) / 2) ** k * ((t + 1) / 2) ** (n - k)
     return total
+
+
+def jacobi_y(a, t):
+    """The argument y = (a+1)(1+t)/2 of `specfun.jacobi_derivs` at the Jacobi argument t."""
+    return (a + 1.0) * (1.0 + np.asarray(t, dtype=float)) / 2.0
 
 
 def test_laguerre_low_orders():
@@ -177,11 +182,11 @@ def test_derivative_stacks_consistency():
         up = specfun.laguerre_derivs(7, 0.8, y + h, k - 1)[k - 1]
         dn = specfun.laguerre_derivs(7, 0.8, y - h, k - 1)[k - 1]
         assert np.max(np.abs(stack[k] - (up - dn) / (2 * h))) < 1e-5
-    t = np.linspace(-0.9, 0.9, 9)
-    stack = specfun.jacobi_derivs(7, 0.8, 1.2, t, 4)
+    y = jacobi_y(0.8, np.linspace(-0.9, 0.9, 9))
+    stack = specfun.jacobi_derivs(7, 0.8, 1.2, y, 4)
     for k in range(1, 5):
-        up = specfun.jacobi_derivs(7, 0.8, 1.2, t + h, k - 1)[k - 1]
-        dn = specfun.jacobi_derivs(7, 0.8, 1.2, t - h, k - 1)[k - 1]
+        up = specfun.jacobi_derivs(7, 0.8, 1.2, y + h, k - 1)[k - 1]
+        dn = specfun.jacobi_derivs(7, 0.8, 1.2, y - h, k - 1)[k - 1]
         assert np.max(np.abs(stack[k] - (up - dn) / (2 * h))) < 1e-4 * np.max(
             np.abs(stack[k]) + 1.0
         )
@@ -212,18 +217,17 @@ def test_derivative_stacks_reject_bad_parameters(case):
         stack(n, *params, np.array([0.2]), kmax)
 
 
-def _stacks(x, kmax=2):
-    """Laguerre and Jacobi stacks at n = 0, 1, 7, on |x| (Laguerre) and x."""
-    y = np.abs(x)
+def _stacks(t, kmax=2):
+    """Laguerre and Jacobi stacks at n = 0, 1, 7, on |t| (Laguerre) and y of t (Jacobi)."""
     for n in (0, 1, 7):
-        yield specfun.laguerre_derivs(n, 0.8, y, kmax)
-        yield specfun.jacobi_derivs(n, 0.8, 1.2, x, kmax)
+        yield specfun.laguerre_derivs(n, 0.8, np.abs(t), kmax)
+        yield specfun.jacobi_derivs(n, 0.8, 1.2, jacobi_y(0.8, t), kmax)
 
 
 def test_derivative_stacks_never_write_the_argument():
     base = np.linspace(-0.9, 0.9, 31)
-    for x in (base, base[::3], base.reshape(31, 1)[5:20], base[::-2]):
-        y = np.abs(x)
+    for t in (base, base[::3], base.reshape(31, 1)[5:20], base[::-2]):
+        y, x = np.abs(t), jacobi_y(0.8, t)
         x_before, y_before = x.copy(), y.copy()
         for n in (0, 1, 7):
             specfun.laguerre_derivs(n, 0.8, y, 3)
@@ -233,17 +237,21 @@ def test_derivative_stacks_never_write_the_argument():
 
 
 def test_derivative_stack_entries_share_no_memory():
-    t = np.linspace(-0.9, 0.9, 31)
-    for stack in _stacks(t[::3], kmax=3):
-        for i, first in enumerate(stack):
-            assert not np.shares_memory(first, t)
-            for second in stack[i + 1 :]:
-                assert not np.shares_memory(first, second)
+    y = jacobi_y(0.8, np.linspace(-0.9, 0.9, 31))
+    for n in (0, 1, 7):
+        for stack in (
+            specfun.laguerre_derivs(n, 0.8, y[::3], 3),
+            specfun.jacobi_derivs(n, 0.8, 1.2, y[::3], 3),
+        ):
+            for i, first in enumerate(stack):
+                assert not np.shares_memory(first, y)
+                for second in stack[i + 1 :]:
+                    assert not np.shares_memory(first, second)
 
 
 def test_derivative_stacks_of_a_scalar_are_numpy_floats():
-    for x in (0.3, np.float64(0.3), np.array(0.3)):
-        for stack in _stacks(x, kmax=3):
+    for t in (0.3, np.float64(0.3), np.array(0.3)):
+        for stack in _stacks(t, kmax=3):
             assert len(stack) == 4
             assert all(type(entry) is np.float64 for entry in stack)
     arrays = list(_stacks(np.linspace(-0.9, 0.9, 5), kmax=3))
@@ -281,20 +289,27 @@ def mp_jacobi_terms(n, a, b, t):
 
 
 HIGH_DEGREE_CASES = {
-    # kind: (stack, reference, shift factor c_k, points, weight of entry k)
+    # kind: (stack, reference, shift factor c_k, points, weight of entry k,
+    #        reference argument of a point, d/dx of the stack's argument)
     "laguerre": (
         specfun.laguerre_derivs,
         mp_laguerre_terms,
         lambda n, params, k: -1,
         lambda n, params: np.linspace(0.0, 4.0 * n + 2.0 * params[0] + 20.0, 17),
         lambda x, params, k: np.exp(-x / 2) * x ** ((params[0] + k) / 2),
+        lambda y, params: mp.mpf(y),
+        lambda params: 1.0,
     ),
+    # jacobi_derivs takes y = (a+1)(1+t)/2, so entry k is d^k/dt^k P_n^(a,b)
+    # times (2/(a+1))^k, and the reference is taken at the t of the float y
     "jacobi": (
         specfun.jacobi_derivs,
         mp_jacobi_terms,
         lambda n, params, k: mp.mpf(n + sum(params) + k) / 2,
-        lambda n, params: np.linspace(-0.995, 0.995, 17),
+        lambda n, params: jacobi_y(params[0], np.linspace(-0.995, 0.995, 17)),
         lambda x, params, k: (1 - x) ** ((params[0] + k) / 2) * (1 + x) ** ((params[1] + k) / 2),
+        lambda y, params: 2 * mp.mpf(y) / (params[0] + 1) - 1,
+        lambda params: (params[0] + 1.0) / 2.0,
     ),
 }
 
@@ -309,15 +324,98 @@ def test_derivative_stacks_match_mpmath_at_high_degree(kind, params, n):
     # cancel by at most about e^(2n) of the value, so they run with n guard
     # digits above 40.  Errors are relative to the largest value under the
     # weight of the orthogonality measure, which a bound state multiplies by.
-    stack, reference, factor, points, weight = HIGH_DEGREE_CASES[kind]
-    x = points(n, params)
-    got = stack(n, *params, x, 2)
+    stack, reference, factor, points, weight, ref_arg, dx = HIGH_DEGREE_CASES[kind]
+    y = points(n, params)
+    got = stack(n, *params, y, 2)
+    x = np.array([float(ref_arg(yi, params)) for yi in y])
     coeff = mp.mpf(1)
     for k in range(3):
         if k:
             coeff *= factor(n, params, k)
         with mp.workdps(40 + n):
             shifted = [p + k for p in params]
-            ref = np.array([float(coeff * reference(n - k, *shifted, xi)) for xi in x])
+            ref = [coeff * reference(n - k, *shifted, ref_arg(yi, params)) for yi in y]
+            ref = np.array([float(r) for r in ref])
         w = weight(x, params, k)
-        assert np.max(np.abs(got[k] - ref) * w) < 1e-12 * np.max(np.abs(ref) * w)
+        err = np.abs(got[k] * dx(params) ** k - ref) * w
+        assert np.max(err) < 1e-12 * np.max(np.abs(ref) * w)
+
+
+@pytest.mark.parametrize("n, b", [(0, 0.5), (1, 0.5), (7, 2.0), (60, 0.5), (200, 0.5), (200, 7.0)])
+def test_jacobi_stack_at_infinite_a_is_the_signed_laguerre_stack(n, b):
+    # Q_n^(inf,b) = (-1)^n L_n^(b), and d^k/dy^k L_n^(b) = (-1)^k L_{n-k}^(b+k);
+    # errors are weighted as in the high-degree test
+    y = np.linspace(0.0, 4.0 * n + 2.0 * b + 20.0, 9)
+    got = specfun.jacobi_derivs(n, math.inf, b, y, 4)
+    for k in range(5):
+        with mp.workdps(40 + n):
+            ref = [(-1) ** (n + k) * mp_laguerre(n - k, b + k, yi) if k <= n else 0 for yi in y]
+            ref = np.array([float(r) for r in ref])
+        w = np.exp(-y / 2) * y ** ((b + k) / 2)
+        assert np.max(np.abs(got[k] - ref) * w) <= 1e-12 * max(np.max(np.abs(ref) * w), 1e-300)
+
+
+LOG_GAMMA_RATIO_X = [*np.geomspace(0.5, 1e15, 40), 19.99, 20.0, 20.01]
+
+
+@pytest.mark.parametrize("b", [-0.49, 0.0, 0.5, 1.0, 7.3, 20.0])
+def test_log_gamma_ratio_matches_mpmath(b):
+    # both sides of the switch from math.lgamma to the Stirling difference at x = 20
+    for x in LOG_GAMMA_RATIO_X:
+        with mp.workdps(60):
+            xm, bm = mp.mpf(float(x)), mp.mpf(b)
+            ref = float(mp.loggamma(xm + bm) - mp.loggamma(xm) - bm * mp.log(xm))
+        assert abs(specfun.log_gamma_ratio(float(x), b) - ref) <= 1e-13, x
+    assert specfun.log_gamma_ratio(math.inf, b) == 0.0
+
+
+def mp_scaled_jacobi(n, a, b, y):
+    """Q_n^(a,b)(y) = P_n^(a,b)(2y/(a+1) - 1) by its power series in y; a = inf is allowed.
+
+    The coefficient of y^m is (-1)^(n+m) binom(n+b, n-m)/m! times
+    prod_{i<=m} (1 + (n+b+i-1)/(a+1)).
+    """
+    e = mp.mpf(0) if math.isinf(a) else 1 / (mp.mpf(a) + 1)
+    b, y = mp.mpf(b), mp.mpf(y)
+    term = total = (-1) ** n * mp.binomial(n + b, n)
+    for m in range(1, n + 1):
+        term *= -(n - m + 1) * (1 + (n + b + m - 1) * e) * y / (m * (b + m))
+        total += term
+    return total
+
+
+def test_scaled_jacobi_reference_matches_mpmath_jacobi():
+    for n, a, b, t in [(0, 1.5, 0.5, 0.3), (5, 1.5, 0.5, -0.7), (12, 40.0, 2.0, 0.9)]:
+        ref, y = mp.jacobi(n, a, b, t), (a + 1) * (1 + mp.mpf(t)) / 2
+        assert abs(mp_scaled_jacobi(n, a, b, y) - ref) <= 1e-25 * abs(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, specfun.MAX_DEGREE),
+    a=st.one_of(st.floats(0.0, 1e8, exclude_min=True), st.just(math.inf)),
+    b=st.floats(0.0, 40.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_closed_form_log_bound_bounds_the_polynomial_stack(n, a, b, u):
+    # the bound decides which points a state zeroes as underflowed, so it
+    # must hold for every entry of the stack: d^k/dy^k Q_n^(a,b)(y) is
+    # prod_{j<=k} (1 + (n+b+j-1) eps) Q_{n-k}^(a+k,b+k)((1 + k eps) y)
+    if math.isinf(a):  # pa = inf at alpha = 0, where y ranges over [0, inf)
+        form = systems._ClosedForm(systems.OscillatorSpec(1.0, 0.0), n, b, 2.0)
+        y = 1e6 * u
+    else:  # pa = (w - alpha)/(2 alpha)
+        form = systems._ClosedForm(systems.OscillatorSpec(1.0, 0.0, 1.0), n, b, 2.0 * a + 1.0)
+        y = (form.params[0] + 1.0) * u
+    pa = form.params[0]
+    assert form.params[1] == b
+    e = mp.mpf(0) if math.isinf(pa) else 1 / (mp.mpf(pa) + 1)
+    bound = form.log_bound(y)
+    coeff = mp.mpf(1)
+    with mp.workdps(40 + n):
+        for k in range(min(n, 4) + 1):
+            if k:
+                coeff *= 1 + (n + b + k - 1) * e
+            q = coeff * mp_scaled_jacobi(n - k, pa + k, b + k, (1 + k * e) * y)
+            if q != 0:
+                assert float(mp.log(abs(q))) <= bound, k

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -391,10 +392,10 @@ def test_potential_stack_matches_mpmath(spec):
 
 
 @st.composite
-def _specs(draw):
-    """A spec of any of the six kinds, alpha = 0 or log-uniform in [1e-8, 1]."""
+def _specs(draw, alphas=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e))):
+    """A spec of any of the six kinds, alpha = 0 or log-uniform in [1e-8, 1] by default."""
     family = draw(st.sampled_from(["ho", "morse", "coulomb"]))
-    alpha = draw(st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)))
+    alpha = draw(alphas)
     half = st.sampled_from([0.0, 0.5, 1.0, 2.5])
     try:
         if family == "ho":
@@ -433,3 +434,24 @@ def test_level_law(spec, n):
 @given(A=st.floats(0.01, 20.0), B=st.floats(0.05, 5.0))
 def test_constant_mass_morse_well_holds_ceil_A_levels(A, B):
     assert len(systems.spectrum_fixed_potential("morse", (A, B), 0.0, 25)) == math.ceil(A)
+
+
+@settings(max_examples=240, deadline=None)
+@given(spec=_specs(alphas=st.floats(-8.0, -3.0).map(lambda e: 10.0**e)), n=st.integers(0, 40))
+def test_states_stay_accurate_as_alpha_goes_to_zero(spec, n):
+    # the deformed state tends to the constant-mass one with no loss of digits:
+    # at the tolerances of the verification report, however small alpha is
+    assert operators.eigen_residual(spec, n, operators.default_residual_grid(spec, n)) <= 1e-9
+    meas = measures.family_measure(spec.family)
+    assert abs(measures.norm(meas, systems.bound_state(spec, n)) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", CONSTANT_SPECS.values(), ids=lambda s: s.family)
+def test_derivative_stack_is_continuous_at_alpha_zero(spec):
+    tiny = dataclasses.replace(spec, alpha=1e-12)
+    for n in (0, 3, 12):
+        pts = operators.default_residual_grid(spec, n)
+        at_zero = systems.bound_state(spec, n).derivs(pts, 4)
+        near_zero = systems.bound_state(tiny, n).derivs(pts, 4)
+        for k, (d0, d1) in enumerate(zip(at_zero, near_zero)):
+            assert np.max(np.abs(d1 - d0)) <= 1e-9 * np.max(np.abs(d0)), (n, k)
