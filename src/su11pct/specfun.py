@@ -103,7 +103,7 @@ def _stack(n, a, b, y, kmax):
             out.append(np.zeros_like(y))
         else:
             coeff *= 1.0 + (n + b + k - 1.0) * e
-            entry = _value(n - k, a + k, b + k, y * (1.0 + k * e))
+            entry = _value(n - k, a + k, b + k, y * (1.0 + k * e) if e else y)
             entry *= coeff
             out.append(entry)
     return [entry[()] for entry in out] if y.ndim == 0 else out
@@ -166,7 +166,7 @@ def jacobi(n, a, b, t):
     n : int
         Degree, 0 <= n <= 200.
     a, b : float
-        Parameters, both > -1, and a finite.
+        Parameters, both > -1 and finite.
     t : float or ndarray
         Argument in [-1, 1].
 
@@ -176,17 +176,23 @@ def jacobi(n, a, b, t):
         Value and d/dt, with the same shape as ``t``.
     """
     _check(n, a, b)
-    if not math.isfinite(a):
-        raise ParameterError(f"Jacobi parameter a must be finite, got {a}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"Jacobi parameters must be finite, got {(a, b)}")
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0):
         raise DomainError("Jacobi argument must lie in [-1, 1]")
-    # t = 2y/(a+1) - 1, so d/dt = ((a+1)/2) d/dy
-    half = 0.5 * (a + 1.0)
-    value, d1 = _stack(n, a, b, (1.0 + t) * half, 1)
+    # t = 2y/(a+1) - 1, so d/dt = ((a+1)/2) d/dy.  Rounding y moves t by
+    # ulp(y)/(a+1), so each point is taken from its nearer end, by
+    # P_n^(a,b)(t) = (-1)^n P_n^(b,a)(-t)
+    sign = -1.0 if n % 2 else 1.0
+    half_a, half_b = 0.5 * (a + 1.0), 0.5 * (b + 1.0)
+    value, d1 = _stack(n, a, b, (1.0 + t) * half_a, 1)
+    value_r, d1_r = _stack(n, b, a, (1.0 - t) * half_b, 1)
+    value = np.where(t > 0.0, sign * value_r, value)
+    d1 = np.where(t > 0.0, -sign * half_b * d1_r, half_a * d1)
     if t.ndim == 0:
-        return PolyEval(float(value), float(d1 * half))
-    return PolyEval(value, d1 * half)
+        return PolyEval(float(value), float(d1))
+    return PolyEval(value, d1)
 
 
 def log_gamma(x):

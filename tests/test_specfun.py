@@ -96,6 +96,9 @@ def test_domain_and_parameter_errors():
         specfun.jacobi(2, -1.2, 0.0, 0.5)
     with pytest.raises(DomainError):
         specfun.jacobi(2, 0.5, 0.5, 1.0001)
+    for a, b in [(math.inf, 0.5), (0.5, math.inf)]:
+        with pytest.raises(ParameterError):
+            specfun.jacobi(2, a, b, 0.3)
     with pytest.raises(DomainError):
         specfun.log_gamma(0.0)
     with pytest.raises(DomainError):
@@ -225,15 +228,16 @@ def _stacks(t, kmax=2):
 
 
 def test_derivative_stacks_never_write_the_argument():
-    base = np.linspace(-0.9, 0.9, 31)
-    for t in (base, base[::3], base.reshape(31, 1)[5:20], base[::-2]):
-        y, x = np.abs(t), jacobi_y(0.8, t)
-        x_before, y_before = x.copy(), y.copy()
+    # contiguous, strided, offset 2-d and reversed views of one base array
+    # reach both stacks; y >= 0 is a valid Laguerre argument as well
+    ybase = jacobi_y(0.8, np.linspace(-0.9, 0.9, 31))
+    for y in (ybase, ybase[::3], ybase.reshape(31, 1)[5:20], ybase[::-2]):
+        y_before = y.copy()
         for n in (0, 1, 7):
             specfun.laguerre_derivs(n, 0.8, y, 3)
-            specfun.jacobi_derivs(n, 0.8, 1.2, x, 3)
-        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
-    assert np.array_equal(base, np.linspace(-0.9, 0.9, 31))
+            specfun.jacobi_derivs(n, 0.8, 1.2, y, 3)
+        assert np.array_equal(y, y_before)
+    assert np.array_equal(ybase, jacobi_y(0.8, np.linspace(-0.9, 0.9, 31)))
 
 
 def test_derivative_stack_entries_share_no_memory():
@@ -339,6 +343,23 @@ def test_derivative_stacks_match_mpmath_at_high_degree(kind, params, n):
         w = weight(x, params, k)
         err = np.abs(got[k] * dx(params) ** k - ref) * w
         assert np.max(err) < 1e-12 * np.max(np.abs(ref) * w)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("a, b", [(0.75, 1.5), (1.5, 0.5), (40.0, 2.0)])
+def test_jacobi_in_t_matches_mpmath_at_high_degree(a, b, n):
+    # `jacobi` rounds its argument into y; taken from the far end, that moves
+    # t by ulp(a+1)/(a+1), which cost up to 7.7e-13 here, so the bound sits
+    # below it.  Errors are weighted as in the stack test above.
+    t = np.linspace(-0.995, 0.995, 33)
+    got = specfun.jacobi(n, a, b, t)
+    for k, values in enumerate(got):
+        with mp.workdps(40 + n):
+            coeff = mp.mpf(n + a + b + 1) / 2 if k else 1
+            ref = [coeff * mp_jacobi_terms(n - k, a + k, b + k, ti) for ti in t]
+            ref = np.array([float(r) for r in ref])
+        w = (1 - t) ** ((a + k) / 2) * (1 + t) ** ((b + k) / 2)
+        assert np.max(np.abs(values - ref) * w) < 3e-13 * np.max(np.abs(ref) * w), k
 
 
 @pytest.mark.parametrize("n, b", [(0, 0.5), (1, 0.5), (7, 2.0), (60, 0.5), (200, 0.5), (200, 7.0)])
