@@ -4,9 +4,8 @@ Three realizations exist per mass kind: the oscillator triple (spectrum
 generating, ladder steps change the energy) and the Morse and Coulomb
 triples (potential algebras, ladder steps move along the hierarchy at
 fixed energy).  The zero generator is a gauged second-order differential
-operator proportional to (H - shift); the deformed ladder generators are
-first-order shift cores A_[+-] dressed with scalar factors built from the
-delta spectrum.
+operator proportional to (H - shift); the ladder generators are one
+first-order core dressed with a scalar factor, at both mass kinds.
 
 The three realizations are one algebra, and so are the two mass kinds:
 its scalar data depend only on the pair (pb, w) of ``systems.invariants``
@@ -28,27 +27,51 @@ The zero generator is (2 g/(w g'^2)) (H - shift), w = ``w_const`` and H
 the ``operators.flux_operator`` of the slots with a1 set to the member-free
 gamma = alpha (k - k^2/2 - 5/8), k = 1 - sigma.  On psi_n it is
 (2/w)(gamma - a1(n)), so a member's slot is a1(n) = gamma - (w/2) mu_n:
-E_n = 2 w mu_n for the oscillator.  The constant-mass ladders are
-K+- = -K0 + (w/4) g -+ ((g/g') d/dq + sigma/2), with y = (w/2) g the
-Laguerre argument.  The deformed shift core is A_[+-] = c0 + c1 d/dq with
-c1 = -16 alpha g/g' and c0 = -8 alpha sigma - 4 alpha (1 -+ delta_n) t
-+ 4 alpha (pa^2 - pb^2) / (1 +- delta_n), where t = 1 - 2/f.  One core for
-both mass kinds would freeze the constant-mass commutator checks to a sector.
-The operators read the linear g/g' from the table's ``g_ratio``, because
-the oscillator's g = r^2 underflows below r of about 1.5e-154.
+E_n = 2 w mu_n for the oscillator.
+
+The ladder generators, at either mass kind, are one first-order core on
+the sector of psi_n, written in (pb, w, alpha):
+
+    K+-_n = k_n [b0 + b1 g/f - (g/g') d/dq],
+    d_n = alpha delta_n = (w + alpha (4n + 2pb + 1))/2,
+    b0 = -sigma/2 + (alpha (1 - pb^2 - s^2) - (w - alpha) s)/(4 (alpha +- d_n)),
+    b1 = (+-d_n - alpha)/2,
+    k_n = +-(2/w)(d_n +- alpha) sqrt((d_n +- 2 alpha)/d_n),
+
+with s = 2n + pb + 1 as above and g/f = (1 - 1/f)/alpha
+(``systems.g_over_f``), which is g at alpha = 0.
+
+Derivation: the deformed shift core of Quesne (J. Phys. A 40 (2007)
+13107) is A_[+-] = c0 - 16 alpha (g/g') d/dq with
+c0 = -8 alpha sigma + 4 alpha (pa^2 - pb^2)/(1 +- delta_n)
+- 4 alpha (1 -+ delta_n) t and t = 1 - 2/f = -1 + 2 alpha g/f.  Over the
+common denominator 1 +- delta_n the pa^2 terms cancel analytically,
+pa^2 - pb^2 + 1 - delta_n^2 = 1 - pb^2 - s^2 - 2 pa s with
+2 alpha pa = w - alpha, so A_[+-] = 16 alpha [b0 + b1 g/f - (g/g') d/dq],
+and 16 alpha times the outer factor
++-(delta_n +- 1) sqrt((delta_n +- 2)/delta_n)/(8 w) is k_n.  Nothing of
+order 1/alpha is left to cancel.  At alpha = 0, where d_n = w/2 and
+k_n = +-1, the core is -mu_n + (w/4) g -+ (sigma/2 + (g/g') d/dq): the
+constant-mass K+- = -K0 + (w/4) g -+ ((g/g') d + sigma/2) with K0
+replaced by its eigenvalue mu_n.  Freezing the sector loses nothing: every generator
+application names the n of the sector its input lives in, and K0 stays
+the genuine second-order gauged H, so the commutator and Casimir checks
+still compose two different operators.  The operators read the linear
+g/g' from the table's ``g_ratio``, because the oscillator's g = r^2
+underflows below r of about 1.5e-154.
 
 Each operator is an ``operators.DiffOperator2`` whose ``coeffs(p, order)``
 returns derivative stacks: the zero generator's are the flux operator's
-times the gauge by Leibniz; the shift core's c0 is affine in the stack of
-t (``systems.jacobi_argument``).
+times the gauge by Leibniz; the ladder core's c0 is affine in the stack
+of g/f.
 
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
 state ladder it reduces to the scalar delta_n of the state a factor meets:
-the occurrences inside A and the outer factor of the "A on the left" form
-see the input state (delta_n).  The "A on the right" form, whose outer
-factor sees the shifted output d = delta_n +- 2, gives the same scalar:
-(d -+ 1) sqrt(d/(d -+ 2)) = (delta_n +- 1) sqrt((delta_n +- 2)/delta_n).
+the occurrences inside the core and the outer factor of the "A on the
+left" form see the input state (delta_n).  The "A on the right" form,
+whose outer factor sees the shifted output d = delta_n +- 2, gives the
+same scalar: (d -+ 1) sqrt(d/(d -+ 2)) = (delta_n +- 1) sqrt((delta_n +- 2)/delta_n).
 The minus action on n = 0 is short-circuited to the zero function before
 any singular factor is formed.
 """
@@ -91,12 +114,6 @@ class GeneratorSet:
     def shift(self):
         """Fixed energy of the Morse/Coulomb hierarchy; 0 for the oscillator."""
         return 0.0 if self.family == "ho" else systems.energy(self.spec, 0)
-
-    @property
-    def q_const(self):
-        """Numerator pa^2 - pb^2 of the 1/(1 +- delta) term in the shift cores."""
-        pa, pb = systems.jacobi_params(self.spec)
-        return (pa - pb) * (pa + pb)
 
 
 def generator_set(spec):
@@ -202,50 +219,31 @@ def _zero_operator(gs):
     return operators.DiffOperator2(coeffs, order=2)
 
 
-def _const_ladder_operator(gs, direction):
-    """K+- = -K0 + (w/4) g -+ ((g/g') d + sigma/2) at constant mass, y = (w/2) g."""
+def _sector(gs, n):
+    """pb, w and d_n = alpha delta_n = (w + alpha (4n + 2pb + 1))/2, w/2 at alpha = 0."""
+    pb, w = systems.invariants(gs.spec)
+    return pb, w, 0.5 * (w + gs.alpha * (4.0 * n + 2.0 * pb + 1.0))
+
+
+def _ladder_core(gs, direction, n, scale=1.0):
+    """b0 + b1 g/f - (g/g') d on the sector of psi_n, times scale (k_n in K+-)."""
+    pb, w, d = _sector(gs, n)
+    a = gs.alpha
     sgn = 1.0 if direction == PLUS else -1.0
     fam = systems.FAMILIES[gs.family]
-    half_c = 0.25 * gs.w_const
-    zero = _zero_operator(gs).coeffs
+    s = 2.0 * n + pb + 1.0
+    b0 = -0.5 * fam.sigma + (a * (1.0 - pb * pb - s * s) - (w - a) * s) / (4.0 * (a + sgn * d))
+    b1 = 0.5 * (sgn * d - a)
+    slope = -scale * (1.0 - fam.sigma)  # g g''/g'^2 = sigma, so g/g' is linear
 
     def coeffs(p, order):
         p = np.asarray(p, dtype=float)
-        k0, k1, k2 = zero(p, order)
-        lin = (fam.g_ratio(p), 1.0 - fam.sigma, 0.0)  # g/g' and its derivatives
-        c0 = [half_c * g - k for g, k in zip(fam.g(p), k0)]
-        c0[0] = c0[0] - sgn * 0.5 * fam.sigma
-        return (c0, [-k - sgn * c for k, c in zip(k1, lin)], [-k for k in k2])
-
-    return operators.DiffOperator2(coeffs, order=2)
-
-
-def _shift_core_operator(gs, direction, delta_n, scale=1.0):
-    """The first-order core A_[+-] with delta frozen to the input eigenvalue."""
-    spec, a = gs.spec, gs.alpha
-    sgn = 1.0 if direction == PLUS else -1.0
-    fam = systems.FAMILIES[gs.family]
-    c0_const = -8.0 * a * fam.sigma + 4.0 * a * gs.q_const / (1.0 + sgn * delta_n)
-    c1_slope = -16.0 * a * (1.0 - fam.sigma)  # g g''/g'^2 = sigma, so g/g' is linear
-    t_coef = -4.0 * a * (1.0 - sgn * delta_n)
-
-    def coeffs(p, order):
-        p = np.asarray(p, dtype=float)
-        t = systems.jacobi_argument(systems.deforming(spec, p), order)
-        c0 = [scale * (c0_const + t_coef * t[0])] + [scale * t_coef * tk for tk in t[1:]]
-        return (c0, (scale * (-16.0 * a) * fam.g_ratio(p), scale * c1_slope))
+        systems.check_point(gs.spec, p)
+        c0, _ = systems.g_over_f(a, fam.g(p), order, scale * b1)
+        c0[0] = c0[0] + scale * b0
+        return (c0, (-scale * fam.g_ratio(p), slope))
 
     return operators.DiffOperator2(coeffs, order=1)
-
-
-def apply_shift_core(gs, direction, state):
-    """A_[+-] alone (delta frozen to the state), without outer factors.
-
-    On the lowest state the minus core annihilates; this entry point lets
-    that be checked directly since the public minus action short-circuits.
-    """
-    op = _shift_core_operator(gs, direction, delta_spectrum(gs).delta_of_n(state.n))
-    return op.apply(state)
 
 
 def apply_generator_fn(gs, which, fn, n):
@@ -254,16 +252,12 @@ def apply_generator_fn(gs, which, fn, n):
         return _zero_operator(gs).apply(fn)
     if which not in (PLUS, MINUS):
         raise ParameterError(f"which must be 'zero', 'plus' or 'minus', got {which}")
-    if not gs.deformed:
-        return _const_ladder_operator(gs, which).apply(fn)
     if which == MINUS and n == 0:
         return operators.zero_function()
-    sgn = 1.0 if which == PLUS else -1.0
-    delta_n = delta_spectrum(gs).delta_of_n(n)
-    outer = (delta_n + sgn) * math.sqrt((delta_n + 2.0 * sgn) / delta_n)
-    scale = sgn * (1.0 / (8.0 * gs.w_const)) * outer
-    op = _shift_core_operator(gs, which, delta_n, scale=scale)
-    return op.apply(fn)
+    sgn, a = (1.0 if which == PLUS else -1.0), gs.alpha
+    _, w, d = _sector(gs, n)
+    k = sgn * (2.0 / w) * (d + sgn * a) * math.sqrt((d + 2.0 * sgn * a) / d)
+    return _ladder_core(gs, which, n, scale=k).apply(fn)
 
 
 def apply_generator(gs, which, state):
@@ -294,15 +288,12 @@ def casimir_apply(gs, state, points):
 
     -K+ K- + K0^2 - (1 + 2 eps (2n + pb - 3/4)) K0
     - (eps/4)(1 + 2 eps (2n + pb + 1/2)), with eps = alpha/w; at constant
-    mass (eps = 0) it is -K+ K- + K0 (K0 - 1).  Deformed, delta is frozen
-    per sector as each factor meets its input.
+    mass (eps = 0) it is -K+ K- + K0 (K0 - 1).  Each ladder factor is
+    frozen to the sector of the input it meets.
     """
     n = state.n
     minus_out = apply_generator(gs, MINUS, state)
-    if n == 0 and gs.deformed:
-        pm = np.zeros_like(np.asarray(points, dtype=float))
-    else:
-        pm = apply_generator_fn(gs, PLUS, minus_out, n - 1)(points)
+    pm = apply_generator_fn(gs, PLUS, minus_out, n - 1)(points) if n else 0.0
     zero_out = apply_generator(gs, ZERO, state)
     zz = apply_generator_fn(gs, ZERO, zero_out, n)(points)
     z = zero_out(points)
@@ -392,11 +383,7 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
             )
         minus_out = apply_generator(gs, MINUS, state)
         plus_out = apply_generator(gs, PLUS, state)
-        pm = (
-            apply_generator_fn(gs, PLUS, minus_out, n - 1)(pts)
-            if (n >= 1 or not gs.deformed)
-            else np.zeros_like(np.asarray(pts, dtype=float))
-        )
+        pm = apply_generator_fn(gs, PLUS, minus_out, n - 1)(pts) if n else 0.0
         mp = apply_generator_fn(gs, MINUS, plus_out, n + 1)(pts)
         rhs = bracket(n) * state(pts)
         recs.append(
@@ -410,16 +397,13 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
 
 
 def annihilation_residual(gs, rtol=1e-10):
-    """Norm ratio ||minus-action on the lowest state|| / ||lowest state||.
+    """Norm ratio ||minus core on the lowest state|| / ||lowest state||.
 
-    Constant mass evaluates the full minus generator.  Deformed families
-    evaluate the shift core alone (the public minus action is
-    short-circuited to zero on n = 0 by construction).
+    The core is applied without its factor k_0, because the public minus
+    action is short-circuited to zero on n = 0; at constant mass it is the
+    minus generator up to sign.
     """
     meas = measures.family_measure(gs.family)
     state = systems.bound_state(gs.spec, 0)
-    if gs.deformed:
-        out = apply_shift_core(gs, MINUS, state)
-    else:
-        out = apply_generator(gs, MINUS, state)
+    out = _ladder_core(gs, MINUS, 0).apply(state)
     return measures.norm(meas, out, rtol) / measures.norm(meas, state, rtol)

@@ -533,10 +533,22 @@ def _reciprocal(f0, order):
     return out
 
 
-def jacobi_argument(f, order):
-    """Derivatives 0..order of t = 1 - 2/f from the stack (f, f', ..., f'''')."""
-    inv = _reciprocal(f[0], order)
-    return chain([1.0 - 2.0 * inv[0]] + [-2.0 * w for w in inv[1:]], f, order)
+def g_over_f(alpha, g, order, scale=1.0):
+    """Derivatives 0..order of scale g/f, f = 1 + alpha g, from the stack of g.
+
+    As a function of g, g/f = (1 - 1/f)/alpha has k-th derivative
+    -alpha^(k-1) times that of 1/f with respect to f; its value is formed as
+    g/f where alpha g <= 1, so nothing cancels as alpha -> 0.  At alpha = 0
+    it is g itself, also where g overflows.  Returns the stack and the 1/f
+    stack in f (None at alpha = 0), which ``_ClosedForm`` reuses for h.
+    """
+    if alpha == 0.0:
+        return [scale * gk for gk in g[: order + 1]], None
+    ag = alpha * g[0]
+    inv = _reciprocal(1.0 + ag, order)
+    v0 = scale * np.where(ag > 1.0, (1.0 - inv[0]) / alpha, g[0] * inv[0])
+    dv = [-scale * alpha ** (k - 1) * inv[k] for k in range(1, order + 1)]
+    return chain([v0] + dv, g, order), inv
 
 
 class _ClosedForm:
@@ -577,20 +589,14 @@ class _ClosedForm:
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
         g = FAMILIES[self.spec.family].g(p)[: order + 1]
         a = self.spec.alpha
-        if a == 0.0:  # f = 1: both are linear in g, also where g overflows
-            y = [self.scale * gk for gk in g]
+        y, inv = g_over_f(a, g, order, self.scale)
+        if inv is None:  # f = 1: h is linear in g, also where g overflows
             h = [-self.rate * gk for gk in g]
         else:
-            # y = scale (1 - 1/f)/alpha and h = -rate ln(f)/alpha as functions
-            # of g, whose k-th derivatives are alpha^(k-1) times those of 1/f
-            # and ln f with respect to f
-            ag = a * g[0]
-            inv = _reciprocal(1.0 + ag, order)
-            y0 = self.scale * np.where(ag > 1.0, (1.0 - inv[0]) / a, g[0] * inv[0])
-            dy = [-self.scale * a ** (k - 1) * inv[k] for k in range(1, order + 1)]
+            # h = -rate ln(f)/alpha as a function of g, whose k-th derivative
+            # is alpha^(k-1) times that of ln f with respect to f
             dh = [-self.rate * a ** (k - 1) * inv[k - 1] for k in range(1, order + 1)]
-            y = chain([y0] + dy, g, order)
-            h = chain([-self.rate * np.log1p(ag) / a] + dh, g, order)
+            h = chain([-self.rate * np.log1p(a * g[0]) / a] + dh, g, order)
         if self.slope:
             h[0] = h[0] - self.slope * p
             if order >= 1:

@@ -364,6 +364,46 @@ def test_alpha_to_zero_limits():
         assert np.max(np.abs(act_tiny - act_zero)) < 1e-4 * scale
 
 
+TINY_ALPHA_FAMILIES = {
+    "ho": lambda a: systems.OscillatorSpec(1.0, 0.5, a),
+    "morse": lambda a: systems.MorseSpec(1.0, 0.75, a),
+    "coulomb": lambda a: systems.CoulombSpec(0.5, 1.0, a),
+}
+
+
+@pytest.mark.parametrize("make", TINY_ALPHA_FAMILIES.values(), ids=TINY_ALPHA_FAMILIES)
+def test_ladders_continuous_at_alpha_zero(make):
+    # one core for both mass kinds: at alpha = 1e-12 no term of order
+    # 1/alpha is left to cancel, so value, d1 and d2 of K+- psi_n match the
+    # constant-mass action to rounding
+    gs_tiny, gs_zero = algebra.generator_set(make(1e-12)), algebra.generator_set(make(0.0))
+    for n in range(4):
+        pts = algebra.pointwise_grid(make(0.0), n)
+        st_tiny = systems.bound_state(make(1e-12), n)
+        st_zero = systems.bound_state(make(0.0), n)
+        for which in ("plus", "minus"):
+            tiny = algebra.apply_generator(gs_tiny, which, st_tiny).derivs(pts, 2)
+            zero = algebra.apply_generator(gs_zero, which, st_zero).derivs(pts, 2)
+            for order, (t, z) in enumerate(zip(tiny, zero)):
+                scale = max(1.0, np.max(np.abs(z)))
+                assert np.max(np.abs(t - z)) <= 1e-9 * scale, (n, which, order)
+
+
+@pytest.mark.parametrize(
+    "spec", [CONSTANT_SPECS["morse"], DEFORMED_SPECS["morse"]], ids=lambda s: f"a{s.alpha}"
+)
+def test_morse_ladders_far_on_the_soft_side(spec):
+    # psi_1 is 1e-11 to 1e-253 here; the first-order core carries no gauge
+    # e^x, which overflows past x of about 710
+    gs = algebra.generator_set(spec)
+    x = np.array([100.0, 400.0, 720.0, 800.0])
+    state = systems.bound_state(spec, 1)
+    for which, m in (("plus", 2), ("minus", 0)):
+        want = algebra.ladder_coefficient(gs, 1, which) * systems.bound_state(spec, m)(x)
+        out = algebra.apply_generator(gs, which, state)(x)
+        assert np.all(np.abs(out - want) <= 1e-12 * np.abs(want)), (which, out, want)
+
+
 def test_apply_generator_rejects_foreign_state():
     gs = algebra.generator_set(CONSTANT_SPECS["ho"])
     st = systems.bound_state(PDM_HO, 0)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,58 @@ def test_verify_all_battery(capsys):
     assert len(payload["reports"]) == 6
     families = [r["spec"]["family"] for r in payload["reports"]]
     assert families.count("ho") == families.count("morse") == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ho", "--omega", "1", "--L", "0.5", "--alpha", "1e-8"),
+        ("morse", "--A", "1", "--B", "0.75", "--alpha", "1e-8"),
+        ("ho", "--omega", "1", "--L", "0.5", "--alpha", "1e-10"),
+        ("morse", "--A", "1", "--B", "0.75", "--alpha", "1e-10"),
+        ("coulomb", "--Z", "1", "--Lcal", "0.5", "--alpha", "1e-10"),
+    ],
+    ids=lambda a: f"{a[0]}-{a[-1]}",
+)
+def test_verify_passes_at_tiny_alpha(capsys, args):
+    code, out = run_cli(capsys, "verify", "--family", *args, "--nmax", "2")
+    assert code == 0, out
+
+
+def test_ladder_sections_pass_at_L_minus_half():
+    # at L = -1/2 the eigen and Casimir sections still fail (-psi'' cancels
+    # L(L+1)/r^2 psi near r = 0) and so does the oracle, but the report is
+    # built and its ladder and commutator sections pass
+    sections = cli.build_report(systems.OscillatorSpec(1.0, -0.5)).to_dict()["sections"]
+    for name in ("ladder", "commutators"):
+        assert all(e["pass"] for e in sections[name]), name
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """Each su11pct line of README's "Command line" block and the output lines shown under it."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("su11pct "):
+            commands.append((shlex.split(line.partition("#")[0])[1:], []))
+        elif line.startswith("# ") and commands:
+            commands[-1][1].append(line[2:])
+    return commands
+
+
+def test_readme_command_lines_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv, shown in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if shown:
+            assert out.splitlines() == shown, argv
+    assert commands[0][1] == ["0,-6.25", "1,-2.25", "2,-0.25"]
 
 
 def test_oracle_compare(capsys):
