@@ -198,6 +198,18 @@ def test_oracle_compare_deformed_ho_default_grid(capsys):
     assert payload["grid"]["spacing"] == "geomspace"
 
 
+@pytest.mark.parametrize("args", [("--L", "0", "--alpha", "0"), ("--L", "1", "--alpha", "0.3")])
+def test_oracle_compare_ten_levels(capsys, args):
+    # the default grid's node count grows with the top level's energy
+    code, out = run_cli(
+        capsys, "oracle-compare", "--family", "ho", "--omega", "1", *args, "--nmax", "9"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["overall_pass"] is True
+    assert len(payload["levels"]) == 10
+
+
 def test_reports_are_byte_stable(capsys):
     args = (
         "verify", "--family", "morse", "--A", "0.25", "--B", "0.25", "--nmax", "2"

@@ -5,7 +5,35 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from su11pct import oracle, systems
-from su11pct.errors import ParameterError
+from su11pct.errors import ConvergenceError, ParameterError
+
+# the six specs of `su11pct verify --all`
+BATTERY = [
+    systems.OscillatorSpec(1.0, 0.0),
+    systems.OscillatorSpec(2.0, 0.0, 1.0),
+    systems.MorseSpec(0.25, 0.25),
+    systems.MorseSpec(1.0, 0.75, 0.3),
+    systems.CoulombSpec(0.0, 1.0),
+    systems.CoulombSpec(0.0, 1.0, 0.1),
+]
+
+
+def battery_matrix(spec):
+    """The matrix whose two lowest levels `verify` compares."""
+    return oracle.discretize(spec, 0, oracle.default_grid(spec, 0, k=2))
+
+
+def count_sweeps(monkeypatch):
+    """Shifts of every Sturm sweep made from now on, in order."""
+    shifts = []
+    sweep = oracle._count_below
+
+    def counted(diag, off2, x):
+        shifts.append(x)
+        return sweep(diag, off2, x)
+
+    monkeypatch.setattr(oracle, "_count_below", counted)
+    return shifts
 
 
 def test_grid_validation():
@@ -159,3 +187,79 @@ def test_default_grids_resolve_levels():
         ev = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), len(refs), 1e-9)
         for e, ref in zip(ev, refs):
             assert abs(e - ref) < tol
+
+
+def test_sweep_counts_and_log_derivative():
+    diag = [1.0, 2.0, 3.0, 4.0, 5.0]
+    off = [0.5, -0.7, 0.3, 0.9]
+    lam = eigvalsh_tridiagonal(np.array(diag), np.array(off))
+    for x in (0.2, 2.5, 3.9, 7.0):
+        count, g = oracle._count_below(diag, [e * e for e in off], x)
+        assert count == np.sum(lam < x)
+        assert g == pytest.approx(np.sum(1.0 / (x - lam)), rel=1e-12)
+
+
+def test_sweep_counts_a_zero_pivot():
+    # at x = 1 the first pivot 1 - x is exactly 0; one eigenvalue lies below
+    diag, off = [1.0, 2.0, 3.0], [0.5, 0.5]
+    lam = eigvalsh_tridiagonal(np.array(diag), np.array(off))
+    count, _ = oracle._count_below(diag, [e * e for e in off], 1.0)
+    assert count == np.sum(lam < 1.0) == 1
+
+
+def test_levels_agree_with_lapack_within_tol():
+    morse = systems.MorseSpec(2.5, 1.0)
+    ho = systems.OscillatorSpec(2.0, 0.0, 1.0)
+    cases = [(battery_matrix(spec), 2) for spec in BATTERY] + [
+        # three bound levels, then a cluster of positive box levels near 0
+        (oracle.discretize(morse, 0, oracle.GridSpec(-6.0, 40.0, 3000)), 10),
+        (oracle.discretize(morse, 0, oracle.GridSpec(-6.0, 25.0, 2000)), 5),
+        (oracle.discretize(ho, 0, oracle.default_grid(ho, 0, k=2)), 5),
+    ]
+    tol = 1e-9
+    for dh, k in cases:
+        mine = oracle.lowest_eigenvalues(dh, k, tol)
+        ref = eigvalsh_tridiagonal(
+            dh.diag, dh.offdiag, select="i", select_range=(0, k - 1), tol=1e-12
+        )
+        assert np.max(np.abs(np.asarray(mine) - ref)) < tol
+
+
+@pytest.mark.parametrize("spec", BATTERY, ids=str)
+def test_battery_solve_sweep_budget(monkeypatch, spec):
+    # bisection alone takes 68 to 89 sweeps on these matrices
+    dh = battery_matrix(spec)
+    shifts = count_sweeps(monkeypatch)
+    oracle.lowest_eigenvalues(dh, 2, 1e-9)
+    assert len(shifts) <= 35
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stalled_levels_return_their_brackets(monkeypatch, k):
+    # level 0 is about 1.5e5, whose ulp, 2.9e-11, exceeds tol: no float
+    # bracket is narrower than tol, and the solve stops at one ulp
+    dh = oracle.discretize(
+        systems.OscillatorSpec(1e5, 0.0), 0, oracle.GridSpec(1e-4, 0.05, 500)
+    )
+    shifts = count_sweeps(monkeypatch)
+    with pytest.raises(ConvergenceError) as info:
+        oracle.lowest_eigenvalues(dh, k, 1e-12)
+    brackets = info.value.brackets
+    assert len(brackets) == k
+    lo, hi = brackets[0]
+    assert hi - lo >= 1e-12 and math.nextafter(lo, math.inf) == hi
+    ref = eigvalsh_tridiagonal(
+        dh.diag, dh.offdiag, select="i", select_range=(0, 0), tol=1e-12
+    )[0]
+    assert abs(0.5 * (lo + hi) - ref) < 1e-12 * ref  # Sturm counts agree to rounding
+    assert len(shifts) <= 64 * k  # 64 sweeps per level is the least budget
+
+
+def test_default_grid_count_grows_past_the_third_level():
+    # the error of a level grows with its energy; k <= 3 keeps COUNT
+    ho = systems.OscillatorSpec(1.0, 0.0)
+    assert oracle.default_grid(ho, 0, k=3).count == oracle.COUNT
+    assert oracle.default_grid(ho, 0, k=10).count == math.ceil(oracle.COUNT * 19.5 / 5.5)
+    # a Coulomb spectrum rises toward 0, so its count stays
+    coulomb = systems.CoulombSpec(0.0, 1.0)
+    assert oracle.default_grid(coulomb, 0, k=10).count == oracle.COUNT
