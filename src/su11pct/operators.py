@@ -62,17 +62,20 @@ def zero_function():
 
 
 def _vanishing_far_out(stack, compute):
-    """compute(), set to 0 wherever every entry of the input stack is exactly 0.
+    """compute(), set to 0 where the input's value is exactly 0 and the output 0 or NaN.
 
-    Far out a coefficient or potential may overflow to inf while the state
-    underflows to 0; the operator's value there is 0, not inf * 0 = NaN.
+    Far out, or at the origin, a coefficient or potential may overflow to
+    inf while the state underflows to 0; the operator's value there is 0,
+    not inf * 0 = NaN.  Near the origin a state's derivatives outlive its
+    value (psi ~ q^m, psi^(j) ~ q^(m-j)), so only the value is tested, and
+    a finite nonzero output is kept.
     """
     if np.asarray(stack[0]).all():
         return compute()
     with np.errstate(over="ignore", invalid="ignore"):
         values = compute()
-    zero = np.logical_and.reduce([np.asarray(s) == 0.0 for s in stack])
-    return tuple(np.where(zero, 0.0, v)[()] for v in values)
+    zero = np.asarray(stack[0]) == 0.0
+    return tuple(np.where(zero & ~(np.abs(v) > 0.0), 0.0, v)[()] for v in values)
 
 
 class DiffOperator2:

@@ -39,6 +39,9 @@ rules, ``leibniz`` for products and ``chain`` (Faa di Bruno) for
 compositions: y and h are functions of g, e^h and Q_n(y) are
 compositions and psi_n is the product of q^m, e^h and Q_n(y).  The other
 modules combine stacks only through these rules, never by differencing.
+A state's stack is 0 exactly where its exponential factor
+e^(log_norm + h), which takes q^m into the exponent where q > 1, underflows
+or is NaN; everywhere else it is the product as formed.
 
 Every member Hamiltonian is the flux form -d f^2 d + v with one potential
 
@@ -540,7 +543,7 @@ def g_over_f(alpha, g, order, scale=1.0):
     -alpha^(k-1) times that of 1/f with respect to f; its value is formed as
     g/f where alpha g <= 1, so nothing cancels as alpha -> 0.  At alpha = 0
     it is g itself, also where g overflows.  Returns the stack and the 1/f
-    stack in f (None at alpha = 0), which ``_ClosedForm`` reuses for h.
+    stack in f (None at alpha = 0).
     """
     if alpha == 0.0:
         return [scale * gk for gk in g[: order + 1]], None
@@ -551,19 +554,34 @@ def g_over_f(alpha, g, order, scale=1.0):
     return chain([v0] + dv, g, order), inv
 
 
-class _ClosedForm:
-    """The template q^power * exp(log_norm + h(q)) * Q_n(y(q)) of one state.
+class BoundState:
+    """One closed-form eigenfunction q^power * exp(log_norm + h(q)) * Q_n(y(q)).
+
+    Attributes mirror the common data of all six families: the quantum
+    number ``n``, the ``energy`` it solves the member equation with, the
+    signed normalization constant ``norm_coeff`` and an ``evaluator``
+    returning (value, d1, d2) at a point.  ``derivs`` extends the
+    evaluation to fourth derivatives for operator composition.
 
     The coordinate power is kept out of h: its derivatives are exact
     falling factorials, which avoids catastrophic cancellation of
     1/p^2-sized terms near the origin in high-order derivatives.
     """
 
-    def __init__(self, spec, n, pb, w):
+    max_order = 4
+
+    def __init__(self, spec, n):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ParameterError(f"quantum number must be a non-negative int, got {n}")
+        if n > specfun.MAX_DEGREE:
+            raise ParameterError(f"quantum number {n} exceeds the maximum {specfun.MAX_DEGREE}")
+        self.spec = spec
+        self.family = spec.family
+        self.n = n = int(n)
+        pb, w, self.energy = _state_level(spec, n)
         fam = FAMILIES[spec.family]
         a = spec.alpha
         lg = specfun.log_gamma
-        self.spec, self.n = spec, n
         self.power = fam.power(spec)
         self.scale = 0.5 * (w + a)  # y = scale g/f
         self.rate = 0.25 * (w + a * (2.0 * pb + 3.0))  # h = -rate ln(f)/alpha
@@ -580,14 +598,13 @@ class _ClosedForm:
             + specfun.log_gamma_ratio(n + pa + 1.0, pb)
         )
         self.slope = 0.5 * pb if fam.linear else 0.0  # h carries -slope * q
-        # |Q_n^(k)(y)| <= binom(n + pb, n) (1 + lam y)^n, up to factors
-        # (lam n)^k that the slack of 150 covers for k <= 4
-        self._lam = (1.0 + 4.0 * eps) * (1.0 + (2.0 * n + pb) * eps)
-        self._bound = lg(n + pb + 1.0) - lg(n + 1.0) - lg(pb + 1.0) + 150.0
+        # the coefficient of L_n = (-1)^n Q_n at constant mass
+        sign = -1.0 if a == 0 and n % 2 else 1.0
+        self.norm_coeff = sign * math.exp(self.log_norm)
 
     def h_and_y(self, p, order):
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
-        g = FAMILIES[self.spec.family].g(p)[: order + 1]
+        g = FAMILIES[self.family].g(p)[: order + 1]
         a = self.spec.alpha
         y, inv = g_over_f(a, g, order, self.scale)
         if inv is None:  # f = 1: h is linear in g, also where g overflows
@@ -603,60 +620,31 @@ class _ClosedForm:
                 h[1] = h[1] - self.slope
         return h, y
 
-    def log_bound(self, y):
-        """Log bound on |Q_n^(k)(y)| for every k <= 4 and 0 <= y <= pa + 1."""
-        return self._bound + self.n * np.log1p(self._lam * y)
-
-
-class BoundState:
-    """One closed-form eigenfunction of a family member.
-
-    Attributes mirror the common data of all six families: the quantum
-    number ``n``, the ``energy`` it solves the member equation with, the
-    signed normalization constant ``norm_coeff`` and an ``evaluator``
-    returning (value, d1, d2) at a point.  ``derivs`` extends the
-    evaluation to fourth derivatives for operator composition.
-    """
-
-    max_order = 4
-
-    def __init__(self, spec, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ParameterError(f"quantum number must be a non-negative int, got {n}")
-        if n > specfun.MAX_DEGREE:
-            raise ParameterError(f"quantum number {n} exceeds the maximum {specfun.MAX_DEGREE}")
-        self.spec = spec
-        self.family = spec.family
-        self.n = int(n)
-        pb, w, self.energy = _state_level(spec, self.n)
-        self._parts = _ClosedForm(spec, self.n, pb, w)
-        # the coefficient of L_n = (-1)^n Q_n at constant mass
-        sign = -1.0 if spec.alpha == 0 and self.n % 2 else 1.0
-        self.norm_coeff = sign * math.exp(self._parts.log_norm)
-
     def derivs(self, point, order=2):
-        """Value and derivatives (value, d1, ..., d_order) at a point."""
+        """Value and derivatives (value, d1, ..., d_order) at a point.
+
+        Every entry is 0 where the exponential factor u0 = e^(log_norm + h),
+        which carries p^m where p > 1, is not positive: where e^h
+        underflows, or is NaN because p*p or e^-x overflowed.
+        """
         if order < 0 or order > self.max_order:
             raise ParameterError(f"order must be in [0, {self.max_order}]")
         check_point(self.spec, point)
         p = np.asarray(point, dtype=float)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
-        form = self._parts
-        m = form.power
+        m = self.power
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            h, y = form.h_and_y(p, order)
-            lead = log_amp = form.log_norm + h[0]
+            h, y = self.h_and_y(p, order)
+            lead = self.log_norm + h[0]
             if m != 0.0:
-                log_amp = lead + m * np.log(p)
                 # where p > 1 the power p^m joins the exponent, so that a huge
                 # p^m never meets an underflowed e^h
                 big = p > 1.0
-                lead = np.where(big, log_amp, lead)
-            # a NaN sum means p*p or e^-x overflowed, which sends h to -inf
-            dead = ~(log_amp + form.log_bound(y[0]) >= -745.0)
-            poly = specfun.jacobi_derivs(self.n, *form.params, np.where(dead, 0.0, y[0]), order)
+                lead = np.where(big, lead + m * np.log(p), lead)
             u0 = np.exp(lead)
+            dead = ~(u0 > 0.0)
+            poly = specfun.jacobi_derivs(self.n, *self.params, y[0], order)
             u = [u0] + [u0 * b for b in chain((1.0,) * 5, h, order)[1:]]
             # smooth part G = u * Q(y)
             out = leibniz(u, chain(poly, y, order), order)

@@ -404,6 +404,28 @@ def test_morse_ladders_far_on_the_soft_side(spec):
         assert np.all(np.abs(out - want) <= 1e-12 * np.abs(want)), (which, out, want)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        systems.OscillatorSpec(1.0, 1.0),
+        systems.OscillatorSpec(1.0, 1.0, 0.5),
+        systems.CoulombSpec(2.0, 1.0, 0.1),
+    ],
+    ids=lambda s: f"{s.family}-a{s.alpha}",
+)
+def test_generators_read_zero_where_the_state_underflows_at_the_origin(spec):
+    # psi underflows to 0 while psi^(m) is O(1) and L(L + 1)/r^2 overflows;
+    # every generator maps psi to a multiple of a state, so 0, not inf * 0
+    gs = algebra.generator_set(spec)
+    r = np.array([1e-300, 1e-200])
+    for n in (0, 3):
+        state = systems.bound_state(spec, n)
+        assert np.all(state(r) == 0.0)
+        for which in ("zero", "plus", "minus"):
+            assert np.all(algebra.apply_generator(gs, which, state)(r) == 0.0), (n, which)
+        assert np.all(algebra.casimir_apply(gs, state, r) == 0.0), n
+
+
 def test_apply_generator_rejects_foreign_state():
     gs = algebra.generator_set(CONSTANT_SPECS["ho"])
     st = systems.bound_state(PDM_HO, 0)

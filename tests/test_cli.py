@@ -85,6 +85,22 @@ def test_state_tabulation(capsys):
     assert mid["value"] == pytest.approx(0.89324384173800233 * 2.718281828459045**-0.25)
 
 
+def test_state_tabulation_in_the_tail_of_the_top_degree(capsys):
+    # psi_200 underflows to 0 on [60, 120] while its polynomial overflows
+    code, out = run_cli(
+        capsys,
+        "state", "--family", "ho", "--omega", "1", "--L", "0", "--n", "200",
+        "--grid-min", "60", "--grid-max", "120", "--grid-count", "7",
+    )
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"{token} in the JSON output")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert len(payload["samples"]) == 7
+
+
 def test_verify_single_family(capsys):
     code, out = run_cli(
         capsys,

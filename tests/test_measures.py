@@ -65,6 +65,13 @@ def test_normalization_and_orthogonality_constant_ho():
     assert measures.inner_product(meas, s0, s1) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("spec", CONSTANT_SPECS.values(), ids=lambda s: s.family)
+@pytest.mark.parametrize("n", [167, 200])
+def test_top_degree_states_normalize(spec, n):
+    meas = measures.family_measure(spec.family)
+    assert abs(measures.norm(meas, systems.bound_state(spec, n)) - 1.0) <= 1e-10
+
+
 def test_morse_modified_product_normalizes():
     spec = systems.MorseSpec(0.25, 0.25)
     meas = measures.family_measure("morse")

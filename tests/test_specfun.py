@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11pct import specfun, systems
+from su11pct import specfun
 from su11pct.errors import DomainError, ParameterError
 
 mp.mp.dps = 40
@@ -389,54 +389,3 @@ def test_log_gamma_ratio_matches_mpmath(b):
         assert abs(specfun.log_gamma_ratio(float(x), b) - ref) <= 1e-13, x
     assert specfun.log_gamma_ratio(math.inf, b) == 0.0
 
-
-def mp_scaled_jacobi(n, a, b, y):
-    """Q_n^(a,b)(y) = P_n^(a,b)(2y/(a+1) - 1) by its power series in y; a = inf is allowed.
-
-    The coefficient of y^m is (-1)^(n+m) binom(n+b, n-m)/m! times
-    prod_{i<=m} (1 + (n+b+i-1)/(a+1)).
-    """
-    e = mp.mpf(0) if math.isinf(a) else 1 / (mp.mpf(a) + 1)
-    b, y = mp.mpf(b), mp.mpf(y)
-    term = total = (-1) ** n * mp.binomial(n + b, n)
-    for m in range(1, n + 1):
-        term *= -(n - m + 1) * (1 + (n + b + m - 1) * e) * y / (m * (b + m))
-        total += term
-    return total
-
-
-def test_scaled_jacobi_reference_matches_mpmath_jacobi():
-    for n, a, b, t in [(0, 1.5, 0.5, 0.3), (5, 1.5, 0.5, -0.7), (12, 40.0, 2.0, 0.9)]:
-        ref, y = mp.jacobi(n, a, b, t), (a + 1) * (1 + mp.mpf(t)) / 2
-        assert abs(mp_scaled_jacobi(n, a, b, y) - ref) <= 1e-25 * abs(ref)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(0, specfun.MAX_DEGREE),
-    a=st.one_of(st.floats(0.0, 1e8, exclude_min=True), st.just(math.inf)),
-    b=st.floats(0.0, 40.0),
-    u=st.floats(0.0, 1.0),
-)
-def test_closed_form_log_bound_bounds_the_polynomial_stack(n, a, b, u):
-    # the bound decides which points a state zeroes as underflowed, so it
-    # must hold for every entry of the stack: d^k/dy^k Q_n^(a,b)(y) is
-    # prod_{j<=k} (1 + (n+b+j-1) eps) Q_{n-k}^(a+k,b+k)((1 + k eps) y)
-    if math.isinf(a):  # pa = inf at alpha = 0, where y ranges over [0, inf)
-        form = systems._ClosedForm(systems.OscillatorSpec(1.0, 0.0), n, b, 2.0)
-        y = 1e6 * u
-    else:  # pa = (w - alpha)/(2 alpha)
-        form = systems._ClosedForm(systems.OscillatorSpec(1.0, 0.0, 1.0), n, b, 2.0 * a + 1.0)
-        y = (form.params[0] + 1.0) * u
-    pa = form.params[0]
-    assert form.params[1] == b
-    e = mp.mpf(0) if math.isinf(pa) else 1 / (mp.mpf(pa) + 1)
-    bound = form.log_bound(y)
-    coeff = mp.mpf(1)
-    with mp.workdps(40 + n):
-        for k in range(min(n, 4) + 1):
-            if k:
-                coeff *= 1 + (n + b + k - 1) * e
-            q = coeff * mp_scaled_jacobi(n - k, pa + k, b + k, (1 + k * e) * y)
-            if q != 0:
-                assert float(mp.log(abs(q))) <= bound, k

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from su11pct import algebra, measures, operators, pct, specfun, systems
+from su11pct import algebra, cli, measures, operators, pct, specfun, systems
 from su11pct.errors import DomainError, ParameterError
 
 from conftest import ALL_SPECS, CONSTANT_SPECS
@@ -116,9 +116,8 @@ def test_bound_state_example_values():
 def test_polynomial_factor_trivial_at_n0(family_spec):
     # n = 0 states carry a degree-0 polynomial: value = norm * power * exp
     st = systems.bound_state(family_spec, 0)
-    parts = st._parts
     p = 1.3
-    expected = st.norm_coeff * math.exp(parts.h_and_y(np.asarray(p), 0)[0][0]) * p**parts.power
+    expected = st.norm_coeff * math.exp(st.h_and_y(np.asarray(p), 0)[0][0]) * p**st.power
     assert st(p) == pytest.approx(float(expected), rel=1e-13)
 
 
@@ -455,3 +454,47 @@ def test_derivative_stack_is_continuous_at_alpha_zero(spec):
         near_zero = systems.bound_state(tiny, n).derivs(pts, 4)
         for k, (d0, d1) in enumerate(zip(at_zero, near_zero)):
             assert np.max(np.abs(d1 - d0)) <= 1e-9 * np.max(np.abs(d0)), (n, k)
+
+
+# the six specs of ``su11pct verify --all``, built as the command builds them
+BATTERY = [cli._FAMILY_ARGS[family][0](**params) for family, params in cli.VERIFY_ALL_SPECS]
+
+
+@pytest.mark.parametrize("spec", BATTERY, ids=lambda s: f"{s.family}-a{s.alpha}")
+def test_derivative_stack_finite_on_quadrature_nodes(spec):
+    # a state is 0 where its exponential factor underflows, also where the
+    # polynomial overflows there (n = 200 at constant mass used to give NaN)
+    nodes = measures.quadrature_rule(measures.family_measure(spec.family), 8).nodes
+    for n in (0, 1, 5, 40, 150, 167, 200):
+        stack = np.array(systems.bound_state(spec, n).derivs(nodes, 4))
+        assert np.all(np.isfinite(stack)), n
+
+
+def test_deformed_oscillator_derivatives_finite_where_r_squared_overflows():
+    # the battery's deformed oscillator, where g = r^2 overflows
+    r = np.geomspace(6.7e153, 1.3e154, 201)
+    stack = systems.bound_state(systems.OscillatorSpec(2.0, 0.0, 1.0), 40).derivs(r, 4)
+    for k in (2, 3, 4):
+        assert np.all(np.isfinite(stack[k])), k
+
+
+@pytest.mark.parametrize(
+    "spec, q",
+    [
+        (systems.OscillatorSpec(1.0, 1.0), 1e-200),
+        (systems.CoulombSpec(2.0, 1.0), 1e-150),
+        (systems.OscillatorSpec(1.0, 3.0), 1e-100),
+        (systems.OscillatorSpec(1.0, 1.0, 0.3), 1e-200),
+        (systems.CoulombSpec(2.0, 1.0, 0.1), 1e-150),
+        (systems.OscillatorSpec(1.0, 3.0, 0.3), 1e-100),
+    ],
+    ids=lambda v: f"{v.family}-a{v.alpha}" if isinstance(v, systems._Spec) else f"{v:g}",
+)
+def test_derivative_of_the_power_order_is_constant_near_the_origin(spec, q):
+    # psi = c q^m (1 + O(q)), so d^m psi tends to m! c: it stays O(1) where
+    # psi itself underflows
+    m = int(systems.FAMILIES[spec.family].power(spec))
+    for n in (0, 3):
+        st = systems.bound_state(spec, n)
+        ref = st.derivs(1e-30, m)[m]
+        assert st.derivs(q, m)[m] == pytest.approx(ref, rel=1e-13), n
