@@ -78,6 +78,7 @@ any singular factor is formed.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,10 @@ PLUS, MINUS, ZERO = "plus", "minus", "zero"
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """One su(1,1) realization: the family spec plus derived constants."""
+    """One su(1,1) realization: the family spec plus derived constants.
+
+    The constants read ``systems.invariants`` once per realization.
+    """
 
     spec: object
 
@@ -105,15 +109,26 @@ class GeneratorSet:
     def deformed(self):
         return self.spec.deformed
 
+    @cached_property
+    def invariants(self):
+        """The pair (pb, w) of ``systems.invariants``."""
+        return systems.invariants(self.spec)
+
     @property
     def w_const(self):
         """Structure-relation denominator: alpha (2pa + 1), or 2c at constant mass."""
-        return systems.invariants(self.spec)[1]
+        return self.invariants[1]
 
-    @property
+    @cached_property
     def shift(self):
         """Fixed energy of the Morse/Coulomb hierarchy; 0 for the oscillator."""
         return 0.0 if self.family == "ho" else systems.energy(self.spec, 0)
+
+    @cached_property
+    def pb_eps(self):
+        """pb and eps = alpha/w of the realization; eps = 0 at constant mass."""
+        pb, w = self.invariants
+        return pb, self.alpha / w
 
 
 def generator_set(spec):
@@ -137,19 +152,13 @@ class DeltaSpectrum:
     delta_of_n: object
 
 
-def _pb_eps(gs):
-    """pb and eps = alpha/w of the realization; eps = 0 at constant mass."""
-    pb, w = systems.invariants(gs.spec)
-    return pb, gs.alpha / w
-
-
 def unirrep(gs):
     """Unirrep data of the realization.
 
     k is always the lowest weight mu(0).  The weights tend to
     n + (pb + 1)/2 as alpha -> 0, where eps = 1/(2pa + 1) goes to 0.
     """
-    pb, eps = _pb_eps(gs)
+    pb, eps = gs.pb_eps
     half = 0.5 * (pb + 1.0)
 
     def mu(n):
@@ -188,7 +197,7 @@ def ladder_coefficient(gs, n, direction):
         if n == 0:
             return 0.0
         n -= 1  # c-(n) = c+(n - 1)
-    pb, eps = _pb_eps(gs)
+    pb, eps = gs.pb_eps
     prod = (n + 1.0) * (n + pb + 1.0) * (1.0 + (2.0 * n + 1.0) * eps)
     return math.sqrt(prod * (1.0 + (2.0 * n + 2.0 * pb + 1.0) * eps))
 
@@ -221,7 +230,7 @@ def _zero_operator(gs):
 
 def _sector(gs, n):
     """pb, w and d_n = alpha delta_n = (w + alpha (4n + 2pb + 1))/2, w/2 at alpha = 0."""
-    pb, w = systems.invariants(gs.spec)
+    pb, w = gs.invariants
     return pb, w, 0.5 * (w + gs.alpha * (4.0 * n + 2.0 * pb + 1.0))
 
 
@@ -298,7 +307,7 @@ def casimir_apply(gs, state, points):
     zz = apply_generator_fn(gs, ZERO, zero_out, n)(points)
     z = zero_out(points)
     v = state(points)
-    pb, eps = _pb_eps(gs)
+    pb, eps = gs.pb_eps
     lin = 1.0 + 2.0 * eps * (2.0 * n + pb - 0.75)
     const = 0.25 * eps * (1.0 + 2.0 * eps * (2.0 * n + pb + 0.5))
     return -pm + zz - lin * z - const * v
@@ -342,7 +351,7 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
     if n_max < 1:
         raise ParameterError("n_max must be at least 1")
     mu = unirrep(gs).mu_of_n
-    pb, eps = _pb_eps(gs)
+    pb, eps = gs.pb_eps
 
     def step(n, sgn):  # mu_{n+sgn} - mu_n = sgn * step
         return 1.0 + 2.0 * eps * (2.0 * n + pb + 0.5 + sgn)
@@ -368,12 +377,12 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
         state = systems.bound_state(gs.spec, n)
         pts = pointwise_grid(gs.spec, n)
         scale = float(np.max(np.abs(state(pts))))
+        # each output is built once, so its stacks on pts are remembered
+        out = {which: apply_generator(gs, which, state) for which in (ZERO, PLUS, MINUS)}
         for which, sgn in ((PLUS, 1.0), (MINUS, -1.0)):
-            ladder_out = apply_generator(gs, which, state)
-            lhs = apply_generator_fn(gs, ZERO, ladder_out, n + int(sgn))(pts)
-            zero_out = apply_generator(gs, ZERO, state)
-            lhs = lhs - apply_generator_fn(gs, which, zero_out, n)(pts)
-            rhs = sgn * step(n, sgn) * ladder_out(pts)
+            lhs = apply_generator_fn(gs, ZERO, out[which], n + int(sgn))(pts)
+            lhs = lhs - apply_generator_fn(gs, which, out[ZERO], n)(pts)
+            rhs = sgn * step(n, sgn) * out[which](pts)
             recs.append(
                 ResidualRecord(
                     f"comm_zero_{which}_pointwise",
@@ -381,10 +390,8 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
                     float(np.max(np.abs(lhs - rhs)) / scale),
                 )
             )
-        minus_out = apply_generator(gs, MINUS, state)
-        plus_out = apply_generator(gs, PLUS, state)
-        pm = apply_generator_fn(gs, PLUS, minus_out, n - 1)(pts) if n else 0.0
-        mp = apply_generator_fn(gs, MINUS, plus_out, n + 1)(pts)
+        pm = apply_generator_fn(gs, PLUS, out[MINUS], n - 1)(pts) if n else 0.0
+        mp = apply_generator_fn(gs, MINUS, out[PLUS], n + 1)(pts)
         rhs = bracket(n) * state(pts)
         recs.append(
             ResidualRecord(

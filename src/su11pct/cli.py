@@ -107,6 +107,8 @@ def build_report(spec, n_max=5, tol=None):
     tols = _tols(tol)
     deformed = spec.deformed
     report = VerificationReport(_spec_echo(spec))
+    # held for the whole report, so every section shares their remembered stacks
+    held = [systems.bound_state(spec, n) for n in range(n_max + 1)]
 
     for n in range(n_max + 1):
         grid = operators.default_residual_grid(spec, n)
@@ -119,8 +121,7 @@ def build_report(spec, n_max=5, tol=None):
 
     meas = measures.family_measure(spec.family)
     count = min(n_max, 5) + 1
-    states = [systems.bound_state(spec, n) for n in range(count)]
-    gram = measures.gram_matrix(meas, states)
+    gram = measures.gram_matrix(meas, held[:count])
     report.add(
         "orthonormality",
         f"gram_deviation[{count}x{count}]",
@@ -151,8 +152,7 @@ def build_report(spec, n_max=5, tol=None):
         report.add("commutators", f"{rec.name}[n={rec.n}]", rec.value, comm_tol)
 
     uni = algebra.unirrep(gs)
-    for n in range(min(n_max, 3) + 1):
-        state = systems.bound_state(spec, n)
+    for n, state in enumerate(held[: min(n_max, 3) + 1]):
         pts = algebra.pointwise_grid(spec, n)
         resid = np.max(
             np.abs(algebra.casimir_apply(gs, state, pts) - uni.casimir * state(pts))
@@ -180,10 +180,10 @@ def _mapping_section(report, spec, gs, n_max, map_tol, conj_tol):
         mapping = pct.mapping(spec.family, target_family)
         target, _ = pct.map_parameters(spec, 0, target_family)
         tgt_gs = algebra.generator_set(target)
-        for n in range(min(n_max, 3) + 1):
+        held = [systems.bound_state(target, n) for n in range(min(n_max, 3) + 1)]
+        for n, direct in enumerate(held):
             state = systems.bound_state(spec, n)
             mapped = pct.map_state(mapping, state)
-            direct = systems.bound_state(target, n)
             pts = algebra.pointwise_grid(target, n)
             report.add(
                 "mapping",

@@ -15,6 +15,10 @@ zero generator.
 
 The imaginary unit is never materialized: pi is reported through the real
 first-order ``DiffOperator2`` a = f d + f'/2, (pi fn) = -i a(fn).
+
+An operator's output is a ``SmoothFunction``, which remembers its stacks
+on its last few points arrays by the rule of the ``systems`` module
+docstring, so a composed operator evaluates its input once per grid.
 """
 
 import numpy as np
@@ -23,30 +27,20 @@ from . import systems
 from .errors import ParameterError
 
 
-class SmoothFunction:
-    """A function with analytic derivatives.
+class SmoothFunction(systems.Differentiable):
+    """A function with analytic derivatives from ``derivs_fn(point, order)``.
 
     ``derivs(p, order)`` returns ``(value, d1, ..., d_order)`` with
-    ``order <= max_order``; calling the object returns the plain value and
-    ``evaluator`` the (value, d1, d2) triple.
+    ``order <= max_order``, remembered like a bound state's (the memo rule
+    of the ``systems`` module docstring).
     """
 
     def __init__(self, derivs_fn, max_order=2):
         self._derivs_fn = derivs_fn
         self.max_order = max_order
 
-    def derivs(self, point, order=2):
-        if order > self.max_order:
-            raise ParameterError(
-                f"function supports derivatives up to order {self.max_order}"
-            )
+    def _stack(self, point, order):
         return self._derivs_fn(point, order)
-
-    def evaluator(self, point):
-        return self.derivs(point, 2)
-
-    def __call__(self, point):
-        return self.derivs(point, 0)[0]
 
 
 def zero_function():
@@ -174,6 +168,16 @@ RESIDUAL_FLOOR = 1e-5
 PROBE_COUNT = 6001
 
 
+def _probe(fam):
+    p = fam.spacing(*fam.probe, PROBE_COUNT)
+    p.flags.writeable = False
+    return p
+
+
+# each family's probe, built once: a state remembers its values on it
+_PROBES = {family: _probe(fam) for family, fam in systems.FAMILIES.items()}
+
+
 def default_residual_grid(spec, n, count=200):
     """Interior grid covering where |psi_n| is at least RESIDUAL_FLOOR of its peak.
 
@@ -193,8 +197,7 @@ def support(spec, n, rel_floor, weight=None):
     weight * psi_n^2 when a measure weight is given, reaches rel_floor of
     its peak.
     """
-    fam = systems.FAMILIES[spec.family]
-    probe = fam.spacing(*fam.probe, PROBE_COUNT)
+    probe = _PROBES[spec.family]
     with np.errstate(over="ignore"):
         v = systems.bound_state(spec, n)(probe)
         v = np.abs(v) if weight is None else weight(probe) * v**2

@@ -81,11 +81,29 @@ pair: Morse B = sqrt(Lam (Lam - alpha)), A0 = pb/2 + (pb + 1)(Lam/B - 1)/2
 (while Lam > alpha), Coulomb Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.
 
 Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
+
+Remembered stacks.  Every function with analytic derivatives, a
+``BoundState`` or an ``operators.SmoothFunction`` (a generator output, a
+mapped state), is a ``Differentiable``.  It remembers the stacks it
+computed on its last MEMO_SIZE = 4 points arrays, each at the highest
+order asked, keyed by the array's shape and bytes, and serves a lower
+order as a prefix of that stack.  So a report that composes K0, K+-, the
+Casimir and the maps on the same few states evaluates each state once per
+grid.  Scalar points are not remembered.  The arrays handed out are
+read-only; copy one to modify it.  The key is a copy of the points, so
+changing the caller's array in place after a call gives the new points'
+values.  The memo is a tuple replaced whole, never changed in place:
+threads racing on one function can only drop an entry and compute a
+stack again, never serve a stack for other points or a shorter one than
+asked.  ``bound_state`` shares the live state of an equal (spec, n)
+instead of caching states: nothing is kept once the last caller lets a
+state go.
 """
 
 import contextvars
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -554,14 +572,58 @@ def g_over_f(alpha, g, order, scale=1.0):
     return chain([v0] + dv, g, order), inv
 
 
-class BoundState:
+# points arrays whose stacks a function remembers; see the module docstring
+MEMO_SIZE = 4
+
+
+class Differentiable:
+    """A function with analytic derivatives up to ``max_order``.
+
+    ``derivs(point, order)`` returns ``(value, d1, ..., d_order)``;
+    calling the object returns the value and ``evaluator`` the
+    (value, d1, d2) triple.  A subclass computes a stack in
+    ``_stack(point, order)``; ``derivs`` remembers array stacks by the
+    rule of the module docstring.
+    """
+
+    _memo = ()  # ((points shape, points bytes), stack), oldest first
+
+    def derivs(self, point, order=2):
+        """(value, d1, ..., d_order) at a point; read-only arrays for array points."""
+        if not isinstance(order, (int, np.integer)) or not 0 <= order <= self.max_order:
+            raise ParameterError(
+                f"order must be an integer in [0, {self.max_order}], got {order!r}"
+            )
+        p = np.asarray(point, dtype=float)
+        if p.ndim == 0:
+            return self._stack(point, order)
+        key = (p.shape, p.tobytes())
+        memo = self._memo
+        for known, stack in memo:
+            if len(stack) > order and known == key:
+                return stack[: order + 1]
+        stack = tuple(np.asarray(a) for a in self._stack(p, order))
+        for a in stack:
+            a.flags.writeable = False
+        kept = tuple(entry for entry in memo if entry[0] != key)[1 - MEMO_SIZE :]
+        self._memo = kept + ((key, stack),)
+        return stack
+
+    def evaluator(self, point):
+        """(value, d1, d2) at a point; vectorized over ndarray input."""
+        return self.derivs(point, 2)
+
+    def __call__(self, point):
+        return self.derivs(point, 0)[0]
+
+
+class BoundState(Differentiable):
     """One closed-form eigenfunction q^power * exp(log_norm + h(q)) * Q_n(y(q)).
 
     Attributes mirror the common data of all six families: the quantum
-    number ``n``, the ``energy`` it solves the member equation with, the
-    signed normalization constant ``norm_coeff`` and an ``evaluator``
-    returning (value, d1, d2) at a point.  ``derivs`` extends the
-    evaluation to fourth derivatives for operator composition.
+    number ``n``, the ``energy`` it solves the member equation with and the
+    signed normalization constant ``norm_coeff``.  ``derivs`` evaluates up
+    to fourth derivatives for operator composition.
 
     The coordinate power is kept out of h: its derivatives are exact
     falling factorials, which avoids catastrophic cancellation of
@@ -620,15 +682,13 @@ class BoundState:
                 h[1] = h[1] - self.slope
         return h, y
 
-    def derivs(self, point, order=2):
+    def _stack(self, point, order):
         """Value and derivatives (value, d1, ..., d_order) at a point.
 
         Every entry is 0 where the exponential factor u0 = e^(log_norm + h),
         which carries p^m where p > 1, is not positive: where e^h
         underflows, or is NaN because p*p or e^-x overflowed.
         """
-        if order < 0 or order > self.max_order:
-            raise ParameterError(f"order must be in [0, {self.max_order}]")
         check_point(self.spec, point)
         p = np.asarray(point, dtype=float)
         scalar = p.ndim == 0
@@ -664,17 +724,22 @@ class BoundState:
             return tuple(float(o[0]) for o in out)
         return tuple(out)
 
-    def evaluator(self, point):
-        """(value, d1, d2) at a point; vectorized over ndarray input."""
-        return self.derivs(point, 2)
 
-    def __call__(self, point):
-        return self.derivs(point, 0)[0]
+# the states some caller holds, by (spec, n); holds none alive itself
+_LIVE = weakref.WeakValueDictionary()
 
 
 def bound_state(spec, n):
-    """Closed-form bound state number n of the family defined by spec."""
-    return BoundState(spec, n)
+    """Closed-form bound state number n of the family defined by spec.
+
+    While a state of an equal (spec, n) is alive, that state is returned,
+    with the stacks it remembers.
+    """
+    key = (spec, n)
+    state = _LIVE.get(key)
+    if state is None:
+        state = _LIVE[key] = BoundState(spec, n)
+    return state
 
 
 # ---------------------------------------------------------------------------

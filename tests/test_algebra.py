@@ -433,3 +433,13 @@ def test_apply_generator_rejects_foreign_state():
         algebra.apply_generator(gs, "plus", st)
     with pytest.raises(ParameterError):
         algebra.apply_generator(gs, "sideways", systems.bound_state(CONSTANT_SPECS["ho"], 0))
+
+
+def test_generator_set_constants_are_read_once_and_keep_equality(family_spec):
+    gs = algebra.GeneratorSet(family_spec)
+    pb, w = systems.invariants(family_spec)
+    assert (gs.w_const, gs.pb_eps) == (w, (pb, family_spec.alpha / w))
+    assert gs.shift == (0.0 if gs.family == "ho" else systems.energy(family_spec, 0))
+    assert gs.__dict__["invariants"] == (pb, w)  # remembered on first use
+    fresh = algebra.GeneratorSet(family_spec)
+    assert gs == fresh and hash(gs) == hash(fresh)

@@ -175,3 +175,55 @@ def test_diff_operator_output_derivatives_match_fd():
     fd2 = (-s[4] + 16 * s[3] - 30 * s[2] + 16 * s[1] - s[0]) / (12 * h**2)
     assert d1 == pytest.approx(fd1, abs=1e-7)
     assert d2 == pytest.approx(fd2, abs=1e-6)
+
+
+def _generator_outputs(spec, n):
+    gs = algebra.generator_set(spec)
+    st = systems.BoundState(spec, n)
+    return {which: algebra.apply_generator(gs, which, st) for which in ("zero", "plus", "minus")}
+
+
+def test_function_order_must_be_an_integer_in_range():
+    outputs = _generator_outputs(systems.OscillatorSpec(1.0, 0.0, 0.3), 1)
+    for fn in (outputs["zero"], outputs["plus"], operators.zero_function()):
+        for order in (-1, fn.max_order + 1, 1.5, None):
+            for point in (0.7, np.linspace(0.5, 2.0, 5)):
+                with pytest.raises(ParameterError):
+                    fn.derivs(point, order)
+
+
+def test_generator_outputs_remember_exact_stacks(family_spec):
+    n = 2
+    pts = algebra.pointwise_grid(family_spec, n)
+    outputs = _generator_outputs(family_spec, n)
+    asked = {which: [fn.derivs(pts, k) for k in (2, 1, 0)] for which, fn in outputs.items()}
+    for which, stacks in asked.items():
+        for k, stack in zip((2, 1, 0), stacks):
+            fresh = _generator_outputs(family_spec, n)[which].derivs(pts, k)
+            assert len(stack) == len(fresh) == k + 1
+            for a, b in zip(stack, fresh):
+                assert not a.flags.writeable
+                assert np.array_equal(a, b)
+
+
+def test_a_function_remembers_its_last_four_points_arrays():
+    calls = []
+
+    def derivs_fn(p, order):
+        calls.append(order)
+        return tuple(np.asarray(p, dtype=float) ** (k + 1) for k in range(order + 1))
+
+    fn = operators.SmoothFunction(derivs_fn, max_order=2)
+    arrays = [np.linspace(0.0, 1.0 + k, 5) for k in range(10)]
+    for pts in arrays:
+        fn.derivs(pts, 1)
+    assert len(calls) == 10
+    for pts in reversed(arrays):
+        assert np.array_equal(fn(pts), pts)
+    assert len(calls) == 10 + 6
+    fn.derivs(arrays[-1], 2)  # a higher order is computed, then served as a prefix
+    assert calls[-1] == 2
+    assert len(fn.derivs(arrays[-1], 1)) == 2 and len(calls) == 17
+    fn.derivs(0.5, 0)  # scalars are not remembered
+    fn.derivs(0.5, 0)
+    assert len(calls) == 19

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
+import itertools
 import math
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -498,3 +501,104 @@ def test_derivative_of_the_power_order_is_constant_near_the_origin(spec, q):
         st = systems.bound_state(spec, n)
         ref = st.derivs(1e-30, m)[m]
         assert st.derivs(q, m)[m] == pytest.approx(ref, rel=1e-13), n
+
+
+# ---------------------------------------------------------------------------
+# remembered stacks and shared states
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [-1, 5, 1.5, "2", None])
+def test_derivs_order_must_be_an_integer_in_range(order):
+    st = systems.bound_state(systems.OscillatorSpec(1.0, 0.0), 2)
+    for point in (0.7, np.linspace(0.5, 2.0, 5)):
+        with pytest.raises(ParameterError):
+            st.derivs(point, order)
+
+
+def test_remembered_stacks_equal_fresh_ones(family_spec):
+    n = 3
+    fam = systems.FAMILIES[family_spec.family]
+    probe = fam.spacing(*fam.probe, operators.PROBE_COUNT)
+    grids = (operators.default_residual_grid(family_spec, n), probe)
+    # served as prefixes of the order-4 stack, or computed again at a higher order
+    for pts, orders in itertools.product(grids, ((4, 3, 2, 1, 0), (0, 2, 4))):
+        st = systems.BoundState(family_spec, n)
+        asked = [st.derivs(pts, order) for order in orders]
+        for order, stack in zip(orders, asked):
+            fresh = systems.BoundState(family_spec, n).derivs(pts, order)
+            assert len(stack) == len(fresh) == order + 1
+            for a, b in zip(stack, fresh):
+                assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_served_stacks_are_read_only():
+    st = systems.bound_state(systems.MorseSpec(1.0, 0.75, 0.3), 2)
+    pts = np.linspace(-1.0, 3.0, 9)
+    for stack in (st.derivs(pts, 4), st.derivs(pts, 1)):
+        for a in stack:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    v = st(pts).copy()  # a copy may be modified
+    v[0] = 1.0
+    assert st(pts)[0] != 1.0
+
+
+def test_a_state_remembers_its_last_four_points_arrays(monkeypatch):
+    calls = []
+    stacks = specfun.jacobi_derivs
+    monkeypatch.setattr(
+        specfun, "jacobi_derivs", lambda *args: calls.append(args[0]) or stacks(*args)
+    )
+    st = systems.BoundState(systems.CoulombSpec(0.0, 1.0, 0.1), 2)
+    arrays = [np.linspace(0.5, 2.0 + k, 7) for k in range(10)]
+    for pts in arrays:
+        st(pts)
+    assert len(calls) == 10
+    for pts in reversed(arrays):  # the last four are remembered, the rest not
+        st(pts)
+    assert len(calls) == 10 + 6
+
+
+def test_points_changed_in_place_are_evaluated_anew():
+    st = systems.bound_state(systems.OscillatorSpec(1.0, 0.5, 0.3), 1)
+    pts = np.linspace(0.5, 2.0, 6)
+    before = st.derivs(pts, 2)
+    pts *= 1.5
+    after = st.derivs(pts, 2)
+    fresh = systems.BoundState(st.spec, 1).derivs(pts, 2)
+    for a, b, c in zip(before, after, fresh):
+        assert not np.array_equal(a, b)
+        assert np.array_equal(b, c)
+
+
+def test_bound_state_shares_the_live_state():
+    spec = systems.OscillatorSpec(1.25, 0.5, 0.2)
+    st = systems.bound_state(spec, 2)
+    assert systems.bound_state(spec, 2) is st
+    assert systems.bound_state(dataclasses.replace(spec), np.int64(2)) is st
+    assert systems.bound_state(spec, 3) is not st
+    gone = weakref.ref(st)
+    del st
+    gc.collect()
+    assert gone() is None  # bound_state keeps no state alive
+    fresh = systems.bound_state(spec, 2)
+    assert fresh is systems.bound_state(spec, 2)
+    assert fresh.n == 2 and fresh.spec == spec
+
+
+def test_an_equal_spec_with_int_fields_gives_the_same_floats():
+    pts = np.linspace(0.2, 4.0, 25)
+    for floats, ints in (
+        (systems.OscillatorSpec(2.0, 1.0, 1.0), systems.OscillatorSpec(2, 1, 1)),
+        (systems.MorseSpec(3.0, 1.0), systems.MorseSpec(3, 1)),
+        (systems.CoulombSpec(1.0, 3.0, 1.0), systems.CoulombSpec(1, 3, 1)),
+    ):
+        held = systems.bound_state(floats, 2)
+        shared = systems.bound_state(ints, 2)
+        assert shared is held
+        own = systems.BoundState(ints, 2)
+        assert (own.energy, own.norm_coeff) == (held.energy, held.norm_coeff)
+        for a, b in zip(shared.derivs(pts, 4), own.derivs(pts, 4)):
+            assert np.array_equal(a, b)
