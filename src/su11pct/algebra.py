@@ -79,6 +79,7 @@ any singular factor is formed.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -219,7 +220,7 @@ def _zero_operator(gs):
 
     def coeffs(p, order):
         p = np.asarray(p, dtype=float)
-        _, g1, g2 = fam.g(p)[:3]
+        _, g1, g2 = islice(fam.g(p), 3)
         # the gauge 2 g/(w g'^2) and its derivatives 2 (1 - 2 sigma)/(w g')
         # and -2 (1 - 2 sigma) g''/(w g'^2)
         gauge = (2.0 / w * fam.g_ratio(p) / g1, slope / g1, -slope * (g2 / g1) / g1)
@@ -248,7 +249,7 @@ def _ladder_core(gs, direction, n, scale=1.0):
     def coeffs(p, order):
         p = np.asarray(p, dtype=float)
         systems.check_point(gs.spec, p)
-        c0, _ = systems.g_over_f(a, fam.g(p), order, scale * b1)
+        c0, _ = systems.g_over_f(a, tuple(islice(fam.g(p), order + 1)), order, scale * b1)
         c0[0] = c0[0] + scale * b0
         return (c0, (-scale * fam.g_ratio(p), slope))
 

@@ -35,6 +35,7 @@ ever populated with identical values, safe under concurrent use.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -63,8 +64,8 @@ def _weight(family):
     fam = systems.FAMILIES[family]
 
     def weight(p):
-        g = fam.g(p)
-        return 0.5 * g[0] ** (fam.sigma - 1.0) * np.abs(g[1])
+        g, g1 = islice(fam.g(p), 2)
+        return 0.5 * g ** (fam.sigma - 1.0) * np.abs(g1)
 
     return weight
 

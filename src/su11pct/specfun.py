@@ -25,10 +25,13 @@ Derivatives come from the parameter shift
 
 so they inherit the accuracy of the recurrence itself.
 
-The recurrence runs in place on three buffers of the argument's shape
-(``prev``, ``cur`` and a scratch ``tmp``), so a step allocates nothing and
+The recurrence runs in place on three buffers (``prev``, ``cur`` and a
+scratch ``tmp``) the size of its argument, so a step allocates nothing and
 divides no array: the per-degree constants are folded into one affine
-map of y for ``cur`` and one scalar factor for ``prev``.
+map of y for ``cur`` and one scalar factor for ``prev``.  A bound state
+passes its argument in blocks of at most ``systems.BLOCK`` points, so the
+buffers are block-sized and stay in a core's cache, not the size of the
+whole points array.
 """
 
 import math

@@ -98,6 +98,15 @@ stack again, never serve a stack for other points or a shorter one than
 asked.  ``bound_state`` shares the live state of an equal (spec, n)
 instead of caching states: nothing is kept once the last caller lets a
 state go.
+
+Blocks.  A ``BoundState`` evaluates a points array of more than
+BLOCK = 16,384 points block by block, and writes each block's stack into
+order + 1 output arrays allocated once.  A stack builds about 20
+temporaries; at block size they stay in a core's cache, where on the
+whole array they would be faulted in fresh on every call.  Every step is
+elementwise, so the stack has the same bits as on the whole array at
+once.  The points are checked once, on the whole array, before any block;
+scalars and smaller arrays are one block.
 """
 
 import contextvars
@@ -105,6 +114,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -231,9 +241,29 @@ class CoulombSpec(_Spec):
 # ---------------------------------------------------------------------------
 
 
-def _g_morse(p):
-    e = np.exp(-p)
-    return (e, -e, e, -e, e)
+# A family's g yields g, g', g'', g''' and g'''' in turn, so a caller that
+# reads only the first k + 1 (itertools.islice) forms no more of them.
+
+
+def _g_ho(r):
+    yield r * r
+    yield 2.0 * r
+    yield 2.0 + 0.0 * r
+    yield 0.0 * r
+    yield 0.0 * r
+
+
+def _g_morse(x):
+    e = np.exp(-x)
+    for k in range(5):
+        yield -e if k % 2 else e
+
+
+def _g_coulomb(R):
+    yield R
+    yield 1.0 + 0.0 * R
+    for _ in range(3):
+        yield 0.0 * R
 
 
 def _exp_derivs(k, x):
@@ -291,7 +321,7 @@ class Family:
     domain: tuple  # open coordinate interval
     spacing: object  # np.linspace on the line, np.geomspace on a half-line
     probe: tuple  # interval scanned for where a state lives
-    g: object  # q -> (g, g', g'', g''', g''''), with f = 1 + alpha g
+    g: object  # q -> generator of g, g', g'', g''', g''''; f = 1 + alpha g
     sigma: float  # measure (1/2) g^(sigma-1) dg; equals g g''/g'^2
     g_ratio: object  # q -> g/g', linear since g g''/g'^2 = sigma is constant
     from_x: object  # Morse coordinate x = -ln g -> (q, dq/dx, d2q/dx2)
@@ -308,7 +338,7 @@ FAMILIES = {
         domain=(0.0, math.inf),
         spacing=np.geomspace,
         probe=(1e-6, 1e6),
-        g=lambda p: (p * p, 2.0 * p, 2.0 + 0.0 * p, 0.0 * p, 0.0 * p),
+        g=_g_ho,
         sigma=0.5,
         g_ratio=lambda r: 0.5 * r,  # never forms r^2, which underflows below 1e-154
         from_x=lambda x: _exp_derivs(-0.5, x),  # r = e^(-x/2)
@@ -337,7 +367,7 @@ FAMILIES = {
         domain=(0.0, math.inf),
         spacing=np.geomspace,
         probe=(1e-6, 1e6),
-        g=lambda p: (p, 1.0 + 0.0 * p, 0.0 * p, 0.0 * p, 0.0 * p),
+        g=_g_coulomb,
         sigma=0.0,
         g_ratio=lambda R: R,
         from_x=lambda x: _exp_derivs(-1.0, x),  # R = e^-x
@@ -461,7 +491,7 @@ def deforming(spec, point):
     p, a = np.asarray(point, dtype=float), spec.alpha
     if a == 0.0:  # f = 1 exactly, also where g overflows
         return (np.ones_like(p),) + (np.zeros_like(p),) * 4
-    g = FAMILIES[spec.family].g(p)
+    g = tuple(FAMILIES[spec.family].g(p))
     return (1.0 + a * g[0],) + tuple(a * gk for gk in g[1:])
 
 
@@ -474,7 +504,7 @@ def potential(spec, slots, p, order):
     fam = FAMILIES[spec.family]
     v = [np.zeros_like(p)] * (order + 1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rho, g1 = fam.g_ratio(p), fam.g(p)[1:]
+        rho, g1 = fam.g_ratio(p), tuple(islice(fam.g(p), 1, order + 2))
 
         def over_rho(u):  # the quotient rule, with rho' = 1 - sigma and rho'' = 0
             q = [u[0] / rho]
@@ -575,6 +605,18 @@ def g_over_f(alpha, g, order, scale=1.0):
 # points arrays whose stacks a function remembers; see the module docstring
 MEMO_SIZE = 4
 
+# points a bound state's stack evaluates at once; see the module docstring
+BLOCK = 16_384
+
+
+def _where(mask, if_true, if_false):
+    """np.where(mask, if_true(), if_false()), forming only a side some entry takes."""
+    if mask.all():
+        return if_true()
+    if not mask.any():
+        return if_false()
+    return np.where(mask, if_true(), if_false())
+
 
 class Differentiable:
     """A function with analytic derivatives up to ``max_order``.
@@ -666,7 +708,7 @@ class BoundState(Differentiable):
 
     def h_and_y(self, p, order):
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
-        g = FAMILIES[self.family].g(p)[: order + 1]
+        g = tuple(islice(FAMILIES[self.family].g(p), order + 1))
         a = self.spec.alpha
         y, inv = g_over_f(a, g, order, self.scale)
         if inv is None:  # f = 1: h is linear in g, also where g overflows
@@ -691,8 +733,27 @@ class BoundState(Differentiable):
         """
         check_point(self.spec, point)
         p = np.asarray(point, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
+        if p.size <= BLOCK:
+            out = self._block(np.atleast_1d(p), order)
+            if p.ndim == 0:
+                return tuple(float(o[0]) for o in out)
+            return tuple(out)
+        # every step is elementwise, so block by block gives the same bits
+        out = tuple(np.empty(p.shape) for _ in range(order + 1))
+        flat = p.ravel()
+        for start in range(0, p.size, BLOCK):
+            part = slice(start, start + BLOCK)
+            for o, b in zip(out, self._block(flat[part], order)):
+                o.reshape(-1)[part] = b
+        return out
+
+    def _block(self, p, order):
+        """The stack of `_stack` on an array p of at most BLOCK points.
+
+        A pass whose result no entry of p reads is not made: one side of
+        the p > 1 split when every point falls on the other, and the
+        zeroing when no point is dead.
+        """
         m = self.power
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             h, y = self.h_and_y(p, order)
@@ -701,7 +762,7 @@ class BoundState(Differentiable):
                 # where p > 1 the power p^m joins the exponent, so that a huge
                 # p^m never meets an underflowed e^h
                 big = p > 1.0
-                lead = np.where(big, lead + m * np.log(p), lead)
+                lead = _where(big, lambda: lead + m * np.log(p), lambda: lead)
             u0 = np.exp(lead)
             dead = ~(u0 > 0.0)
             poly = specfun.jacobi_derivs(self.n, *self.params, y[0], order)
@@ -716,13 +777,12 @@ class BoundState(Differentiable):
                 for j in range(order + 1):
                     if fall == 0.0:
                         break
-                    pw.append(fall * np.where(big, p ** -float(j), p ** (m - j)))
+                    pw.append(fall * _where(big, lambda: p ** -float(j), lambda: p ** (m - j)))
                     fall *= m - j
                 out = leibniz(pw, out, order)
-            out = [np.where(dead, 0.0, o) for o in out]
-        if scalar:
-            return tuple(float(o[0]) for o in out)
-        return tuple(out)
+            if dead.any():
+                out = [np.where(dead, 0.0, o) for o in out]
+        return out
 
 
 # the states some caller holds, by (spec, n); holds none alive itself

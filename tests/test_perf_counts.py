@@ -1,17 +1,27 @@
-"""A timing-free guard on the work of the six ``su11pct verify --all`` reports.
+"""Timing-free guards on the work of the six ``su11pct verify --all`` reports
+and on the memory of one large derivative stack.
 
 Counts polynomial derivative stacks (``specfun.jacobi_derivs``, one per
 state evaluation that the remembered stacks of ``systems`` do not serve)
 and Sturm sweeps of the finite-difference oracle (``oracle._count_below``).
 A change that defeats the memo or grows the oracle fails here, on any
-host, not only in the benchmark.
+host, not only in the benchmark.  The memory guard reads ``tracemalloc``,
+which numpy reports its array buffers to, so a stack that stops working
+in blocks of ``systems.BLOCK`` points fails here too.
 """
 
-from su11pct import cli, oracle, specfun
+import tracemalloc
+
+import numpy as np
+
+from su11pct import cli, oracle, specfun, systems
 
 # 726 stacks before states shared their remembered stacks, 284 after
 MAX_POLYNOMIAL_STACKS = 300
 MAX_STURM_SWEEPS = 115
+# bytes a 100,000-point order-2 stack allocates beyond the arrays it returns:
+# 17.0e6 on the whole array at once, 4.1e6 block by block
+MAX_STACK_PEAK_BYTES = 6e6
 
 
 def test_verify_all_reports_stay_within_their_work_counts(monkeypatch):
@@ -32,3 +42,15 @@ def test_verify_all_reports_stay_within_their_work_counts(monkeypatch):
         assert cli.build_report(cli._FAMILY_ARGS[family][0](**params)).overall_pass
     assert counts["stacks"] <= MAX_POLYNOMIAL_STACKS
     assert counts["sweeps"] <= MAX_STURM_SWEEPS
+
+
+def test_a_large_stack_stays_within_its_memory():
+    points = np.geomspace(1e-3, 40.0, 10**5)
+    state = systems.BoundState(systems.OscillatorSpec(1.3, 1.5, 0.4), 150)
+    tracemalloc.start()
+    try:
+        stack = state.derivs(points, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in stack) <= MAX_STACK_PEAK_BYTES

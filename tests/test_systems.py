@@ -306,7 +306,7 @@ def test_family_coordinate_rows(family, lo, hi):
     fam = systems.FAMILIES[family]
     q = fam.spacing(lo, hi, 40)
     x, x1, x2 = fam.to_x(q)
-    g = fam.g(q)
+    g = tuple(fam.g(q))
     assert np.allclose(x, -np.log(g[0]), rtol=1e-14, atol=1e-14)
     assert np.allclose(fam.sigma, g[0] * g[2] / g[1] ** 2, rtol=1e-14, atol=0.0)
     back, b1, b2 = fam.from_x(x)
@@ -602,3 +602,60 @@ def test_an_equal_spec_with_int_fields_gives_the_same_floats():
         assert (own.energy, own.norm_coeff) == (held.energy, held.norm_coeff)
         for a, b in zip(shared.derivs(pts, 4), own.derivs(pts, 4)):
             assert np.array_equal(a, b)
+
+
+def _block_grids(family):
+    """A grid over the family's probe window and one over [1e-300, 1e300]
+    ([-700, 1500] for Morse), each of 2 BLOCK + 7 points: the last block is ragged."""
+    fam = systems.FAMILIES[family]
+    count = 2 * systems.BLOCK + 7
+    wide = (-700.0, 1500.0) if family == "morse" else (1e-300, 1e300)
+    return fam.spacing(*fam.probe, count), fam.spacing(*wide, count)
+
+
+def test_stacks_by_blocks_equal_the_one_shot_stacks(family_spec, monkeypatch):
+    n = 12
+    grids = _block_grids(family_spec.family)
+    blocked = [[systems.BoundState(family_spec, n).derivs(pts, k) for k in range(5)] for pts in grids]
+    # a 2-d points array, C-ordered and transposed, gives the flat stacks laid out alike
+    square, index = grids[0].reshape(5, -1), np.arange(grids[0].size).reshape(5, -1)
+    for pts, at in ((square, index), (square.T, index.T)):
+        stack = systems.BoundState(family_spec, n).derivs(pts, 4)
+        for a, b in zip(stack, blocked[0][4]):
+            assert np.array_equal(a, b[at], equal_nan=True)
+    monkeypatch.setattr(systems, "BLOCK", 10**9)  # one block: the stack of the whole array
+    for pts, stacks in zip(grids, blocked):
+        for order, stack in enumerate(stacks):
+            one_shot = systems.BoundState(family_spec, n).derivs(pts, order)
+            assert len(stack) == len(one_shot) == order + 1
+            for a, b in zip(stack, one_shot):
+                assert a.shape == pts.shape
+                assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_a_bad_point_in_the_last_block_raises_before_any_stack(family_spec, monkeypatch):
+    calls = []
+    monkeypatch.setattr(specfun, "jacobi_derivs", lambda *args: calls.append(args))
+    for bad in (math.nan, systems.FAMILIES[family_spec.family].domain[0]):
+        pts = _block_grids(family_spec.family)[0]
+        pts[-1] = bad
+        with pytest.raises(DomainError) as want:
+            systems.check_point(family_spec, pts)
+        with pytest.raises(DomainError) as got:
+            systems.BoundState(family_spec, 2).derivs(pts, 2)
+        assert str(got.value) == str(want.value)
+    assert calls == []
+
+
+def test_served_stacks_share_no_memory(family_spec):
+    # on a window where no point is dead, so no zeroing pass copies the stack
+    lo, hi = (-1.0, 3.0) if family_spec.family == "morse" else (0.5, 3.0)
+    fam = systems.FAMILIES[family_spec.family]
+    for count in (50, 2 * systems.BLOCK + 7):
+        pts = fam.spacing(lo, hi, count)
+        stack = systems.BoundState(family_spec, 3).derivs(pts, 4)
+        assert np.all(stack[0] != 0.0)
+        for i, a in enumerate(stack):
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, pts)
+            assert not any(np.shares_memory(a, b) for b in stack[i + 1 :])
