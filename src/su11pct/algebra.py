@@ -219,7 +219,6 @@ def _zero_operator(gs):
     slope = 2.0 * (1.0 - 2.0 * fam.sigma) / w
 
     def coeffs(p, order):
-        p = np.asarray(p, dtype=float)
         _, g1, g2 = islice(fam.g(p), 3)
         # the gauge 2 g/(w g'^2) and its derivatives 2 (1 - 2 sigma)/(w g')
         # and -2 (1 - 2 sigma) g''/(w g'^2)
@@ -247,7 +246,6 @@ def _ladder_core(gs, direction, n, scale=1.0):
     slope = -scale * (1.0 - fam.sigma)  # g g''/g'^2 = sigma, so g/g' is linear
 
     def coeffs(p, order):
-        p = np.asarray(p, dtype=float)
         systems.check_point(gs.spec, p)
         c0, _ = systems.g_over_f(a, tuple(islice(fam.g(p), order + 1)), order, scale * b1)
         c0[0] = c0[0] + scale * b0

@@ -255,10 +255,17 @@ def _grid_bounds(parser, args):
     return None if args.grid_min is None else (args.grid_min, args.grid_max)
 
 
-def _emit(payload, fmt, rows=None):
+def _check_nmax(parser, nmax, top):
+    if not 0 <= nmax <= top:
+        parser.error(f"--nmax must be in [0, {top}], got {nmax}")
+
+
+def _emit(payload, fmt, records):
+    """The payload as JSON, or each record's values but its pass flag as one CSV row."""
     if fmt == "csv":
-        for row in rows:
-            print(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+        for record in records:
+            values = (x for k, x in record.items() if k != "pass")
+            print(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in values))
     else:
         print(json.dumps(payload, indent=2))
 
@@ -335,15 +342,10 @@ def main(argv=None):
 def _dispatch(parser, args):
     if args.command == "spectrum":
         spec = _spec_from_args(parser, args.family, args)
-        if not 0 <= args.nmax <= specfun.MAX_DEGREE:  # one level per state degree
-            parser.error(f"--nmax must be in [0, {specfun.MAX_DEGREE}], got {args.nmax}")
-        levels = _closed_levels(spec, args.nmax + 1)
-        payload = {
-            "command": "spectrum",
-            "spec": _spec_echo(spec),
-            "levels": [{"n": n, "energy": e} for n, e in levels],
-        }
-        _emit(payload, args.format, rows=[(n, float(e)) for n, e in levels])
+        _check_nmax(parser, args.nmax, specfun.MAX_DEGREE)  # one level per state degree
+        levels = [{"n": n, "energy": e} for n, e in _closed_levels(spec, args.nmax + 1)]
+        payload = {"command": "spectrum", "spec": _spec_echo(spec), "levels": levels}
+        _emit(payload, args.format, levels)
         return 0
 
     if args.command == "state":
@@ -356,23 +358,19 @@ def _dispatch(parser, args):
             grid = np.linspace(*bounds, args.grid_count)
         else:
             grid = operators.default_residual_grid(spec, args.n, count=args.grid_count)
-        v, d1, d2 = state.evaluator(grid)
+        samples = [
+            {"point": float(p), "value": float(a), "d1": float(b), "d2": float(c)}
+            for p, a, b, c in zip(grid, *state.evaluator(grid))
+        ]
         payload = {
             "command": "state",
             "spec": _spec_echo(spec),
             "n": args.n,
             "energy": state.energy,
             "norm_coeff": state.norm_coeff,
-            "samples": [
-                {"point": float(p), "value": float(a), "d1": float(b), "d2": float(c)}
-                for p, a, b, c in zip(grid, v, d1, d2)
-            ],
+            "samples": samples,
         }
-        rows = [
-            (float(p), float(a), float(b), float(c))
-            for p, a, b, c in zip(grid, v, d1, d2)
-        ]
-        _emit(payload, args.format, rows=rows)
+        _emit(payload, args.format, samples)
         return 0
 
     if args.command == "verify":
@@ -386,15 +384,14 @@ def _dispatch(parser, args):
                 "reports": [r.to_dict() for r in reports],
                 "overall_pass": all(r.overall_pass for r in reports),
             }
-            print(json.dumps(payload, indent=2))
-            return 0 if payload["overall_pass"] else 1
-        if args.family is None:
+        elif args.family is None:
             parser.error("verify needs --family or --all")
-        spec = _spec_from_args(parser, args.family, args)
-        report = build_report(spec, n_max=args.nmax, tol=args.tol)
-        payload = {"command": "verify", **report.to_dict()}
+        else:
+            spec = _spec_from_args(parser, args.family, args)
+            report = build_report(spec, n_max=args.nmax, tol=args.tol)
+            payload = {"command": "verify", **report.to_dict()}
         print(json.dumps(payload, indent=2))
-        return 0 if report.overall_pass else 1
+        return 0 if payload["overall_pass"] else 1
 
     if args.command == "map":
         spec = _spec_from_args(parser, args.source, args)
@@ -414,26 +411,21 @@ def _dispatch(parser, args):
 
     if args.command == "hierarchy":
         spec = _spec_from_args(parser, args.source, args)
-        if not 0 <= args.nmax <= specfun.MAX_DEGREE:
-            parser.error(f"--nmax must be in [0, {specfun.MAX_DEGREE}], got {args.nmax}")
-        members = pct.hierarchy(spec, args.target, args.nmax)
+        _check_nmax(parser, args.nmax, specfun.MAX_DEGREE)
+        members = [m._asdict() for m in pct.hierarchy(spec, args.target, args.nmax)]
         target, _ = pct.map_parameters(spec, 0, args.target)
         payload = {
             "command": "hierarchy",
             "source": _spec_echo(spec),
             "target": _spec_echo(target),
-            "members": [
-                {"n": m.n, "coupling": m.coupling, "energy": m.energy}
-                for m in members
-            ],
+            "members": members,
         }
-        _emit(payload, args.format, rows=[(m.n, m.coupling, m.energy) for m in members])
+        _emit(payload, args.format, members)
         return 0
 
     # oracle-compare
     spec = _spec_from_args(parser, args.family, args)
-    if not 0 <= args.nmax <= 9:
-        parser.error(f"--nmax must be in [0, 9], got {args.nmax}")
+    _check_nmax(parser, args.nmax, 9)
     closed = [e for _, e in _closed_levels(spec, args.nmax + 1)]
     k = len(closed)
     bounds = _grid_bounds(parser, args)
@@ -449,21 +441,11 @@ def _dispatch(parser, args):
     tol = args.tol
     if tol is None:
         tol = ORACLE_TOL_DEFORMED if spec.deformed else ORACLE_TOL_CONSTANT
-    rows = []
     entries = []
-    ok = True
     for n, (cf, num) in enumerate(zip(closed, levels)):
         diff = abs(num - cf)
-        ok = ok and diff <= tol
-        rows.append((n, float(cf), float(num), float(diff)))
         entries.append(
-            {
-                "n": n,
-                "closed_form": cf,
-                "oracle": num,
-                "abs_diff": diff,
-                "pass": diff <= tol,
-            }
+            {"n": n, "closed_form": cf, "oracle": num, "abs_diff": diff, "pass": diff <= tol}
         )
     payload = {
         "command": "oracle-compare",
@@ -476,10 +458,10 @@ def _dispatch(parser, args):
         },
         "tolerance": tol,
         "levels": entries,
-        "overall_pass": ok,
+        "overall_pass": all(e["pass"] for e in entries),
     }
-    _emit(payload, args.format, rows=rows)
-    return 0 if ok else 1
+    _emit(payload, args.format, entries)
+    return 0 if payload["overall_pass"] else 1
 
 
 if __name__ == "__main__":

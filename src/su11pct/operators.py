@@ -47,10 +47,7 @@ def zero_function():
     """The identically zero function with derivatives of every order."""
 
     def derivs_fn(point, order):
-        z = np.zeros_like(np.asarray(point, dtype=float))
-        if z.ndim == 0:
-            return tuple(0.0 for _ in range(order + 1))
-        return tuple(z.copy() for _ in range(order + 1))
+        return tuple(np.zeros_like(point) for _ in range(order + 1))
 
     return SmoothFunction(derivs_fn, max_order=99)
 
@@ -64,12 +61,12 @@ def _vanishing_far_out(stack, compute):
     value (psi ~ q^m, psi^(j) ~ q^(m-j)), so only the value is tested, and
     a finite nonzero output is kept.
     """
-    if np.asarray(stack[0]).all():
+    if stack[0].all():
         return compute()
     with np.errstate(over="ignore", invalid="ignore"):
         values = compute()
-    zero = np.asarray(stack[0]) == 0.0
-    return tuple(np.where(zero & ~(np.abs(v) > 0.0), 0.0, v)[()] for v in values)
+    zero = stack[0] == 0.0
+    return tuple(np.where(zero & ~(np.abs(v) > 0.0), 0.0, v) for v in values)
 
 
 class DiffOperator2:
@@ -135,7 +132,6 @@ def flux_operator(spec, slots, shift=0.0):
     """-f^2 d^2 - 2 f f' d + v - shift, with v = ``systems.potential`` of the slots."""
 
     def coeffs(p, order):
-        p = np.asarray(p, dtype=float)
         f = systems.deforming(spec, p)
         c0 = systems.potential(spec, slots, p, order)
         c0[0] = c0[0] - shift

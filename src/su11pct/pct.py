@@ -110,6 +110,7 @@ def map_parameters(source, n, target_family):
     spec = source
     for family in _FORWARD[i + 1 : j + 1]:
         spec = systems.FAMILIES[family].spec_of(*systems.invariants(spec), spec.alpha)
+    systems._check_index(n, "member index must be non-negative")
     return spec, n
 
 
@@ -123,13 +124,9 @@ def map_state(mapping_spec, state):
     invpref = mapping_spec.inv_prefactor_derivs
 
     def derivs_fn(point, order):
-        p = np.asarray(point, dtype=float)
-        c = coord(p)
+        c = coord(point)
         s = systems.chain(state.derivs(c[0], order), c, order)
-        out = systems.leibniz(invpref(p), s, order)
-        if np.ndim(point) == 0:
-            return tuple(float(np.asarray(o)) for o in out)
-        return tuple(out)
+        return systems.leibniz(invpref(point), s, order)
 
     return operators.SmoothFunction(derivs_fn, max_order=2)
 

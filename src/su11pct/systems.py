@@ -89,15 +89,16 @@ computed on its last MEMO_SIZE = 4 points arrays, each at the highest
 order asked, keyed by the array's shape and bytes, and serves a lower
 order as a prefix of that stack.  So a report that composes K0, K+-, the
 Casimir and the maps on the same few states evaluates each state once per
-grid.  Scalar points are not remembered.  The arrays handed out are
-read-only; copy one to modify it.  The key is a copy of the points, so
-changing the caller's array in place after a call gives the new points'
-values.  The memo is a tuple replaced whole, never changed in place:
-threads racing on one function can only drop an entry and compute a
-stack again, never serve a stack for other points or a shorter one than
-asked.  ``bound_state`` shares the live state of an equal (spec, n)
-instead of caching states: nothing is kept once the last caller lets a
-state go.
+grid.  A scalar point is evaluated as a one-point array and returns
+floats; nothing is remembered for it, also by the functions its
+evaluation calls.  The arrays handed out are read-only; copy one to
+modify it.  The key is a copy of the points, so changing the caller's
+array in place after a call gives the new points' values.  The memo is
+a tuple replaced whole, never changed in place: threads racing on one
+function can only drop an entry and compute a stack again, never serve a
+stack for other points or a shorter one than asked.  ``bound_state``
+shares the live state of an equal (spec, n) instead of caching states:
+nothing is kept once the last caller lets a state go.
 
 Blocks.  A ``BoundState`` evaluates a points array of more than
 BLOCK = 16,384 points block by block, and writes each block's stack into
@@ -106,7 +107,7 @@ temporaries; at block size they stay in a core's cache, where on the
 whole array they would be faulted in fresh on every call.  Every step is
 elementwise, so the stack has the same bits as on the whole array at
 once.  The points are checked once, on the whole array, before any block;
-scalars and smaller arrays are one block.
+smaller arrays, and so scalars, are one block.
 """
 
 import contextvars
@@ -126,6 +127,22 @@ LN2 = math.log(2.0)
 # set while a parameter map builds a spec, whose angular constant is rarely
 # (half-)integer; the warning is meant for the specs a caller builds
 _mapped = contextvars.ContextVar("mapped", default=False)
+
+# set while ``Differentiable.derivs`` evaluates a scalar point as a one-point
+# array: nothing is remembered, and a bad point is named as the scalar
+_scalar = contextvars.ContextVar("scalar", default=False)
+
+
+def _check_finite(spec):
+    for name, value in vars(spec).items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _check_index(n, message):
+    """Raise ParameterError(message) unless n is a non-negative int; numpy integers pass."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ParameterError(message)
 
 
 def _warn_if_not_half_integer(value, name):
@@ -165,11 +182,12 @@ class OscillatorSpec(_Spec):
     alpha: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.omega > 0:
             raise ParameterError(f"omega must be positive, got {self.omega}")
-        if self.L < -0.5:
+        if not self.L >= -0.5:
             raise ParameterError(f"L must be >= -1/2, got {self.L}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
         _warn_if_not_half_integer(self.L, "L")
 
@@ -185,11 +203,12 @@ class MorseSpec(_Spec):
     alpha: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.A0 > 0:
             raise ParameterError(f"A0 must be positive, got {self.A0}")
         if not self.B > 0:
             raise ParameterError(f"B must be positive, got {self.B}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
         if self.deformed and not invariants(self)[0] > 0:
             raise ParameterError(
@@ -215,11 +234,12 @@ class CoulombSpec(_Spec):
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.Lcal <= -0.5:
+        _check_finite(self)
+        if not self.Lcal > -0.5:
             raise ParameterError(f"Lcal must be > -1/2, got {self.Lcal}")
         if not self.Z0 > 0:
             raise ParameterError(f"Z0 must be positive, got {self.Z0}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
         if self.deformed and self.lam_abs <= self.alpha:
             raise ParameterError(
@@ -299,7 +319,7 @@ def _coulomb_well(Z_bar, Lcal, alpha):
     mass it holds infinitely many levels, and a deformation leaves finitely many."""
     if not Z_bar > 0:
         raise ParameterError("Z_bar must be positive")
-    if Lcal <= -0.5:
+    if not Lcal > -0.5:
         raise ParameterError("Lcal must be > -1/2")
     return (Lcal * (Lcal + 1.0), -2.0 * Z_bar, -alpha**2 / 4), None
 
@@ -445,7 +465,8 @@ def check_point(spec, point):
     lo, hi = FAMILIES[spec.family].domain
     p = np.asarray(point, dtype=float)
     if not np.all((p > lo) & (p < hi)):
-        raise DomainError(f"point {point!r} outside open domain ({lo}, {hi})")
+        shown = float(p[0]) if _scalar.get() else point
+        raise DomainError(f"point {shown!r} outside open domain ({lo}, {hi})")
 
 
 def member_coupling(spec, n):
@@ -455,8 +476,7 @@ def member_coupling(spec, n):
     Z_n = Z0 (n+Lcal+1)/(Lcal+1); the deformed families acquire a
     quadratic n-dependence.
     """
-    if n < 0:
-        raise ParameterError("member index must be non-negative")
+    _check_index(n, "member index must be non-negative")
     if spec.family == "morse":
         if spec.alpha == 0:
             return spec.A0 + float(n)
@@ -467,8 +487,6 @@ def member_coupling(spec, n):
         ) / (2.0 * spec.B * lam)
     if spec.family == "coulomb":
         base = spec.Z0 * (n + spec.Lcal + 1.0) / (spec.Lcal + 1.0)
-        if spec.alpha == 0:
-            return base
         return base + 0.5 * spec.alpha * n * (n + 2.0 * spec.Lcal + 1.0)
     raise ParameterError("oscillator family has a single Hamiltonian, no coupling")
 
@@ -480,8 +498,7 @@ def energy(spec, n):
     alpha = 0.  Morse and Coulomb hierarchies share one energy independent
     of n.
     """
-    if n < 0:
-        raise ParameterError("quantum number must be non-negative")
+    _check_index(n, "quantum number must be non-negative")
     return _state_level(spec, n)[2]
 
 
@@ -624,21 +641,28 @@ class Differentiable:
     ``derivs(point, order)`` returns ``(value, d1, ..., d_order)``;
     calling the object returns the value and ``evaluator`` the
     (value, d1, d2) triple.  A subclass computes a stack in
-    ``_stack(point, order)``; ``derivs`` remembers array stacks by the
-    rule of the module docstring.
+    ``_stack(points, order)`` on a float array; ``derivs`` evaluates a
+    scalar as a one-point array and remembers stacks, both by the rule of
+    the module docstring.
     """
 
     _memo = ()  # ((points shape, points bytes), stack), oldest first
 
     def derivs(self, point, order=2):
-        """(value, d1, ..., d_order) at a point; read-only arrays for array points."""
+        """(value, d1, ..., d_order) at a point: floats at a scalar, else read-only arrays."""
         if not isinstance(order, (int, np.integer)) or not 0 <= order <= self.max_order:
             raise ParameterError(
                 f"order must be an integer in [0, {self.max_order}], got {order!r}"
             )
         p = np.asarray(point, dtype=float)
         if p.ndim == 0:
-            return self._stack(point, order)
+            token = _scalar.set(True)
+            try:
+                return tuple(float(a[0]) for a in self._stack(p.reshape(1), order))
+            finally:
+                _scalar.reset(token)
+        if _scalar.get():  # called while a scalar is evaluated: remember nothing
+            return self._stack(p, order)
         key = (p.shape, p.tobytes())
         memo = self._memo
         for known, stack in memo:
@@ -675,8 +699,7 @@ class BoundState(Differentiable):
     max_order = 4
 
     def __init__(self, spec, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ParameterError(f"quantum number must be a non-negative int, got {n}")
+        _check_index(n, f"quantum number must be a non-negative int, got {n}")
         if n > specfun.MAX_DEGREE:
             raise ParameterError(f"quantum number {n} exceeds the maximum {specfun.MAX_DEGREE}")
         self.spec = spec
@@ -724,20 +747,16 @@ class BoundState(Differentiable):
                 h[1] = h[1] - self.slope
         return h, y
 
-    def _stack(self, point, order):
-        """Value and derivatives (value, d1, ..., d_order) at a point.
+    def _stack(self, p, order):
+        """Value and derivatives (value, d1, ..., d_order) on the points array p.
 
         Every entry is 0 where the exponential factor u0 = e^(log_norm + h),
         which carries p^m where p > 1, is not positive: where e^h
         underflows, or is NaN because p*p or e^-x overflowed.
         """
-        check_point(self.spec, point)
-        p = np.asarray(point, dtype=float)
+        check_point(self.spec, p)
         if p.size <= BLOCK:
-            out = self._block(np.atleast_1d(p), order)
-            if p.ndim == 0:
-                return tuple(float(o[0]) for o in out)
-            return tuple(out)
+            return self._block(p, order)
         # every step is elementwise, so block by block gives the same bits
         out = tuple(np.empty(p.shape) for _ in range(order + 1))
         flat = p.ravel()
@@ -837,7 +856,9 @@ def spectrum_fixed_potential(family, params, alpha, max_count):
     """
     if max_count < 1:
         raise ParameterError("max_count must be at least 1")
-    if alpha < 0:
+    if not all(map(math.isfinite, (*params, alpha))):
+        raise ParameterError(f"parameters must be finite, got {params} and alpha = {alpha}")
+    if not alpha >= 0:
         raise ParameterError("alpha must be non-negative")
     if family not in _WELLS:
         raise ParameterError(f"fixed-potential spectra exist for morse/coulomb, not {family}")

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from su11pct import cli, specfun, systems
-from su11pct.errors import ParameterError
+from su11pct import cli, operators, oracle, specfun, systems
+from su11pct.errors import ConvergenceError, ParameterError
 
 
 def run_cli(capsys, *argv):
@@ -362,3 +362,49 @@ def test_verify_runs_with_numpy_as_the_only_dependency():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["command"] == "verify"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--alpha", "--L", "--omega"])
+def test_non_finite_parameters_exit_2(capsys, flag, value):
+    args = {"--omega": "1", "--L": "0", "--alpha": "0", flag: value}  # "=" passes "-inf"
+    assert exit_code("spectrum", "--family", "ho", *(f"{k}={v}" for k, v in args.items())) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {flag[2:]} must be finite, got {float(value)}" in err
+
+
+def test_state_on_the_default_residual_grid(capsys):
+    code, out = run_cli(capsys, "state", *HO, "--n", "2", "--grid-count", "9")
+    assert code == 0
+    grid = operators.default_residual_grid(systems.OscillatorSpec(1.0, 0.0), 2, count=9)
+    assert [s["point"] for s in json.loads(out)["samples"]] == grid.tolist()
+
+
+def test_verify_needs_a_family_or_all(capsys):
+    assert exit_code("verify") == 2
+    assert "verify needs --family or --all" in capsys.readouterr().err
+
+
+def test_a_convergence_error_exits_1(capsys, monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(oracle, "lowest_eigenvalues", fail)
+    assert exit_code("oracle-compare", *HO) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: no convergence"]
+
+
+def test_module_entry_point_prints_csv():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    argv = ["spectrum", "--family", "morse", "--A", "2.5", "--B", "1", "--format", "csv"]
+    done = subprocess.run(
+        [sys.executable, "-m", "su11pct.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0,-6.25", "1,-2.25", "2,-0.25"]

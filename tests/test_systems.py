@@ -56,6 +56,62 @@ def test_spec_validation():
     assert any("integer" in str(w.message) for w in caught)
 
 
+SPEC_PARAMS = [
+    (systems.OscillatorSpec, dict(omega=1.0, L=0.0, alpha=0.3)),
+    (systems.MorseSpec, dict(A0=1.0, B=0.75, alpha=0.3)),
+    (systems.CoulombSpec, dict(Lcal=0.0, Z0=1.0, alpha=0.1)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, params", SPEC_PARAMS, ids=lambda a: getattr(a, "__name__", ""))
+def test_non_finite_spec_parameters_raise(cls, params, bad):
+    for name in params:
+        with pytest.raises(ParameterError) as err:
+            cls(**{**params, name: bad})
+        assert str(err.value) == f"{name} must be finite, got {bad}"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: systems.OscillatorSpec(0.0, 0.0), "omega must be positive, got 0.0"),
+        (lambda: systems.OscillatorSpec(1.0, -0.75), "L must be >= -1/2, got -0.75"),
+        (lambda: systems.OscillatorSpec(1.0, 0.0, -0.1), "alpha must be non-negative, got -0.1"),
+        (lambda: systems.MorseSpec(0.0, 1.0), "A0 must be positive, got 0.0"),
+        (lambda: systems.MorseSpec(1.0, -1.0), "B must be positive, got -1.0"),
+        (lambda: systems.MorseSpec(1.0, 1.0, -0.1), "alpha must be non-negative, got -0.1"),
+        (lambda: systems.CoulombSpec(-0.5, 1.0), "Lcal must be > -1/2, got -0.5"),
+        (lambda: systems.CoulombSpec(0.0, 0.0), "Z0 must be positive, got 0.0"),
+        (lambda: systems.CoulombSpec(0.0, 1.0, -0.1), "alpha must be non-negative, got -0.1"),
+    ],
+)
+def test_out_of_range_spec_messages(make, message):
+    with pytest.raises(ParameterError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_quantum_numbers_are_non_negative_ints():
+    ho, mo = systems.OscillatorSpec(1.0, 0.0), systems.MorseSpec(1.0, 0.5)
+    for bad in (1.5, 2.0, -1, -3):
+        with pytest.raises(ParameterError):
+            systems.energy(ho, bad)
+        with pytest.raises(ParameterError):
+            systems.member_coupling(mo, bad + 1.0)
+        with pytest.raises(ParameterError):
+            pct.map_parameters(ho, bad, "morse")
+    with pytest.raises(ParameterError, match="^quantum number must be non-negative$"):
+        systems.energy(ho, -1)
+    with pytest.raises(ParameterError, match="^member index must be non-negative$"):
+        systems.member_coupling(mo, -2)
+    with pytest.raises(ParameterError, match="^member index must be non-negative$"):
+        pct.map_parameters(ho, -2, "coulomb")
+    assert systems.energy(ho, np.int64(2)) == systems.energy(ho, 2)
+    assert systems.member_coupling(mo, np.int32(2)) == systems.member_coupling(mo, 2)
+    assert pct.map_parameters(ho, np.int64(3), "morse") == pct.map_parameters(ho, 3, "morse")
+
+
 def test_bound_state_degree_limit():
     spec = systems.OscillatorSpec(1.0, 0.0, 0.3)
     assert systems.bound_state(spec, specfun.MAX_DEGREE).n == specfun.MAX_DEGREE
@@ -235,6 +291,9 @@ def test_member_couplings():
     assert [systems.member_coupling(mo, n) for n in range(3)] == [0.25, 1.25, 2.25]
     co = systems.CoulombSpec(0.0, 1.0, 0.1)
     assert systems.member_coupling(co, 1) == pytest.approx(2.1, abs=1e-14)
+    for co in (systems.CoulombSpec(0.0, 1.0), systems.CoulombSpec(1.5, 0.7)):
+        for n in range(5):  # the linear law to the bit at constant mass
+            assert systems.member_coupling(co, n) == co.Z0 * (n + co.Lcal + 1.0) / (co.Lcal + 1.0)
     with pytest.raises(ParameterError):
         systems.member_coupling(systems.OscillatorSpec(1.0, 0.0), 1)
 
@@ -288,6 +347,16 @@ def test_fixed_spectrum_errors():
         systems.spectrum_fixed_potential("morse", (2.5, 1.0), 0.0, 0)
     with pytest.raises(ParameterError):
         systems.spectrum_fixed_potential("ho", (1.0, 0.0), 0.0, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fixed_spectrum_rejects_non_finite_parameters(bad):
+    for family, params in (("morse", (2.0, 1.0)), ("coulomb", (1.0, 0.0))):
+        for changed in ((bad, params[1]), (params[0], bad)):
+            with pytest.raises(ParameterError):
+                systems.spectrum_fixed_potential(family, changed, 0.0, 3)
+        with pytest.raises(ParameterError):
+            systems.spectrum_fixed_potential(family, params, bad, 3)
 
 
 def test_states_normalized_under_family_measures(family_spec):
@@ -559,6 +628,40 @@ def test_a_state_remembers_its_last_four_points_arrays(monkeypatch):
     for pts in reversed(arrays):  # the last four are remembered, the rest not
         st(pts)
     assert len(calls) == 10 + 6
+
+
+def test_a_scalar_point_gives_floats_and_is_remembered_nowhere():
+    spec = systems.OscillatorSpec(1.0, 0.5, 0.3)
+    st = systems.BoundState(spec, 2)
+    for k in range(systems.MEMO_SIZE):
+        st.derivs(np.linspace(0.5, 2.0 + k, 7), 4)
+    held = [key for key, _ in st._memo]
+    gs = algebra.generator_set(spec)
+    outputs = [algebra.apply_generator(gs, which, st) for which in (algebra.ZERO, algebra.PLUS)]
+    mapped = pct.map_state(pct.mapping("ho", "morse"), st)
+    functions = (st, *outputs, mapped, operators.zero_function())
+    for fn in functions:
+        assert [type(x) for x in fn.derivs(0.7, 2)] == [float] * 3
+        assert type(fn(0.7)) is float
+    # nothing remembered, by the outputs or by the state they evaluate
+    assert all(fn._memo == () for fn in functions[1:])
+    assert [key for key, _ in st._memo] == held
+    for fn in functions:  # the values of the one-point array
+        assert fn.derivs(0.7, 2) == tuple(float(a[0]) for a in fn.derivs(np.array([0.7]), 2))
+
+
+def test_a_scalar_point_outside_the_domain_is_named_as_the_scalar():
+    spec = systems.OscillatorSpec(1.0, 0.0)
+    st = systems.bound_state(spec, 1)
+    gs = algebra.generator_set(spec)
+    outputs = [algebra.apply_generator(gs, which, st) for which in (algebra.ZERO, algebra.PLUS)]
+    for fn in (st, *outputs):
+        with pytest.raises(DomainError) as err:
+            fn(-1.0)
+        assert str(err.value) == "point -1.0 outside open domain (0.0, inf)"
+    with pytest.raises(DomainError) as err:
+        st(np.array([-1.0]))
+    assert str(err.value) == "point array([-1.]) outside open domain (0.0, inf)"
 
 
 def test_points_changed_in_place_are_evaluated_anew():
