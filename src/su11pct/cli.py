@@ -12,6 +12,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -93,10 +94,18 @@ def _closed_levels(spec, count):
     return systems.spectrum_fixed_potential(spec.family, params, spec.alpha, count)
 
 
+def _check_tol(tol):
+    """A tolerance override must be finite and positive: NaN would fail every check
+    and print invalid JSON, inf would pass every one."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _tols(override):
     tols = dict(ANALYTIC_TOLS)
     if override is not None:
-        tols = {k: override for k in tols}
+        tols = dict.fromkeys(tols, _check_tol(override))
     return tols
 
 
@@ -426,6 +435,9 @@ def _dispatch(parser, args):
     # oracle-compare
     spec = _spec_from_args(parser, args.family, args)
     _check_nmax(parser, args.nmax, 9)
+    tol = ORACLE_TOL_DEFORMED if spec.deformed else ORACLE_TOL_CONSTANT
+    if args.tol is not None:
+        tol = _check_tol(args.tol)
     closed = [e for _, e in _closed_levels(spec, args.nmax + 1)]
     k = len(closed)
     bounds = _grid_bounds(parser, args)
@@ -438,9 +450,6 @@ def _dispatch(parser, args):
     else:
         grid = oracle.default_grid(spec, 0, count=args.grid_count, k=k)
     levels = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), k, 1e-9)
-    tol = args.tol
-    if tol is None:
-        tol = ORACLE_TOL_DEFORMED if spec.deformed else ORACLE_TOL_CONSTANT
     entries = []
     for n, (cf, num) in enumerate(zip(closed, levels)):
         diff = abs(num - cf)

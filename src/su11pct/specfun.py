@@ -23,17 +23,39 @@ Derivatives come from the parameter shift
 
     d/dy Q_n^(a,b)(y) = (1 + (n+b) eps) Q_{n-1}^(a+1,b+1)((1 + eps) y),
 
-so they inherit the accuracy of the recurrence itself.
+so entry k of a stack is c_k Q_{n-k}^(a+k,b+k)((1 + k eps) y), with
+c_k = prod_{j<=k} (1 + (n+b+j-1) eps).  That polynomial is a weighted sum
+of the terms Q_j^(a,b)(y), j <= n - k, which the value's recurrence forms
+anyway, on the same y.  Its weights are connection coefficients, built
+from two first-order shifts per order (DLMF 18.9.5, and its mirror in a
+by P_n^(a,b)(-t) = (-1)^n P_n^(b,a)(t)).  With p_m = Q_m^(a,b)(y):
+
+    b -> b+1:  (1 + (m+b) eps) x_m = (1 + (2m+b) eps) p_m - (1 + (m-1) eps) x_{m-1}
+    a -> a+1:  (1 + (m+b) eps) z_m = (1 + (2m+b) eps) p_m + (m+b) eps z_{m-1}
+
+where x_m = Q_m^(a,b+1)(y), z_m = Q_m^(a+1,b)((1 + eps) y), and at eps = 0
+the a-shift is z = p, the Laguerre limit.  One order is the b-shift, then
+the a-shift at (a, b+1).  The weights of c_k Q_{n-k}^(a+k,b+k) are the
+adjoint of that chain: one backward scalar pass per shift, last shift
+first, O(k n) scalars, remembered per (n, a, b, k).  A sum of the base
+terms loses accuracy about as n^(k-1) from order 3 on: summed from
+Q_j^(inf,b), order 4 at n = 60 reads 3.8e-12 against a 1e-12 weighted
+bound.  So every third entry, 0, 3, ..., runs its own recurrence at
+(a+k, b+k) on (1 + k eps) y, and the two entries after it are sums of
+that recurrence's terms.  A stack of order
+up to 2 runs one recurrence, and one of order 3 or 4 runs two.
 
 The recurrence runs in place on three buffers (``prev``, ``cur`` and a
 scratch ``tmp``) the size of its argument, so a step allocates nothing and
 divides no array: the per-degree constants are folded into one affine
-map of y for ``cur`` and one scalar factor for ``prev``.  A bound state
-passes its argument in blocks of at most ``systems.BLOCK`` points, so the
-buffers are block-sized and stay in a core's cache, not the size of the
-whole points array.
+map of y for ``cur`` and one scalar factor for ``prev``.  Each sum adds
+one buffer, and takes its product w_j Q_j in ``tmp``, which is free
+between steps.  A bound state passes its argument in blocks of at most
+``systems.BLOCK`` points, so the buffers are block-sized and stay in a
+core's cache, not the size of the whole points array.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -60,18 +82,27 @@ def _check(n, *params):
         raise ParameterError(f"polynomial parameters must exceed -1, got {params}")
 
 
-def _value(n, a, b, y):
-    """Q_n^(a,b)(y) by upward recurrence on three buffers; y is a float array or scalar.
+def _value(n, a, b, y, weights=()):
+    """Q_n^(a,b)(y) by upward recurrence on three buffers, then sum_j w_j Q_j^(a,b)(y)
+    for each w in ``weights``; y is a float array or scalar.
 
-    The result is a new array that no other result shares.
+    Every w has from 2 to n entries, so no sum reads Q_n.  The results are
+    new arrays that no other result shares.
     """
     e = 1.0 / (a + 1.0)
-    cur = np.ones_like(y)
     if n == 0:
-        return cur
-    prev, cur, tmp = cur, np.empty_like(y), np.empty_like(y)
+        return [np.ones_like(y)]
+    cur = np.empty_like(y)
     np.multiply(y, 1.0 + (b + 1.0) * e, out=cur)
     cur -= b + 1.0
+    if n == 1:
+        return [cur]
+    prev, tmp = np.ones_like(y), np.empty_like(y)
+    sums = []
+    for w in weights:
+        total = np.multiply(cur, w[1], out=np.empty_like(y))
+        total += w[0]
+        sums.append(total)
     for k in range(2, n + 1):
         # Q_k = (s1 y + s0) Q_{k-1} - s2 Q_{k-2}, the module docstring's step
         m = 2.0 * k + b
@@ -84,14 +115,63 @@ def _value(n, a, b, y):
         prev *= 2.0 * (k + b - 1.0) * (1.0 + (k - 2.0) * e) * e1 / den
         np.subtract(tmp, prev, out=prev)
         prev, cur = cur, prev
-    return cur
+        # tmp is free until the next step overwrites it
+        for total, w in zip(sums, weights):
+            if k < len(w):
+                np.multiply(cur, w[k], out=tmp)
+                total += tmp
+    return [cur, *sums]
+
+
+def _adjoint(v, e, beta, raise_a):
+    """u with sum_m v_m x_m = sum_m u_m p_m, for x the p of one parameter raised by one.
+
+    The first-order shift is (1 + (m+beta) e) x_m = (1 + (2m+beta) e) p_m + B_m x_{m-1},
+    with B_m = (m+beta) e when a is raised and -(1 + (m-1) e) when b is.
+    """
+    u = list(v)
+    carry = 0.0
+    for m in range(len(v) - 1, 0, -1):
+        carry += v[m]
+        d = 1.0 + (m + beta) * e
+        u[m] = carry * (1.0 + (2.0 * m + beta) * e) / d
+        carry *= ((m + beta) * e if raise_a else -(1.0 + (m - 1.0) * e)) / d
+    u[0] = v[0] + carry
+    return u
+
+
+def _coefficients(n, b, e, kmax):
+    """c_k = prod_{j<=k} (1 + (n+b+j-1) eps), k = 0..kmax, as the product runs."""
+    out = [1.0]
+    for k in range(1, kmax + 1):
+        out.append(out[-1] * (1.0 + (n + b + k - 1.0) * e))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(n, a, b, k):
+    """w_j with d^k/dy^k Q_n^(a,b)(y) = sum_j w_j Q_j^(a+g,b+g)((1 + g eps) y), g = k - k mod 3.
+
+    Entry k is c_k Q_{n-k}^(a+k,b+k); writing that in the basis of entry
+    g's family undoes, last first, the shifts b -> b+1 and a -> a+1 of
+    each order from g to k.  A tuple of n - k + 1 floats.
+    """
+    g = k - k % 3
+    w = [0.0] * (n - k) + [_coefficients(n, b, 1.0 / (a + 1.0), k)[k]]
+    for s in range(k - 1, g - 1, -1):
+        e = 1.0 / (a + s + 1.0)
+        w = _adjoint(w, e, b + s + 1.0, True)
+        w = _adjoint(w, e, b + s, False)
+    return tuple(w)
 
 
 def _stack(n, a, b, y, kmax):
-    """[Q, Q', ..., Q^(kmax)] of Q_n^(a,b)(y) by repeated parameter shifts.
+    """[Q, Q', ..., Q^(kmax)] of Q_n^(a,b)(y): one recurrence per three entries.
 
-    Entry k is prod_{j<=k} (1 + (n+b+j-1) eps) Q_{n-k}^(a+k,b+k)((1 + k eps) y).
-    Every entry is a new array, or a numpy float for a 0-d ``y``.
+    Entry k is c_k Q_{n-k}^(a+k,b+k)((1 + k eps) y).  Entries 0, 3, ...
+    run their own recurrence; the two after each are `_weights` sums of
+    its terms, and an entry of degree 0 is the constant c_k.  Every entry
+    is a new array, or a numpy float for a 0-d ``y``.
     """
     if not isinstance(kmax, (int, np.integer)) or kmax < 0:
         raise ParameterError(
@@ -99,16 +179,22 @@ def _stack(n, a, b, y, kmax):
         )
     y = np.asarray(y, dtype=float)
     e = 1.0 / (a + 1.0)
-    out = [_value(n, a, b, y)]
-    coeff = 1.0
-    for k in range(1, kmax + 1):
-        if k > n:
-            out.append(np.zeros_like(y))
-        else:
-            coeff *= 1.0 + (n + b + k - 1.0) * e
-            entry = _value(n - k, a + k, b + k, y * (1.0 + k * e) if e else y)
-            entry *= coeff
-            out.append(entry)
+    coeff = _coefficients(n, b, e, min(kmax, n))
+    out = []
+    for g in range(0, len(coeff), 3):
+        if g == n:
+            out.append(np.full_like(y, coeff[g]))
+            break
+        end = min(g + 3, len(coeff))
+        sums = [_weights(n, a, b, k) for k in range(g + 1, min(end, n))]
+        group = _value(n - g, a + g, b + g, y * (1.0 + g * e) if g and e else y, sums)
+        if g:
+            group[0] *= coeff[g]
+        if end > n:
+            group.append(np.full_like(y, coeff[n]))
+        out += group
+    if kmax > n:
+        out += [np.zeros_like(y) for _ in range(kmax - n)]
     return [entry[()] for entry in out] if y.ndim == 0 else out
 
 

@@ -287,6 +287,18 @@ def test_verify_nmax_below_one_exits_2(capsys, nmax):
         cli.build_report(systems.OscillatorSpec(1.0, 0.0), n_max=int(nmax))
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tolerance_not_finite_and_positive_exits_2(capsys, tol):
+    # NaN failed every check and printed NaN tokens, inf passed every check
+    for command in ("verify", "oracle-compare"):
+        assert exit_code(command, *HO, "--nmax", "1", "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and positive" in captured.err
+    with pytest.raises(ParameterError):
+        cli.build_report(systems.OscillatorSpec(1.0, 0.0), n_max=1, tol=float(tol))
+
+
 @pytest.mark.parametrize(
     "family",
     [

@@ -2,8 +2,9 @@
 and on the memory of one large derivative stack.
 
 Counts polynomial derivative stacks (``specfun.jacobi_derivs``, one per
-state evaluation that the remembered stacks of ``systems`` do not serve)
-and Sturm sweeps of the finite-difference oracle (``oracle._count_below``).
+state evaluation that the remembered stacks of ``systems`` do not serve),
+the degree recurrences of one stack (``specfun._value``) and Sturm sweeps
+of the finite-difference oracle (``oracle._count_below``).
 A change that defeats the memo or grows the oracle fails here, on any
 host, not only in the benchmark.  The memory guard reads ``tracemalloc``,
 which numpy reports its array buffers to, so a stack that stops working
@@ -54,3 +55,20 @@ def test_a_large_stack_stays_within_its_memory():
     finally:
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in stack) <= MAX_STACK_PEAK_BYTES
+
+
+def test_a_stack_runs_one_degree_recurrence_per_three_orders(monkeypatch):
+    # orders 1, 2 and 4 are sums of the terms of the recurrences of orders 0 and 3
+    degrees = []
+    recurrence = specfun._value
+
+    def counted_recurrence(n, *args):
+        degrees.append(n)
+        return recurrence(n, *args)
+
+    monkeypatch.setattr(specfun, "_value", counted_recurrence)
+    y = np.linspace(0.0, 2.5, 101)
+    for kmax, runs in [(0, [150]), (1, [150]), (2, [150]), (3, [150, 147]), (4, [150, 147])]:
+        degrees.clear()
+        specfun.jacobi_derivs(150, 1.5, 0.5, y, kmax)
+        assert degrees == runs, kmax

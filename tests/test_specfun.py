@@ -318,11 +318,7 @@ HIGH_DEGREE_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [100, 150, 200])
-@pytest.mark.parametrize(
-    "kind, params", [("laguerre", (0.5,)), ("jacobi", (1.5, 0.5)), ("jacobi", (40.0, 2.0))]
-)
-def test_derivative_stacks_match_mpmath_at_high_degree(kind, params, n):
+def _check_stack_against_mpmath(kind, params, n, orders):
     # d^k/dx^k p_n = c_1 ... c_k p_{n-k} with parameters shifted by k is
     # exact, so the reference differentiates by it too.  The coefficient sums
     # cancel by at most about e^(2n) of the value, so they run with n guard
@@ -330,19 +326,52 @@ def test_derivative_stacks_match_mpmath_at_high_degree(kind, params, n):
     # weight of the orthogonality measure, which a bound state multiplies by.
     stack, reference, factor, points, weight, ref_arg, dx = HIGH_DEGREE_CASES[kind]
     y = points(n, params)
-    got = stack(n, *params, y, 2)
+    got = stack(n, *params, y, max(orders))
     x = np.array([float(ref_arg(yi, params)) for yi in y])
     coeff = mp.mpf(1)
-    for k in range(3):
+    for k in range(max(orders) + 1):
         if k:
             coeff *= factor(n, params, k)
+        if k not in orders:
+            continue
         with mp.workdps(40 + n):
             shifted = [p + k for p in params]
             ref = [coeff * reference(n - k, *shifted, ref_arg(yi, params)) for yi in y]
             ref = np.array([float(r) for r in ref])
         w = weight(x, params, k)
         err = np.abs(got[k] * dx(params) ** k - ref) * w
-        assert np.max(err) < 1e-12 * np.max(np.abs(ref) * w)
+        assert np.max(err) < 1e-12 * np.max(np.abs(ref) * w), k
+
+
+@pytest.mark.parametrize("n", [100, 150, 200])
+@pytest.mark.parametrize(
+    "kind, params", [("laguerre", (0.5,)), ("jacobi", (1.5, 0.5)), ("jacobi", (40.0, 2.0))]
+)
+def test_derivative_stacks_match_mpmath_at_high_degree(kind, params, n):
+    _check_stack_against_mpmath(kind, params, n, (0, 1, 2))
+
+
+@pytest.mark.parametrize("params", [(1.5, 0.5), (40.0, 2.0)])
+def test_jacobi_stack_orders_3_and_4_match_mpmath_at_degree_200(params):
+    # order 3 starts the stack's second recurrence and order 4 sums its terms
+    _check_stack_against_mpmath("jacobi", params, 200, (3, 4))
+
+
+@pytest.mark.parametrize(
+    "n, a, b", [(0, 1.5, 0.5), (3, 1.5, 0.5), (40, 40.0, 2.0), (150, math.inf, 0.5)]
+)
+def test_stack_values_do_not_depend_on_the_order_or_the_memo(n, a, b):
+    # the value is the same recurrence at every kmax, and the derivative
+    # weights do not depend on which stack asked for them first
+    t = np.linspace(-0.99, 0.99, 23)
+    y = jacobi_y(a, t) if math.isfinite(a) else 300.0 * (1.0 + t)
+    specfun._weights.cache_clear()
+    upward = [specfun.jacobi_derivs(n, a, b, y, kmax) for kmax in range(5)]
+    specfun._weights.cache_clear()
+    downward = [specfun.jacobi_derivs(n, a, b, y, kmax) for kmax in reversed(range(5))][::-1]
+    for up, down in zip(upward, downward):
+        assert np.array_equal(up[0], upward[0][0])
+        assert all(np.array_equal(u, d) for u, d in zip(up, down))
 
 
 @pytest.mark.parametrize("n", [100, 200])
