@@ -79,7 +79,6 @@ any singular factor is formed.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -183,6 +182,7 @@ def delta_eigenvalue(gs, n):
     delta_n^2 = 2 (2pa + 1) mu_n + pa^2 + pb^2 - 1/2.  Must agree with the
     closed form of ``delta_spectrum`` to rounding.
     """
+    systems._check_index(n, "n must be non-negative")
     pa, pb = systems.jacobi_params(gs.spec)
     mu = unirrep(gs).mu_of_n(n)
     return math.sqrt(2.0 * (2.0 * pa + 1.0) * mu + pa * pa + pb * pb - 0.5)
@@ -190,8 +190,7 @@ def delta_eigenvalue(gs, n):
 
 def ladder_coefficient(gs, n, direction):
     """Closed-form matrix element of the plus or minus generator at step n."""
-    if n < 0:
-        raise ParameterError("n must be non-negative")
+    systems._check_index(n, "n must be non-negative")
     if direction not in (PLUS, MINUS):
         raise ParameterError(f"direction must be 'plus' or 'minus', got {direction}")
     if direction == MINUS:
@@ -219,7 +218,7 @@ def _zero_operator(gs):
     slope = 2.0 * (1.0 - 2.0 * fam.sigma) / w
 
     def coeffs(p, order):
-        _, g1, g2 = islice(fam.g(p), 3)
+        _, g1, g2 = fam.g(p)[:3]
         # the gauge 2 g/(w g'^2) and its derivatives 2 (1 - 2 sigma)/(w g')
         # and -2 (1 - 2 sigma) g''/(w g'^2)
         gauge = (2.0 / w * fam.g_ratio(p) / g1, slope / g1, -slope * (g2 / g1) / g1)
@@ -247,7 +246,7 @@ def _ladder_core(gs, direction, n, scale=1.0):
 
     def coeffs(p, order):
         systems.check_point(gs.spec, p)
-        c0, _ = systems.g_over_f(a, tuple(islice(fam.g(p), order + 1)), order, scale * b1)
+        c0, _ = systems.g_over_f(a, fam.g(p)[: order + 1], order, scale * b1)
         c0[0] = c0[0] + scale * b0
         return (c0, (-scale * fam.g_ratio(p), slope))
 
@@ -347,8 +346,8 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
     which at constant mass read 1 and -2 mu_n.  Pointwise rows apply the
     generators twice and compare against the right sides on a grid.
     """
-    if n_max < 1:
-        raise ParameterError("n_max must be at least 1")
+    systems._check_index(n_max, "n_max must be at least 1", 1)
+    systems._check_index(pointwise_n_max, "pointwise_n_max must be at least -1", -1)
     mu = unirrep(gs).mu_of_n
     pb, eps = gs.pb_eps
 

@@ -111,8 +111,7 @@ def _tols(override):
 
 def build_report(spec, n_max=5, tol=None):
     """Run every verification section against one family spec."""
-    if n_max < 1:
-        raise ParameterError("n_max must be at least 1")
+    systems._check_index(n_max, "n_max must be at least 1", 1)
     tols = _tols(tol)
     deformed = spec.deformed
     report = VerificationReport(_spec_echo(spec))

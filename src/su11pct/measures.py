@@ -29,13 +29,16 @@ evaluates only the new nodes, and only for functions of a pair that has
 not settled yet.
 
 Rules are immutable and summation runs in fixed node order (numpy's
-pairwise reduction), so results are deterministic; the rule cache is only
-ever populated with identical values, safe under concurrent use.
+pairwise reduction), so results are deterministic.  ``quadrature_rule``
+reads each transform's span, node map and jacobian from one table and is
+a ``functools.lru_cache`` keyed by (measure, level): a measure's rules are
+built once and keep its weight function alive, and concurrent callers at
+worst build an identical rule twice.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +51,9 @@ BASE_NODES = 64
 MAX_LEVEL = 12
 START_LEVEL = 4  # first level evaluated; its odd nodes give level 3
 
+# transform id -> (span of u, node map q(u), jacobian dq/du)
+_TRANSFORMS = {"log": (LOG_SPAN, np.exp, np.exp), "sinh": (SINH_SPAN, np.sinh, np.cosh)}
+
 
 @dataclass(frozen=True)
 class Measure:
@@ -58,13 +64,17 @@ class Measure:
     weight: object = field(repr=False)
     transform_id: str = "log"
 
+    def __post_init__(self):
+        if self.transform_id not in _TRANSFORMS:
+            raise ParameterError(f"transform_id must be 'log' or 'sinh', got {self.transform_id!r}")
+
 
 def _weight(family):
     """The weight (1/2) g^(sigma-1) |g'| of the family measure in its coordinate."""
     fam = systems.FAMILIES[family]
 
     def weight(p):
-        g, g1 = islice(fam.g(p), 2)
+        g, g1 = fam.g(p)[:2]
         return 0.5 * g ** (fam.sigma - 1.0) * np.abs(g1)
 
     return weight
@@ -102,39 +112,19 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-_RULE_CACHE = {}
-
-
+# keyed by the measure itself, which keeps its weight function alive
+@lru_cache(maxsize=None)
 def quadrature_rule(measure, level):
     """Trapezoid rule with 64 * 2^level nodes on the transformed variable."""
     if not 1 <= level <= MAX_LEVEL:
         raise ParameterError(f"level must be in [1, {MAX_LEVEL}], got {level}")
-    # keyed by the measure itself, which keeps its weight function alive
-    key = (measure, level)
-    cached = _RULE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    span, node, jac = _TRANSFORMS[measure.transform_id]
     count = BASE_NODES * 2**level
-    if measure.transform_id == "log":
-        span = LOG_SPAN
-    else:
-        span = SINH_SPAN
     # h halves exactly per level, so j h repeats bit for bit at 2j (h/2)
     h = 2.0 * span / count
     u = -span + np.arange(1, count + 1) * h
-    if measure.transform_id == "log":
-        nodes = np.exp(u)
-        jac = nodes
-    else:
-        nodes = np.sinh(u)
-        jac = np.cosh(u)
-    rule = QuadratureRule(nodes, h * jac * measure.weight(nodes))
-    _RULE_CACHE[key] = rule
-    return rule
-
-
-def _values(fn, points):
-    return np.asarray(fn(points), dtype=float)
+    nodes = node(u)
+    return QuadratureRule(nodes, h * jac(u) * measure.weight(nodes))
 
 
 def _products(measure, fns, pairs, rtol):
@@ -148,6 +138,8 @@ def _products(measure, fns, pairs, rtol):
     """
     if rtol < 1e-12:
         raise ParameterError("rtol below 1e-12 is not supported")
+    if math.isnan(rtol):
+        raise ParameterError("rtol must be a number, got nan")
     values = {}
     settled = {}
     last = {}
@@ -158,11 +150,11 @@ def _products(measure, fns, pairs, rtol):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in sorted({i for pair in pending for i in pair}):
                 if i not in values:
-                    values[i] = _values(fns[i], rule.nodes)
+                    values[i] = np.asarray(fns[i](rule.nodes), dtype=float)
                     continue
                 merged = np.empty(rule.nodes.size)
                 merged[1::2] = values[i]  # the previous level's nodes
-                merged[0::2] = _values(fns[i], np.ascontiguousarray(rule.nodes[0::2]))
+                merged[0::2] = fns[i](np.ascontiguousarray(rule.nodes[0::2]))
                 values[i] = merged
             unsettled = []
             for i, j in pending:

@@ -71,8 +71,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.q_min < self.q_max:
             raise ParameterError("q_min must be below q_max")
-        if self.count < 100:
-            raise ParameterError("grid needs at least 100 points")
+        systems._check_index(self.count, "grid needs at least 100 points", 100)
         if self.spacing not in _COORDINATES:
             raise ParameterError("spacing must be np.linspace or np.geomspace")
         if self.spacing is np.geomspace and not self.q_min > 0.0:
@@ -217,8 +216,11 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
     """
     if not 1 <= k <= 10:
         raise ParameterError("k must be between 1 and 10")
+    systems._check_index(k, "k must be between 1 and 10")
     if tol < 1e-12:
         raise ParameterError("tol below 1e-12 is not supported")
+    if math.isnan(tol):
+        raise ParameterError("tol must be a number, got nan")
     diag = dh.diag
     bound = np.abs(dh.offdiag)
     # Gershgorin discs of the similar matrix J^(-1/2) T J^(1/2), i.e. of the
@@ -316,10 +318,9 @@ def default_grid(spec, member_n=0, count=None, k=3):
     """
     a = spec.alpha
     slots = systems.FAMILIES[spec.family].slots(spec, member_n)
+    # never empty: a valid spec's member-n well holds its level n, so its level 0
     levels = systems.levels(spec.family, slots, a, max(k, 1))
     if spec.family == "morse":
-        if not levels:
-            raise ParameterError("fixed Morse potential holds no levels")
         e_deep, e_shallow = levels[0][1], levels[-1][1]
         b2, c = slots[2], -slots[1]
         depth = c * c / (4.0 * max(b2, 1e-12))

@@ -141,8 +141,7 @@ class HierarchyMember(NamedTuple):
 
 def hierarchy(source, target_family, n_max):
     """Members 0..n_max of the hierarchy a single source Hamiltonian maps to."""
-    if n_max < 0:
-        raise ParameterError("n_max must be non-negative")
+    systems._check_index(n_max, "n_max must be non-negative")
     target, _ = map_parameters(source, 0, target_family)
     fixed = systems.energy(target, 0)
     return [

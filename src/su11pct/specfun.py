@@ -83,15 +83,13 @@ def _check(n, *params):
 
 
 def _value(n, a, b, y, weights=()):
-    """Q_n^(a,b)(y) by upward recurrence on three buffers, then sum_j w_j Q_j^(a,b)(y)
+    """Q_n^(a,b)(y), n >= 1, by upward recurrence on three buffers, then sum_j w_j Q_j^(a,b)(y)
     for each w in ``weights``; y is a float array or scalar.
 
     Every w has from 2 to n entries, so no sum reads Q_n.  The results are
     new arrays that no other result shares.
     """
     e = 1.0 / (a + 1.0)
-    if n == 0:
-        return [np.ones_like(y)]
     cur = np.empty_like(y)
     np.multiply(y, 1.0 + (b + 1.0) * e, out=cur)
     cur -= b + 1.0

@@ -8,12 +8,17 @@ deforming profile f = 1 + alpha g(q) with the coordinate function
     g_ho(r) = r^2,  g_m(x) = e^-x,  g_c(R) = R.
 
 g is the oscillator's r^2 in each family's own coordinate, which the
-point canonical transformations preserve; ``FAMILIES`` also holds each
-coordinate as a function of the Morse coordinate x = -ln g
-(r = e^(-x/2), x, R = e^-x), the exponent sigma (1/2, 1, 0) of the
-family measure (1/2) g^(sigma-1) dg, from which ``measures`` and ``pct``
-build the measures and maps, and rho = g/g' (r/2, -1, R), which is
-linear, rho' = 1 - sigma, because g g''/g'^2 = sigma is constant.
+point canonical transformations preserve.  ``FAMILIES`` holds g with its
+first four derivatives, the constant ones as numbers; two scalar maps,
+each coordinate q as a function of the Morse coordinate x = -ln g
+(r = e^(-x/2), x, R = e^-x) and back; the exponent sigma (1/2, 1, 0) of
+the family measure (1/2) g^(sigma-1) dg, from which ``measures`` and
+``pct`` build the measures and maps; and rho = g/g' (r/2, -1, R), which
+is linear, rho' = 1 - sigma, because g g''/g'^2 = sigma is constant.  So
+the maps' derivatives (``Family.from_x`` and ``Family.to_x``) are one
+formula for all three families:
+
+    dq/dx = -rho,  d2q/dx2 = (1 - sigma) rho,  dx/dq = -1/rho,  d2x/dq2 = (1 - sigma)/rho^2.
 
 Every bound state, at either mass kind, is one closed form
 
@@ -115,7 +120,6 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -139,9 +143,9 @@ def _check_finite(spec):
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
-def _check_index(n, message):
-    """Raise ParameterError(message) unless n is a non-negative int; numpy integers pass."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+def _check_index(n, message, lowest=0):
+    """Raise ParameterError(message) unless n is an int of at least lowest; numpy integers pass."""
+    if not isinstance(n, (int, np.integer)) or n < lowest:
         raise ParameterError(message)
 
 
@@ -261,39 +265,14 @@ class CoulombSpec(_Spec):
 # ---------------------------------------------------------------------------
 
 
-# A family's g yields g, g', g'', g''' and g'''' in turn, so a caller that
-# reads only the first k + 1 (itertools.islice) forms no more of them.
-
-
-def _g_ho(r):
-    yield r * r
-    yield 2.0 * r
-    yield 2.0 + 0.0 * r
-    yield 0.0 * r
-    yield 0.0 * r
+# A family's g returns (g, g', g'', g''', g''''); constants are numbers,
+# which broadcast, so no array is formed for one.
 
 
 def _g_morse(x):
     e = np.exp(-x)
-    for k in range(5):
-        yield -e if k % 2 else e
-
-
-def _g_coulomb(R):
-    yield R
-    yield 1.0 + 0.0 * R
-    for _ in range(3):
-        yield 0.0 * R
-
-
-def _exp_derivs(k, x):
-    """e^(k x) and its first two derivatives."""
-    e = np.exp(k * x)
-    return (e, k * e, k * k * e)
-
-
-def _identity(x):
-    return (x, 1.0 + 0.0 * x, 0.0 * x)
+    d = -e
+    return (e, d, e, d, e)
 
 
 def _morse_of(pb, w, alpha):
@@ -341,16 +320,27 @@ class Family:
     domain: tuple  # open coordinate interval
     spacing: object  # np.linspace on the line, np.geomspace on a half-line
     probe: tuple  # interval scanned for where a state lives
-    g: object  # q -> generator of g, g', g'', g''', g''''; f = 1 + alpha g
+    g: object  # q -> (g, g', g'', g''', g''''), constants as numbers; f = 1 + alpha g
     sigma: float  # measure (1/2) g^(sigma-1) dg; equals g g''/g'^2
-    g_ratio: object  # q -> g/g', linear since g g''/g'^2 = sigma is constant
-    from_x: object  # Morse coordinate x = -ln g -> (q, dq/dx, d2q/dx2)
-    to_x: object  # q -> (x, dx/dq, d2x/dq2)
+    g_ratio: object  # q -> rho = g/g', linear since g g''/g'^2 = sigma is constant
+    q_of_x: object  # the coordinate q at the Morse coordinate x = -ln g
+    x_of_q: object  # its inverse, x = -ln g(q)
     power: object  # spec -> exponent m of the coordinate power q^m
     linear: bool  # Morse: h carries -(pb/2) x
     slots: object  # (spec, n) -> (a0, a1, a2) of the member-n potential
     energy_slot: tuple  # (j, c): an energy E enters slot a_j as a_j - c E
     spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
+
+    def from_x(self, x):
+        """(q, dq/dx, d2q/dx2) at the Morse coordinate x: dq/dx = -rho, rho' = 1 - sigma."""
+        q = self.q_of_x(x)
+        rho = self.g_ratio(q)
+        return (q, -rho, (1.0 - self.sigma) * rho)
+
+    def to_x(self, q):
+        """(x, dx/dq, d2x/dq2) at the point q: dx/dq = -1/rho, d2x/dq2 = (1 - sigma)/rho^2."""
+        rho = self.g_ratio(q)
+        return (self.x_of_q(q), -1.0 / rho, (1.0 - self.sigma) / (rho * rho))
 
 
 FAMILIES = {
@@ -358,11 +348,11 @@ FAMILIES = {
         domain=(0.0, math.inf),
         spacing=np.geomspace,
         probe=(1e-6, 1e6),
-        g=_g_ho,
+        g=lambda r: (r * r, 2.0 * r, 2.0, 0.0, 0.0),
         sigma=0.5,
         g_ratio=lambda r: 0.5 * r,  # never forms r^2, which underflows below 1e-154
-        from_x=lambda x: _exp_derivs(-0.5, x),  # r = e^(-x/2)
-        to_x=lambda r: (-2.0 * np.log(r), -2.0 / r, 2.0 / (r * r)),
+        q_of_x=lambda x: np.exp(-0.5 * x),  # r = e^(-x/2)
+        x_of_q=lambda r: -2.0 * np.log(r),
         power=lambda s: s.L + 1.0,
         linear=False,
         slots=lambda s, n: (s.L * (s.L + 1) / 4, -s.alpha / 4, s.omega**2 / 16 - s.alpha**2 / 2),
@@ -374,9 +364,9 @@ FAMILIES = {
         probe=(-80.0, 300.0),
         g=_g_morse,
         sigma=1.0,
-        g_ratio=lambda x: -1.0 + 0.0 * x,
-        from_x=_identity,
-        to_x=_identity,
+        g_ratio=lambda x: -1.0,
+        q_of_x=lambda x: x,
+        x_of_q=lambda x: x,
         power=lambda s: 0.0,
         linear=True,
         slots=lambda s, n: _morse_well(member_coupling(s, n), s.B, s.alpha)[0],
@@ -387,11 +377,11 @@ FAMILIES = {
         domain=(0.0, math.inf),
         spacing=np.geomspace,
         probe=(1e-6, 1e6),
-        g=_g_coulomb,
+        g=lambda R: (R, 1.0, 0.0, 0.0, 0.0),
         sigma=0.0,
         g_ratio=lambda R: R,
-        from_x=lambda x: _exp_derivs(-1.0, x),  # R = e^-x
-        to_x=lambda R: (-np.log(R), -1.0 / R, 1.0 / (R * R)),
+        q_of_x=lambda x: np.exp(-x),  # R = e^-x
+        x_of_q=lambda R: -np.log(R),
         power=lambda s: s.Lcal + 1.0,
         linear=False,
         slots=lambda s, n: _coulomb_well(member_coupling(s, n), s.Lcal, s.alpha)[0],
@@ -508,8 +498,9 @@ def deforming(spec, point):
     p, a = np.asarray(point, dtype=float), spec.alpha
     if a == 0.0:  # f = 1 exactly, also where g overflows
         return (np.ones_like(p),) + (np.zeros_like(p),) * 4
-    g = tuple(FAMILIES[spec.family].g(p))
-    return (1.0 + a * g[0],) + tuple(a * gk for gk in g[1:])
+    g = FAMILIES[spec.family].g(p)
+    # times ones, a constant entry of g gives an array of the points' shape
+    return (1.0 + a * g[0],) + tuple(a * gk * np.ones_like(p) for gk in g[1:])
 
 
 def potential(spec, slots, p, order):
@@ -521,7 +512,7 @@ def potential(spec, slots, p, order):
     fam = FAMILIES[spec.family]
     v = [np.zeros_like(p)] * (order + 1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rho, g1 = fam.g_ratio(p), tuple(islice(fam.g(p), 1, order + 2))
+        rho, g1 = fam.g_ratio(p), fam.g(p)[1 : order + 2]
 
         def over_rho(u):  # the quotient rule, with rho' = 1 - sigma and rho'' = 0
             q = [u[0] / rho]
@@ -731,7 +722,7 @@ class BoundState(Differentiable):
 
     def h_and_y(self, p, order):
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
-        g = tuple(islice(FAMILIES[self.family].g(p), order + 1))
+        g = FAMILIES[self.family].g(p)[: order + 1]
         a = self.spec.alpha
         y, inv = g_over_f(a, g, order, self.scale)
         if inv is None:  # f = 1: h is linear in g, also where g overflows
@@ -854,8 +845,7 @@ def spectrum_fixed_potential(family, params, alpha, max_count):
     ``max_count``.  A deformation can suppress levels, down to a finite
     Coulomb count; losing constant-mass Morse levels warns.
     """
-    if max_count < 1:
-        raise ParameterError("max_count must be at least 1")
+    _check_index(max_count, "max_count must be at least 1", 1)
     if not all(map(math.isfinite, (*params, alpha))):
         raise ParameterError(f"parameters must be finite, got {params} and alpha = {alpha}")
     if not alpha >= 0:

@@ -307,6 +307,24 @@ def test_commutator_requires_positive_nmax():
         algebra.commutator_residuals(algebra.generator_set(CONSTANT_SPECS["ho"]), 0)
 
 
+def test_quantum_numbers_and_counts_must_be_integers():
+    # each of these returned a number or ended in a bare TypeError
+    gs = algebra.generator_set(systems.OscillatorSpec(1.0, 0.0, 0.3))
+    for bad in (1.5, math.nan, -3):
+        with pytest.raises(ParameterError, match="^n must be non-negative$"):
+            algebra.ladder_coefficient(gs, bad, "plus")
+        with pytest.raises(ParameterError, match="^n must be non-negative$"):
+            algebra.delta_eigenvalue(gs, bad)
+    with pytest.raises(ParameterError, match="^n_max must be at least 1$"):
+        algebra.commutator_residuals(gs, 2.5)
+    with pytest.raises(ParameterError, match="^pointwise_n_max must be at least -1$"):
+        algebra.commutator_residuals(gs, 2, pointwise_n_max=0.5)
+    assert algebra.ladder_coefficient(gs, np.int64(1), "plus") == algebra.ladder_coefficient(
+        gs, 1, "plus"
+    )
+    assert algebra.delta_eigenvalue(gs, np.int32(2)) == algebra.delta_eigenvalue(gs, 2)
+
+
 def test_casimir_action_pointwise(family_spec):
     gs = algebra.generator_set(family_spec)
     uni = algebra.unirrep(gs)

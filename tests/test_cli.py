@@ -287,6 +287,12 @@ def test_verify_nmax_below_one_exits_2(capsys, nmax):
         cli.build_report(systems.OscillatorSpec(1.0, 0.0), n_max=int(nmax))
 
 
+def test_build_report_nmax_must_be_an_integer():
+    # a non-integer n_max ended in a bare TypeError
+    with pytest.raises(ParameterError, match="^n_max must be at least 1$"):
+        cli.build_report(systems.OscillatorSpec(1.0, 0.0), n_max=2.5)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_tolerance_not_finite_and_positive_exits_2(capsys, tol):
     # NaN failed every check and printed NaN tokens, inf passed every check

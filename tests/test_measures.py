@@ -187,3 +187,21 @@ def test_gram_matrix_evaluates_each_state_once_per_level(family):
         for j in range(i, 6):
             pair = measures.inner_product(meas, states[i].state, states[j].state)
             assert gram[i, j] == gram[j, i] == pair
+
+
+def test_measure_arguments_are_checked():
+    with pytest.raises(ParameterError, match="unknown family 'bogus'"):
+        measures.family_measure("bogus")
+    # an unknown transform was taken as sinh
+    with pytest.raises(ParameterError, match="transform_id must be 'log' or 'sinh'"):
+        measures.Measure("ho", (0.0, math.inf), lambda p: np.ones_like(p), "exp")
+
+
+def test_nan_rtol_is_refused():
+    # NaN passed the rtol check, ran all 12 levels and raised ConvergenceError
+    meas = measures.family_measure("ho")
+    state = systems.bound_state(CONSTANT_SPECS["ho"], 0)
+    with pytest.raises(ParameterError, match="^rtol must be a number, got nan$"):
+        measures.inner_product(meas, state, state, math.nan)
+    with pytest.raises(ParameterError, match="^rtol below 1e-12 is not supported$"):
+        measures.inner_product(meas, state, state, 1e-13)

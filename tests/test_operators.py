@@ -227,3 +227,11 @@ def test_a_function_remembers_its_last_four_points_arrays():
     fn.derivs(0.5, 0)  # scalars are not remembered
     fn.derivs(0.5, 0)
     assert len(calls) == 19
+
+
+def test_apply_needs_the_operator_order_of_derivatives():
+    spec = systems.OscillatorSpec(1.0, 0.0)
+    op = operators.flux_operator(spec, systems.FAMILIES["ho"].slots(spec, 0))
+    first_order = operators.SmoothFunction(lambda p, order: (p, np.ones_like(p))[: order + 1], 1)
+    with pytest.raises(ParameterError, match="lacks the required derivatives"):
+        op.apply(first_order)

@@ -263,3 +263,34 @@ def test_default_grid_count_grows_past_the_third_level():
     # a Coulomb spectrum rises toward 0, so its count stays
     coulomb = systems.CoulombSpec(0.0, 1.0)
     assert oracle.default_grid(coulomb, 0, k=10).count == oracle.COUNT
+
+
+def test_sweep_counts_an_interior_zero_pivot():
+    # d_0 = 1 and q_1 = 0.5, so d_1 = 1.5 - 1 - 0.5 is exactly 0 at x = 1,
+    # an eigenvalue (the levels are 1 and 2.5): it is counted, G stays finite
+    count, g = oracle._count_below([2.0, 1.5], [0.5], 1.0)
+    assert count == 1
+    assert math.isfinite(g)
+
+
+def test_grid_spacing_and_count_validation():
+    with pytest.raises(ParameterError, match="spacing must be"):
+        oracle.GridSpec(0.1, 5.0, 500, np.logspace)
+    with pytest.raises(ParameterError, match="q_min > 0"):
+        oracle.GridSpec(0.0, 5.0, 500, np.geomspace)
+    # a non-integer count ended in a bare TypeError inside discretize
+    with pytest.raises(ParameterError, match="^grid needs at least 100 points$"):
+        oracle.GridSpec(0.1, 5.0, 150.5)
+    assert oracle.GridSpec(0.1, 5.0, np.int64(150)).count == 150
+
+
+def test_eigenvalue_tol_and_count_must_be_numbers():
+    spec = systems.OscillatorSpec(1.0, 0.0)
+    dh = oracle.discretize(spec, 0, oracle.GridSpec(1e-4, 20.0, 500))
+    # NaN passed the tol check and ended in a bare ValueError
+    with pytest.raises(ParameterError, match="^tol must be a number, got nan$"):
+        oracle.lowest_eigenvalues(dh, 1, math.nan)
+    with pytest.raises(ParameterError, match="^tol below 1e-12 is not supported$"):
+        oracle.lowest_eigenvalues(dh, 1, 1e-13)
+    with pytest.raises(ParameterError, match="^k must be between 1 and 10$"):
+        oracle.lowest_eigenvalues(dh, 1.5)

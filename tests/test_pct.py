@@ -201,3 +201,12 @@ def test_hierarchy_members():
         )
     with pytest.raises(ParameterError):
         pct.hierarchy(ho, "morse", -1)
+
+
+def test_hierarchy_length_must_be_an_integer():
+    # a non-integer n_max ended in a bare TypeError
+    with pytest.raises(ParameterError, match="^n_max must be non-negative$"):
+        pct.hierarchy(systems.OscillatorSpec(1.0, 0.0), "morse", 2.5)
+    with pytest.raises(ParameterError, match="^n_max must be non-negative$"):
+        pct.hierarchy(systems.OscillatorSpec(1.0, 0.0), "morse", -1)
+    assert len(pct.hierarchy(systems.OscillatorSpec(1.0, 0.0), "morse", np.int64(2))) == 3

@@ -418,3 +418,8 @@ def test_log_gamma_ratio_matches_mpmath(b):
         assert abs(specfun.log_gamma_ratio(float(x), b) - ref) <= 1e-13, x
     assert specfun.log_gamma_ratio(math.inf, b) == 0.0
 
+
+
+def test_laguerre_refuses_a_negative_argument():
+    with pytest.raises(DomainError, match="must be non-negative"):
+        specfun.laguerre(2, 0.5, -1.0)

@@ -349,6 +349,16 @@ def test_fixed_spectrum_errors():
         systems.spectrum_fixed_potential("ho", (1.0, 0.0), 0.0, 5)
 
 
+def test_fixed_spectrum_error_branches():
+    with pytest.raises(ParameterError, match="^Lcal must be > -1/2$"):
+        systems.spectrum_fixed_potential("coulomb", (1.0, -0.5), 0.0, 3)
+    with pytest.raises(ParameterError, match="^alpha must be non-negative$"):
+        systems.spectrum_fixed_potential("morse", (2.0, 1.0), -0.1, 3)
+    # a non-integer count ended in a bare TypeError
+    with pytest.raises(ParameterError, match="^max_count must be at least 1$"):
+        systems.spectrum_fixed_potential("morse", (2.5, 1.0), 0.0, 2.5)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fixed_spectrum_rejects_non_finite_parameters(bad):
     for family, params in (("morse", (2.0, 1.0)), ("coulomb", (1.0, 0.0))):
