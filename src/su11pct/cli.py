@@ -8,6 +8,28 @@ field order is fixed, so reports are byte-stable for identical inputs.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 invalid arguments.
+
+``verify`` prints the report of ``build_report``: one loop over the
+sections listed in order in ``_SECTIONS``.  Each section is a function of
+the generator set and the held states 0..n_max that yields
+(entry name, value, tolerance key) rows:
+
+    eigen_residuals  H psi_n - E_n psi_n, n <= n_max       eigen_residuals
+    orthonormality   Gram matrix of the states n <= 5      orthonormality
+    ladder           ladder coefficients, n <= 5           ladder
+                     lowest-weight annihilation            annihilation
+    commutators      structure relations, n <= 5           commutators_
+    casimir          Casimir action, n <= 3                casimir
+    mapping          mapped states, n <= 3                 mapping_
+                     generator conjugation, n = 2          conjugation
+    oracle           two lowest levels against the oracle  oracle_
+
+Every n runs up to n_max at most.  A key names an ``ANALYTIC_TOLS``
+entry, which ``--tol`` replaces, or ends in "_" and takes the spec's mass
+kind, "constant" or "deformed".  "oracle_constant" and "oracle_deformed"
+are ``ORACLE_TOL_CONSTANT`` and ``ORACLE_TOL_DEFORMED``, which ``--tol``
+never replaces.  The mapping section is empty for Coulomb and for a spec
+with no image family.
 """
 
 import argparse
@@ -102,117 +124,113 @@ def _check_tol(tol):
     return tol
 
 
-def _tols(override):
-    tols = dict(ANALYTIC_TOLS)
-    if override is not None:
-        tols = dict.fromkeys(tols, _check_tol(override))
-    return tols
+def _tolerance(key, spec, override=None):
+    """The tolerance a tolerance key names; see the module docstring."""
+    if key.endswith("_"):
+        key += "deformed" if spec.deformed else "constant"
+    if key.startswith("oracle_"):
+        return ORACLE_TOL_DEFORMED if key == "oracle_deformed" else ORACLE_TOL_CONSTANT
+    return ANALYTIC_TOLS[key] if override is None else override
+
+
+def _eigen_residuals(gs, held):
+    for n in range(len(held)):
+        resid = operators.eigen_residual(gs.spec, n, operators.default_residual_grid(gs.spec, n))
+        yield f"eigen_residual[n={n}]", resid, "eigen_residuals"
+
+
+def _orthonormality(gs, held):
+    count = min(len(held), 6)
+    gram = measures.gram_matrix(measures.family_measure(gs.family), held[:count])
+    deviation = float(np.max(np.abs(gram - np.eye(count))))
+    yield f"gram_deviation[{count}x{count}]", deviation, "orthonormality"
+
+
+def _ladder(gs, held):
+    for n in range(min(len(held), 6)):
+        for direction in (algebra.PLUS, algebra.MINUS):
+            closed = algebra.ladder_coefficient(gs, n, direction)
+            numeric = algebra.matrix_element_numeric(gs, n, direction)
+            yield f"ladder_{direction}[n={n}]", numeric - closed, "ladder"
+    yield "lowest_weight_annihilation", algebra.annihilation_residual(gs), "annihilation"
+
+
+def _commutators(gs, held):
+    for rec in algebra.commutator_residuals(gs, min(len(held) - 1, 5), pointwise_n_max=2):
+        yield f"{rec.name}[n={rec.n}]", rec.value, "commutators_"
+
+
+def _casimir(gs, held):
+    casimir = algebra.unirrep(gs).casimir
+    for n, state in enumerate(held[:4]):
+        pts = algebra.pointwise_grid(gs.spec, n)
+        # order 4 before order 0: the remembered stack serves the value from it
+        applied = algebra.casimir_apply(gs, state, pts)
+        resid = np.max(np.abs(applied - casimir * state(pts))) / np.max(np.abs(state(pts)))
+        yield f"casimir_action[n={n}]", float(resid), "casimir"
+
+
+def _mapping(gs, held):
+    if gs.family not in ("ho", "morse"):
+        return
+    target_family = "morse" if gs.family == "ho" else "coulomb"
+    try:
+        target, _ = pct.map_parameters(gs.spec, 0, target_family)
+    except ParameterError:
+        return  # no image family (e.g. omega^2 <= 3 alpha^2); nothing to check
+    mapping = pct.mapping(gs.family, target_family)
+    tgt_gs = algebra.generator_set(target)
+    # held for the whole section: the conjugation rows scan target state 2 again
+    targets = [systems.bound_state(target, n) for n in range(min(len(held), 4))]
+    for n, direct in enumerate(targets):
+        mapped = pct.map_state(mapping, held[n])
+        pts = algebra.pointwise_grid(target, n)
+        error = float(np.max(np.abs(mapped(pts) - direct(pts))))
+        yield f"mapped_state[{target_family},n={n}]", error, "mapping_"
+    state = held[min(len(held) - 1, 2)]
+    mapped = pct.map_state(mapping, state)
+    pts = algebra.pointwise_grid(target, state.n)
+    src_pts = mapping.coord_map(pts)
+    inv_pref = mapping.inv_prefactor_derivs(pts)[0]
+    for which in (algebra.ZERO, algebra.PLUS, algebra.MINUS):
+        lhs = algebra.apply_generator_fn(tgt_gs, which, mapped, state.n)(pts)
+        rhs = inv_pref * algebra.apply_generator(gs, which, state)(src_pts)
+        yield f"generator_conjugation[{which}]", float(np.max(np.abs(lhs - rhs))), "conjugation"
+
+
+def _oracle(gs, held):
+    grid = oracle.default_grid(gs.spec, 0, k=2)
+    levels = oracle.lowest_eigenvalues(oracle.discretize(gs.spec, 0, grid), 2, 1e-9)
+    closed = [e for _, e in _closed_levels(gs.spec, 2)]
+    for i, (num, cf) in enumerate(zip(levels, closed)):
+        yield f"oracle_level[{i}]", num - cf, "oracle_"
+
+
+# the report's sections in order: (section name, rows of (name, value, tolerance key))
+_SECTIONS = (
+    ("eigen_residuals", _eigen_residuals),
+    ("orthonormality", _orthonormality),
+    ("ladder", _ladder),
+    ("commutators", _commutators),
+    ("casimir", _casimir),
+    ("mapping", _mapping),
+    ("oracle", _oracle),
+)
 
 
 def build_report(spec, n_max=5, tol=None):
     """Run every verification section against one family spec."""
     systems._check_index(n_max, "n_max must be at least 1", 1)
-    tols = _tols(tol)
-    deformed = spec.deformed
+    if tol is not None:
+        _check_tol(tol)
     report = VerificationReport(_spec_echo(spec))
+    gs = algebra.generator_set(spec)
     # held for the whole report, so every section shares their remembered stacks
     held = [systems.bound_state(spec, n) for n in range(n_max + 1)]
-
-    for n in range(n_max + 1):
-        grid = operators.default_residual_grid(spec, n)
-        report.add(
-            "eigen_residuals",
-            f"eigen_residual[n={n}]",
-            operators.eigen_residual(spec, n, grid),
-            tols["eigen_residuals"],
-        )
-
-    meas = measures.family_measure(spec.family)
-    count = min(n_max, 5) + 1
-    gram = measures.gram_matrix(meas, held[:count])
-    report.add(
-        "orthonormality",
-        f"gram_deviation[{count}x{count}]",
-        float(np.max(np.abs(gram - np.eye(count)))),
-        tols["orthonormality"],
-    )
-
-    gs = algebra.generator_set(spec)
-    for n in range(min(n_max, 5) + 1):
-        for direction in (algebra.PLUS, algebra.MINUS):
-            closed = algebra.ladder_coefficient(gs, n, direction)
-            numeric = algebra.matrix_element_numeric(gs, n, direction)
-            report.add(
-                "ladder",
-                f"ladder_{direction}[n={n}]",
-                numeric - closed,
-                tols["ladder"],
-            )
-    report.add(
-        "ladder",
-        "lowest_weight_annihilation",
-        algebra.annihilation_residual(gs),
-        tols["annihilation"],
-    )
-
-    comm_tol = tols["commutators_deformed" if deformed else "commutators_constant"]
-    for rec in algebra.commutator_residuals(gs, min(n_max, 5), pointwise_n_max=2):
-        report.add("commutators", f"{rec.name}[n={rec.n}]", rec.value, comm_tol)
-
-    uni = algebra.unirrep(gs)
-    for n, state in enumerate(held[: min(n_max, 3) + 1]):
-        pts = algebra.pointwise_grid(spec, n)
-        resid = np.max(
-            np.abs(algebra.casimir_apply(gs, state, pts) - uni.casimir * state(pts))
-        ) / np.max(np.abs(state(pts)))
-        report.add("casimir", f"casimir_action[n={n}]", float(resid), tols["casimir"])
-
-    map_tol = tols["mapping_deformed" if deformed else "mapping_constant"]
-    try:
-        _mapping_section(report, spec, gs, n_max, map_tol, tols["conjugation"])
-    except ParameterError:
-        pass  # no image family (e.g. omega^2 <= 3 alpha^2); nothing to check
-
-    oracle_tol = ORACLE_TOL_DEFORMED if deformed else ORACLE_TOL_CONSTANT
-    grid = oracle.default_grid(spec, 0, k=2)
-    levels = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), 2, 1e-9)
-    closed = [e for _, e in _closed_levels(spec, 2)]
-    for i, (num, cf) in enumerate(zip(levels, closed)):
-        report.add("oracle", f"oracle_level[{i}]", num - cf, oracle_tol)
+    for section, rows in _SECTIONS:
+        for name, value, key in rows(gs, held):
+            report.add(section, name, value, _tolerance(key, spec, tol))
     return report
-
-
-def _mapping_section(report, spec, gs, n_max, map_tol, conj_tol):
-    if spec.family in ("ho", "morse"):
-        target_family = "morse" if spec.family == "ho" else "coulomb"
-        mapping = pct.mapping(spec.family, target_family)
-        target, _ = pct.map_parameters(spec, 0, target_family)
-        tgt_gs = algebra.generator_set(target)
-        held = [systems.bound_state(target, n) for n in range(min(n_max, 3) + 1)]
-        for n, direct in enumerate(held):
-            state = systems.bound_state(spec, n)
-            mapped = pct.map_state(mapping, state)
-            pts = algebra.pointwise_grid(target, n)
-            report.add(
-                "mapping",
-                f"mapped_state[{target_family},n={n}]",
-                float(np.max(np.abs(mapped(pts) - direct(pts)))),
-                map_tol,
-            )
-        state = systems.bound_state(spec, min(n_max, 2))
-        mapped = pct.map_state(mapping, state)
-        pts = algebra.pointwise_grid(target, state.n)
-        src_pts = mapping.coord_map(pts)
-        inv_pref = mapping.inv_prefactor_derivs(pts)[0]
-        for which in (algebra.ZERO, algebra.PLUS, algebra.MINUS):
-            lhs = algebra.apply_generator_fn(tgt_gs, which, mapped, state.n)(pts)
-            rhs = inv_pref * algebra.apply_generator(gs, which, state)(src_pts)
-            report.add(
-                "mapping",
-                f"generator_conjugation[{which}]",
-                float(np.max(np.abs(lhs - rhs))),
-                conj_tol,
-            )
 
 
 VERIFY_ALL_SPECS = (
@@ -434,9 +452,7 @@ def _dispatch(parser, args):
     # oracle-compare
     spec = _spec_from_args(parser, args.family, args)
     _check_nmax(parser, args.nmax, 9)
-    tol = ORACLE_TOL_DEFORMED if spec.deformed else ORACLE_TOL_CONSTANT
-    if args.tol is not None:
-        tol = _check_tol(args.tol)
+    tol = _tolerance("oracle_", spec) if args.tol is None else _check_tol(args.tol)
     closed = [e for _, e in _closed_levels(spec, args.nmax + 1)]
     k = len(closed)
     bounds = _grid_bounds(parser, args)

@@ -140,6 +140,8 @@ def _products(measure, fns, pairs, rtol):
         raise ParameterError("rtol below 1e-12 is not supported")
     if math.isnan(rtol):
         raise ParameterError("rtol must be a number, got nan")
+    if rtol == math.inf:  # would settle every pair at its first level
+        raise ParameterError("rtol must be finite, got inf")
     values = {}
     settled = {}
     last = {}

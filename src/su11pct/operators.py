@@ -204,4 +204,5 @@ def support(spec, n, rel_floor, weight=None):
 
 def support_grid(spec, n, count, rel_floor, weight=None):
     """count points over the support interval, spaced like the family's grids."""
+    systems._check_index(count, "count must be at least 1", 1)
     return systems.FAMILIES[spec.family].spacing(*support(spec, n, rel_floor, weight), count)

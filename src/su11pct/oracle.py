@@ -214,13 +214,14 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
     ConvergenceError carrying the open brackets of the levels still wider
     than tol when it is spent, or when no float is left between the ends.
     """
-    if not 1 <= k <= 10:
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 10):
         raise ParameterError("k must be between 1 and 10")
-    systems._check_index(k, "k must be between 1 and 10")
     if tol < 1e-12:
         raise ParameterError("tol below 1e-12 is not supported")
     if math.isnan(tol):
         raise ParameterError("tol must be a number, got nan")
+    if tol == math.inf:  # would accept the starting bracket's midpoint unswept
+        raise ParameterError("tol must be finite, got inf")
     diag = dh.diag
     bound = np.abs(dh.offdiag)
     # Gershgorin discs of the similar matrix J^(-1/2) T J^(1/2), i.e. of the
@@ -316,10 +317,11 @@ def default_grid(spec, member_n=0, count=None, k=3):
     level's energy to the third's; a Coulomb spectrum, which rises toward
     0, keeps its count, and k <= 3 grids do not change.
     """
+    systems._check_index(k, "k must be at least 1", 1)
     a = spec.alpha
     slots = systems.FAMILIES[spec.family].slots(spec, member_n)
     # never empty: a valid spec's member-n well holds its level n, so its level 0
-    levels = systems.levels(spec.family, slots, a, max(k, 1))
+    levels = systems.levels(spec.family, slots, a, k)
     if spec.family == "morse":
         e_deep, e_shallow = levels[0][1], levels[-1][1]
         b2, c = slots[2], -slots[1]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from su11pct import cli, operators, oracle, specfun, systems
+from su11pct import cli, operators, oracle, pct, specfun, systems
 from su11pct.errors import ConvergenceError, ParameterError
 
 
@@ -160,6 +160,64 @@ def test_ladder_sections_pass_at_L_minus_half():
     sections = cli.build_report(systems.OscillatorSpec(1.0, -0.5)).to_dict()["sections"]
     for name in ("ladder", "commutators"):
         assert all(e["pass"] for e in sections[name]), name
+
+
+def _expected_layout(family, params):
+    """(section, name, tolerance) of each entry of a default battery report, in order.
+
+    Written out from the stated tolerances, not from cli's tables: the second of
+    each pair is the deformed-mass one.
+    """
+    kind = int(params["alpha"] > 0)
+    rows = [("eigen_residuals", f"eigen_residual[n={n}]", 1e-9) for n in range(6)]
+    rows.append(("orthonormality", "gram_deviation[6x6]", 1e-7))
+    rows += [("ladder", f"ladder_{d}[n={n}]", 1e-7) for n in range(6) for d in ("plus", "minus")]
+    rows.append(("ladder", "lowest_weight_annihilation", 1e-8))
+    commutator = (1e-10, 1e-7)[kind]
+    for n in range(6):
+        spacings = ("mu_spacing_up", "mu_spacing_down") if n else ("mu_spacing_up",)
+        for name in (*spacings, "plus_minus_bracket"):
+            rows.append(("commutators", f"{name}[n={n}]", commutator))
+    for n in range(3):
+        for pair in ("zero_plus", "zero_minus", "plus_minus"):
+            rows.append(("commutators", f"comm_{pair}_pointwise[n={n}]", commutator))
+    rows += [("casimir", f"casimir_action[n={n}]", 1e-7) for n in range(4)]
+    target = {"ho": "morse", "morse": "coulomb"}.get(family)
+    if target is not None:
+        mapped = (1e-12, 1e-9)[kind]
+        rows += [("mapping", f"mapped_state[{target},n={n}]", mapped) for n in range(4)]
+        for which in ("zero", "plus", "minus"):
+            rows.append(("mapping", f"generator_conjugation[{which}]", 1e-9))
+    levels = 1 if family == "morse" else 2  # each battery Morse well holds one level
+    rows += [("oracle", f"oracle_level[{i}]", (5e-4, 2e-3)[kind]) for i in range(levels)]
+    return rows
+
+
+def test_battery_reports_list_their_entries_and_tolerances():
+    for family, params in cli.VERIFY_ALL_SPECS:
+        report = cli.build_report(cli._FAMILY_ARGS[family][0](**params))
+        layout = [(s, e["name"], e["tolerance"]) for s, es in report.sections.items() for e in es]
+        assert layout == _expected_layout(family, params), (family, params)
+
+
+def test_an_error_in_the_mapping_rows_propagates(monkeypatch):
+    # only a missing image family skips the mapping section; any ParameterError
+    # in it used to drop the section and leave the report passing
+    def broken(mapping, state):
+        raise ParameterError("broken map")
+
+    monkeypatch.setattr(pct, "map_state", broken)
+    with pytest.raises(ParameterError, match="^broken map$"):
+        cli.build_report(systems.OscillatorSpec(1.0, 0.0), n_max=2)
+
+
+def test_an_oscillator_without_a_morse_image_reports_no_mapping():
+    spec = systems.OscillatorSpec(1.0, 0.0, 1.0)  # omega^2 <= 3 alpha^2
+    with pytest.raises(ParameterError):
+        pct.map_parameters(spec, 0, "morse")
+    report = cli.build_report(spec, n_max=2)
+    assert "mapping" not in report.sections
+    assert report.overall_pass
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

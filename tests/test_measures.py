@@ -205,3 +205,7 @@ def test_nan_rtol_is_refused():
         measures.inner_product(meas, state, state, math.nan)
     with pytest.raises(ParameterError, match="^rtol below 1e-12 is not supported$"):
         measures.inner_product(meas, state, state, 1e-13)
+    # inf settled at the first level: 1.0181 for the n = 40 norm
+    high = systems.bound_state(CONSTANT_SPECS["ho"], 40)
+    with pytest.raises(ParameterError, match="^rtol must be finite, got inf$"):
+        measures.inner_product(meas, high, high, math.inf)

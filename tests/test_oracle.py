@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from su11pct import oracle, systems
+from su11pct import algebra, operators, oracle, systems
 from su11pct.errors import ConvergenceError, ParameterError
 
 # the six specs of `su11pct verify --all`
@@ -292,5 +292,22 @@ def test_eigenvalue_tol_and_count_must_be_numbers():
         oracle.lowest_eigenvalues(dh, 1, math.nan)
     with pytest.raises(ParameterError, match="^tol below 1e-12 is not supported$"):
         oracle.lowest_eigenvalues(dh, 1, 1e-13)
-    with pytest.raises(ParameterError, match="^k must be between 1 and 10$"):
-        oracle.lowest_eigenvalues(dh, 1.5)
+    # inf returned the midpoint of the starting bracket without one sweep
+    with pytest.raises(ParameterError, match="^tol must be finite, got inf$"):
+        oracle.lowest_eigenvalues(dh, 1, math.inf)
+    for k in (1.5, 0, 11, "2"):
+        with pytest.raises(ParameterError, match="^k must be between 1 and 10$"):
+            oracle.lowest_eigenvalues(dh, k)
+
+
+def test_grid_counts_must_be_integers():
+    # each ended in a bare TypeError
+    spec = systems.MorseSpec(2.5, 1.0)
+    with pytest.raises(ParameterError, match="^k must be at least 1$"):
+        oracle.default_grid(spec, 0, k=2.5)
+    with pytest.raises(ParameterError, match="^count must be at least 1$"):
+        algebra.pointwise_grid(spec, 0, count=2.5)
+    with pytest.raises(ParameterError, match="^count must be at least 1$"):
+        operators.default_residual_grid(spec, 0, count=2.5)
+    assert oracle.default_grid(spec, 0, k=np.int64(2)) == oracle.default_grid(spec, 0, k=2)
+    assert algebra.pointwise_grid(spec, 0, count=np.int64(7)).size == 7
