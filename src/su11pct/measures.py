@@ -136,12 +136,7 @@ def _products(measure, fns, pairs, rtol):
     numpy's pairwise reduction in fixed node order, so a pair's value does
     not depend on which other pairs are computed with it.
     """
-    if rtol < 1e-12:
-        raise ParameterError("rtol below 1e-12 is not supported")
-    if math.isnan(rtol):
-        raise ParameterError("rtol must be a number, got nan")
-    if rtol == math.inf:  # would settle every pair at its first level
-        raise ParameterError("rtol must be finite, got inf")
+    systems._check_tol(rtol, "rtol")
     values = {}
     settled = {}
     last = {}

@@ -24,10 +24,15 @@ counts also sums G(x) = sum_j 1/(x - lambda_j), the log-derivative of
 det(T - x).  A bracket is bisected, geometrically while its ends differ
 in scale, until counts isolate one level in it; then the pole of
 G ~ 1/(x - lambda) + R through its ends, with the levels already found
-deflated, converges superlinearly.  Only counts move a bracket, so every
-level is the midpoint of a counted bracket narrower than the tolerance.
-Nothing here touches the closed-form states, so the eigenvalues
-cross-validate the analytic spectra.
+deflated, converges superlinearly.  Before that, ``discretize`` keeps the
+member Hamiltonian's closed-form levels on the matrix as seeds: a level's
+first sweep is made at its seed, and its second at the Newton step from
+that sweep, so a level the closed form and the matrix share takes three
+or four sweeps instead of a bisection from the Gershgorin interval.  Only
+counts move a bracket, so every level is the midpoint of a counted
+bracket narrower than the tolerance, and a seed, which only chooses where
+a sweep is made, never decides a level.  The closed forms enter nowhere
+else, so the eigenvalues cross-validate the analytic spectra.
 """
 
 import math
@@ -44,6 +49,7 @@ PAD = 2.0  # outer padding of the half-line grids
 COUNT = 4000  # default node count
 MORSE_STEP = 0.05  # largest default step on the Morse line
 SCALE = 2.0  # ratio of bracket ends past which bisection turns geometric
+MAX_LEVELS = 10  # most levels one solve returns
 # Energy unit (lam for the oscillator, kappa_0^2 for Coulomb) up to which
 # COUNT log nodes hold the constant-mass levels to about 0.4 of 5e-4
 LOG_UNIT = {"ho": 1.5, "coulomb": 200.0}
@@ -102,19 +108,28 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
-    """Symmetric tridiagonal matrix over the interior grid nodes."""
+    """Symmetric tridiagonal matrix over the interior grid nodes.
+
+    ``seeds`` are where ``lowest_eigenvalues`` makes its first sweep for
+    each level, in order; they choose sweeps only, never a level.
+    """
 
     diag: np.ndarray
     offdiag: np.ndarray
     grid: GridSpec
+    seeds: tuple = ()
 
 
 def discretize(spec, member_n, grid):
     """Flux-form discretization of the member_n Hamiltonian on the grid.
 
     See the module docstring for the matrix; it is symmetric by
-    construction with non-positive off-diagonals.
+    construction with non-positive off-diagonals.  The seeds are the
+    Hamiltonian's closed-form levels, up to MAX_LEVELS of them, or fewer
+    where its well holds fewer.
     """
+    slots = systems.FAMILIES[spec.family].slots(spec, member_n)
+    seeds = tuple(e for _, e in systems.levels(spec.family, slots, spec.alpha, MAX_LEVELS))
     _, q_of_u, jac = _COORDINATES[grid.spacing]
     u = grid.u_nodes()
     h = grid.step
@@ -124,7 +139,7 @@ def discretize(spec, member_n, grid):
     j = jac(u[1:-1])
     diag = (w_j[:-1] + w_j[1:]) / (h * h) / j + v
     off = -w_j[1:-1] / (h * h) / np.sqrt(j[:-1] * j[1:])
-    return DiscreteHamiltonian(diag, off, grid)
+    return DiscreteHamiltonian(diag, off, grid, seeds)
 
 
 def _count_below(diag, off2, x):
@@ -173,6 +188,12 @@ def _split(lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _deflated(sweep, found):
+    """(x, G) of an (x, count, G) sweep with the found levels taken out of G."""
+    x, _, g = sweep
+    return x, g - sum(1.0 / (x - lam) for lam in found)
+
+
 def _pole(lower, upper, found):
     """Estimate of the one level between the sweeps lower and upper.
 
@@ -180,12 +201,10 @@ def _pole(lower, upper, found):
     swept, is nan.  With the found levels deflated, G ~ 1/(x - lam) + R
     near lam, R the smooth sum over the levels above.  The model through
     both ends has two roots in the bracket; the one nearer the Newton step
-    lam = x - 1/G from the end nearer the pole (the larger |G|) is taken,
-    or that Newton step alone when the model has no root.
+    from the end nearer the pole (the larger |G|) is taken, or that Newton
+    step alone when the model has no root.
     """
-    (x1, g1), (x2, g2) = [
-        (x, g - sum(1.0 / (x - lam) for lam in found)) for x, _, g in (lower, upper)
-    ]
+    (x1, g1), (x2, g2) = _deflated(lower, found), _deflated(upper, found)
     newton = x1 - 1.0 / g1 if abs(g1) > abs(g2) else x2 - 1.0 / g2
     dx = x2 - x1
     if not g1 < g2:  # the model needs G lower below the pole than above it
@@ -202,26 +221,28 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
 
     Brackets start from the Gershgorin interval of the grid's unscaled
     rows, capped above by interlacing, and every sweep's count narrows
-    those of all k levels.  Until the counts at its ends, j and j + 1,
-    isolate level j, its bracket is split by ``_split``.  From then on the
-    shift is the ``_pole`` estimate, moved a quarter of tol toward the far
-    end so that the last two sweeps close the bracket; an estimate that is
-    not finite, leaves the bracket, or lies more than half as far from the
-    last shift as that lay from the one before falls back to ``_split``.
-    On the six battery matrices (about 4,000 rows, k = 2, tol = 1e-9) this
-    takes 16 to 23 sweeps, against 68 to 89 for bisection alone.  The
-    budget is bisection's, max_iter sweeps per level.  Raises
+    those of all k levels.  Level j's first shift is ``dh.seeds[j]`` when
+    that lies inside its bracket, and its second the Newton step
+    x - 1/G from that sweep, found levels deflated.  Otherwise, until the
+    counts at its ends, j and j + 1, isolate level j, its bracket is split
+    by ``_split``; from then on the shift is the ``_pole`` estimate.  Both
+    estimates are moved a quarter of tol toward the far end so that the
+    last two sweeps close the bracket.  An estimate that is not finite or
+    leaves the bracket, or a pole estimate that lies more than half as far
+    from the last shift as that lay from the one before, falls back to
+    ``_split``.  A seed only chooses where a sweep is made, so a wrong one
+    costs sweeps, never a level.  On the six battery matrices (about 4,000
+    rows, k = 2, tol = 1e-9) this takes 6 to 13 sweeps, 52 in all: 3 or 4
+    for a level the seed and the matrix share, 9 for the Morse box level
+    above a fixed well's one bound level, which has no seed.  Unseeded it
+    takes 16 to 23, and bisection alone 68 to 89.  The budget is
+    bisection's, max_iter sweeps per level.  Raises
     ConvergenceError carrying the open brackets of the levels still wider
     than tol when it is spent, or when no float is left between the ends.
     """
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 10):
-        raise ParameterError("k must be between 1 and 10")
-    if tol < 1e-12:
-        raise ParameterError("tol below 1e-12 is not supported")
-    if math.isnan(tol):
-        raise ParameterError("tol must be a number, got nan")
-    if tol == math.inf:  # would accept the starting bracket's midpoint unswept
-        raise ParameterError("tol must be finite, got inf")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= MAX_LEVELS):
+        raise ParameterError(f"k must be between 1 and {MAX_LEVELS}")
+    systems._check_tol(tol, "tol")
     diag = dh.diag
     bound = np.abs(dh.offdiag)
     # Gershgorin discs of the similar matrix J^(-1/2) T J^(1/2), i.e. of the
@@ -246,21 +267,28 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
     lower = [(lo, 0, math.nan)] * k
     upper = [(hi, None, math.nan)] * k
     last = math.inf  # the last shift
+    sweep = (math.nan, 0, math.nan)  # the last sweep, (x, count, G); none yet
     out = []
     stalled = []
     for j in range(k):
         step = math.inf  # distance of the last shift from the one before
+        seed = dh.seeds[j] if j < len(dh.seeds) else math.nan
         for _ in range(max_iter):
             (lo, below, _), (hi, above, _) = lower[j], upper[j]
             if hi - lo < tol:
                 break
             lam = math.nan
-            if below == j and above == j + 1:
-                try:
+            try:
+                if sweep[0] == seed:  # the Newton step from the seed's sweep, unguarded
+                    x0, g0 = _deflated(sweep, out)
+                    lam, step = x0 - 1.0 / g0, math.inf
+                elif below == j and above == j + 1:
                     lam = _pole(lower[j], upper[j], out)
-                except ZeroDivisionError:
-                    pass
-            if lo < lam < hi and abs(lam - last) <= 0.5 * step:
+            except ZeroDivisionError:
+                pass
+            if lo < seed < hi:  # the level's first shift
+                x = seed
+            elif lo < lam < hi and abs(lam - last) <= 0.5 * step:
                 # a quarter of tol past the estimate, toward the far end, so
                 # that the next sweep or two close the bracket
                 x = lam - 0.25 * tol if lam - lo > hi - lam else lam + 0.25 * tol
@@ -271,13 +299,14 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
                 if not lo < x < hi:  # no float left between the ends
                     break
             step, last = abs(x - last), x
-            c, g = _count_below(dlist, off2, x)
+            sweep = (x, *_count_below(dlist, off2, x))
+            c = sweep[1]
             for i in range(min(c, k)):  # levels 0..c-1 lie below x
                 if x < upper[i][0]:
-                    upper[i] = (x, c, g)
+                    upper[i] = sweep
             for i in range(c, k):  # the others at or above it
                 if x > lower[i][0]:
-                    lower[i] = (x, c, g)
+                    lower[i] = sweep
         lo, hi = lower[j][0], upper[j][0]
         if hi - lo < tol:
             out.append(0.5 * (lo + hi))

@@ -117,6 +117,7 @@ smaller arrays, and so scalars, are one block.
 
 import contextvars
 import math
+import numbers
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -147,6 +148,20 @@ def _check_index(n, message, lowest=0):
     """Raise ParameterError(message) unless n is an int of at least lowest; numpy integers pass."""
     if not isinstance(n, (int, np.integer)) or n < lowest:
         raise ParameterError(message)
+
+
+def _check_tol(value, name):
+    """Raise ParameterError unless value is a real number in [1e-12, inf).
+
+    A non-number or NaN would fail inside the solve, and inf would end an
+    oracle solve or a quadrature before its first step.
+    """
+    if not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    if value < 1e-12:
+        raise ParameterError(f"{name} below 1e-12 is not supported")
+    if value == math.inf:
+        raise ParameterError(f"{name} must be finite, got inf")
 
 
 def _warn_if_not_half_integer(value, name):

@@ -209,3 +209,7 @@ def test_nan_rtol_is_refused():
     high = systems.bound_state(CONSTANT_SPECS["ho"], 40)
     with pytest.raises(ParameterError, match="^rtol must be finite, got inf$"):
         measures.inner_product(meas, high, high, math.inf)
+    # a non-number ended in a bare TypeError
+    for rtol in ("1e-9", None, [1e-9]):
+        with pytest.raises(ParameterError, match="^rtol must be a number, got "):
+            measures.inner_product(meas, state, state, rtol)

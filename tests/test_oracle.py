@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from su11pct import algebra, operators, oracle, systems
+from su11pct import algebra, cli, operators, oracle, systems
 from su11pct.errors import ConvergenceError, ParameterError
 
 # the six specs of `su11pct verify --all`
@@ -227,11 +228,52 @@ def test_levels_agree_with_lapack_within_tol():
 
 @pytest.mark.parametrize("spec", BATTERY, ids=str)
 def test_battery_solve_sweep_budget(monkeypatch, spec):
-    # bisection alone takes 68 to 89 sweeps on these matrices
+    # bisection alone takes 68 to 89 sweeps on these matrices, the unseeded
+    # root finder 16 to 23, the seeded one 6 to 13
     dh = battery_matrix(spec)
     shifts = count_sweeps(monkeypatch)
     oracle.lowest_eigenvalues(dh, 2, 1e-9)
-    assert len(shifts) <= 35
+    assert len(shifts) <= 13
+
+
+def test_seeds_are_the_closed_form_levels():
+    # the levels the report compares against, as many as the well holds
+    matrices = [battery_matrix(spec) for spec in BATTERY]
+    for spec, dh in zip(BATTERY, matrices):
+        assert dh.seeds == tuple(e for _, e in cli._closed_levels(spec, oracle.MAX_LEVELS))
+    # the fixed Morse wells hold one level, the deformed Coulomb well four
+    assert [len(dh.seeds) for dh in matrices] == [10, 10, 1, 1, 10, 4]
+    dh = matrices[0]
+    assert oracle.DiscreteHamiltonian(dh.diag, dh.offdiag, dh.grid).seeds == ()
+
+
+@pytest.mark.parametrize("spec", BATTERY, ids=str)
+def test_seeds_choose_sweeps_never_levels(monkeypatch, spec):
+    dh = battery_matrix(spec)
+    true = dh.seeds
+    wrong = {
+        "true": true,
+        "10 % off": tuple(1.1 * e for e in true),
+        "swapped": true[1:2] + true[:1] + true[2:],
+        "shifted one level": true[1:],
+        "nan": (math.nan,) * len(true),
+        "huge": (1e300, -1e300) * 5,
+        "empty": (),
+    }
+    shifts = count_sweeps(monkeypatch)
+    tol = 1e-9
+    for k in (2, 5):
+        ref = eigvalsh_tridiagonal(
+            dh.diag, dh.offdiag, select="i", select_range=(0, k - 1), tol=1e-12
+        )
+        sweeps = {}
+        for name, seeds in wrong.items():
+            shifts.clear()
+            mine = oracle.lowest_eigenvalues(dataclasses.replace(dh, seeds=seeds), k, tol)
+            assert np.max(np.abs(np.asarray(mine) - ref)) < tol, (name, k)  # 2.5e-10 at worst
+            sweeps[name] = len(shifts)
+        # a wrong seed costs at most 7 sweeps over none (measured)
+        assert max(sweeps.values()) <= sweeps["empty"] + 7, (k, sweeps)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -295,6 +337,10 @@ def test_eigenvalue_tol_and_count_must_be_numbers():
     # inf returned the midpoint of the starting bracket without one sweep
     with pytest.raises(ParameterError, match="^tol must be finite, got inf$"):
         oracle.lowest_eigenvalues(dh, 1, math.inf)
+    # a non-number ended in a bare TypeError
+    for tol in ("1e-9", None, [1e-9]):
+        with pytest.raises(ParameterError, match="^tol must be a number, got "):
+            oracle.lowest_eigenvalues(dh, 1, tol)
     for k in (1.5, 0, 11, "2"):
         with pytest.raises(ParameterError, match="^k must be between 1 and 10$"):
             oracle.lowest_eigenvalues(dh, k)
