@@ -22,7 +22,9 @@ the generator set and the held states 0..n_max that yields
     casimir          Casimir action, n <= 3                casimir
     mapping          mapped states, n <= 3                 mapping_
                      generator conjugation, n = 2          conjugation
-    oracle           two lowest levels against the oracle  oracle_
+    oracle           the levels the member-0 well holds,   oracle_
+                     at most two, each against the
+                     matrix's seed
 
 Every n runs up to n_max at most.  A key names an ``ANALYTIC_TOLS``
 entry, which ``--tol`` replaces, or ends in "_" and takes the spec's mass
@@ -30,6 +32,11 @@ kind, "constant" or "deformed".  "oracle_constant" and "oracle_deformed"
 are ``ORACLE_TOL_CONSTANT`` and ``ORACLE_TOL_DEFORMED``, which ``--tol``
 never replaces.  The mapping section is empty for Coulomb and for a spec
 with no image family.
+
+``oracle-compare`` takes ``--nmax`` in [0, oracle.MAX_LEVELS - 1] and
+compares levels 0..nmax, or as many as the member-0 well holds, each
+against the matrix's seed.  The oracle rows and ``oracle-compare`` solve
+exactly the levels they print.
 """
 
 import argparse
@@ -199,9 +206,9 @@ def _mapping(gs, held):
 
 
 def _oracle(gs, held):
-    grid = oracle.default_grid(gs.spec, 0, k=2)
-    levels = oracle.lowest_eigenvalues(oracle.discretize(gs.spec, 0, grid), 2, 1e-9)
-    closed = [e for _, e in _closed_levels(gs.spec, 2)]
+    dh = oracle.discretize(gs.spec, 0, oracle.default_grid(gs.spec, 0, k=2))
+    closed = dh.seeds[:2]
+    levels = oracle.lowest_eigenvalues(dh, len(closed), 1e-9)
     for i, (num, cf) in enumerate(zip(levels, closed)):
         yield f"oracle_level[{i}]", num - cf, "oracle_"
 
@@ -451,10 +458,8 @@ def _dispatch(parser, args):
 
     # oracle-compare
     spec = _spec_from_args(parser, args.family, args)
-    _check_nmax(parser, args.nmax, 9)
+    _check_nmax(parser, args.nmax, oracle.MAX_LEVELS - 1)
     tol = _tolerance("oracle_", spec) if args.tol is None else _check_tol(args.tol)
-    closed = [e for _, e in _closed_levels(spec, args.nmax + 1)]
-    k = len(closed)
     bounds = _grid_bounds(parser, args)
     if bounds is not None:
         grid = oracle.GridSpec(
@@ -463,8 +468,10 @@ def _dispatch(parser, args):
             systems.FAMILIES[spec.family].spacing,
         )
     else:
-        grid = oracle.default_grid(spec, 0, count=args.grid_count, k=k)
-    levels = oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), k, 1e-9)
+        grid = oracle.default_grid(spec, 0, count=args.grid_count, k=args.nmax + 1)
+    dh = oracle.discretize(spec, 0, grid)
+    closed = dh.seeds[: args.nmax + 1]
+    levels = oracle.lowest_eigenvalues(dh, len(closed), 1e-9)
     entries = []
     for n, (cf, num) in enumerate(zip(closed, levels)):
         diff = abs(num - cf)

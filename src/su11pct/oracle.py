@@ -45,6 +45,13 @@ from . import systems
 from .errors import ConvergenceError, ParameterError
 
 TAIL = 1e-6  # height, relative to its scale, where a power-law tail is cut
+# Lowest start of a half-line default grid.  The matrix entries grow as
+# 1/(h q)^2, and the Sturm sweep squares the off-diagonal ones, which
+# overflow below q ~ 1e-77/h; as L or Lcal nears -1/2 the wall term's start
+# underflows far below that.  In a scan of 792 default grids (L and Lcal
+# in [-0.499, -0.4]) the floor gave all 322 that overflowed finite matrices
+# and moved 6 of the 470 that solved, those that started just below it.
+_Q_FLOOR = 1e-74
 PAD = 2.0  # outer padding of the half-line grids
 COUNT = 4000  # default node count
 MORSE_STEP = 0.05  # largest default step on the Morse line
@@ -126,7 +133,9 @@ def discretize(spec, member_n, grid):
     See the module docstring for the matrix; it is symmetric by
     construction with non-positive off-diagonals.  The seeds are the
     Hamiltonian's closed-form levels, up to MAX_LEVELS of them, or fewer
-    where its well holds fewer.
+    where its well holds fewer.  Raises ParameterError when an entry, or
+    the square of an off-diagonal one that the Sturm sweep takes, is not
+    finite on the grid.
     """
     slots = systems.FAMILIES[spec.family].slots(spec, member_n)
     seeds = tuple(e for _, e in systems.levels(spec.family, slots, spec.alpha, MAX_LEVELS))
@@ -134,11 +143,18 @@ def discretize(spec, member_n, grid):
     u = grid.u_nodes()
     h = grid.step
     u_mid = 0.5 * (u[:-1] + u[1:])
-    w_j = 1.0 / systems.mass_and_potential(spec, member_n, q_of_u(u_mid))[0] / jac(u_mid)
-    v = systems.mass_and_potential(spec, member_n, q_of_u(u[1:-1]))[1]
-    j = jac(u[1:-1])
-    diag = (w_j[:-1] + w_j[1:]) / (h * h) / j + v
-    off = -w_j[1:-1] / (h * h) / np.sqrt(j[:-1] * j[1:])
+    with np.errstate(all="ignore"):
+        w_j = 1.0 / systems.mass_and_potential(spec, member_n, q_of_u(u_mid))[0] / jac(u_mid)
+        v = systems.mass_and_potential(spec, member_n, q_of_u(u[1:-1]))[1]
+        j = jac(u[1:-1])
+        diag = (w_j[:-1] + w_j[1:]) / (h * h) / j + v
+        off = -w_j[1:-1] / (h * h) / np.sqrt(j[:-1] * j[1:])
+        finite = np.isfinite(diag).all() and np.isfinite(off * off).all()
+    if not finite:
+        raise ParameterError(
+            f"the matrix overflows on the grid [{grid.q_min:g}, {grid.q_max:g}] "
+            f"of {grid.count} nodes"
+        )
     return DiscreteHamiltonian(diag, off, grid, seeds)
 
 
@@ -332,7 +348,7 @@ def default_grid(spec, member_n=0, count=None, k=3):
     half-line grids are geometric: they start where psi ~ (q/l)^m at the
     origin falls to TAIL and a hard wall there shifts the deepest level by
     less than TAIL, with l that level's length (1/sqrt(lam) for the
-    oscillator, 1/(2 kappa_0) for Coulomb), reach
+    oscillator, 1/(2 kappa_0) for Coulomb), but not below _Q_FLOOR, reach
     several decay lengths, or the deformed power-law tails r^-(pa+3/2)
     (oscillator) and R^-(kappa/alpha+1/2) (Coulomb) down to TAIL, and are
     padded by PAD, since a log grid pays only ln(q_max/q_min) for reach.
@@ -395,4 +411,4 @@ def default_grid(spec, member_n=0, count=None, k=3):
         count = max(COUNT, math.ceil(COUNT * math.sqrt(unit / LOG_UNIT[spec.family])))
         if len(levels) > 3:  # a level's error grows with its energy
             count = math.ceil(count * max(1.0, levels[-1][1] / levels[2][1]))
-    return GridSpec(length * y_min, PAD * r_max, count, np.geomspace)
+    return GridSpec(max(length * y_min, _Q_FLOOR), PAD * r_max, count, np.geomspace)

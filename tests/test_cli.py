@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,66 @@ def test_oracle_compare_ten_levels(capsys, args):
     assert len(payload["levels"]) == 10
 
 
+def test_a_well_that_loses_a_level_reports_without_a_warning(capsys):
+    # the deformation keeps one of the fixed well's two constant-mass levels;
+    # the oracle rows count the levels on the matrix's seeds, so su11pct does
+    # not warn on its own behalf about the level the caller never asked for
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cli.build_report(systems.MorseSpec(1.5, 0.5, 0.4))
+        code, out = run_cli(
+            capsys, "oracle-compare", "--family", "morse", "--A", "1.5", "--B", "0.5",
+            "--alpha", "0.4", "--nmax", "3",
+        )
+    assert [e["name"] for e in report.sections["oracle"]] == ["oracle_level[0]"]
+    assert report.overall_pass
+    assert code == 0
+    assert [lev["n"] for lev in json.loads(out)["levels"]] == [0]
+
+
+def test_oracle_rows_solve_only_the_levels_they_report(monkeypatch):
+    solve = oracle.lowest_eigenvalues
+    ks = []
+
+    def recorded(dh, k, tol):
+        ks.append(k)
+        return solve(dh, k, tol)
+
+    monkeypatch.setattr(oracle, "lowest_eigenvalues", recorded)
+    for family, params in cli.VERIFY_ALL_SPECS:
+        ks.clear()
+        report = cli.build_report(cli._FAMILY_ARGS[family][0](**params))
+        # the fixed Morse wells hold one level, every other member-0 well two or more
+        assert ks == [len(report.sections["oracle"])], (family, params)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "ho", "--omega", "1", "--L", "-0.495", "--alpha", "0"),
+        ("oracle-compare", "--family", "ho", "--omega", "1", "--L", "-0.49", "--nmax", "1"),
+        ("oracle-compare", "--family", "ho", "--omega", "1", "--L", "-0.48", "--nmax", "1"),
+        ("oracle-compare", "--family", "ho", "--omega", "1", "--L", "-0.45", "--nmax", "1"),
+        ("oracle-compare", "--family", "coulomb", "--Z", "1", "--Lcal", "-0.49", "--nmax", "1"),
+        ("oracle-compare", "--family", "coulomb", "--Z", "1", "--Lcal", "-0.48", "--nmax", "1"),
+        ("oracle-compare", "--family", "coulomb", "--Z", "1", "--Lcal", "-0.47", "--nmax", "1"),
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}{argv[6]}",
+)
+def test_a_power_near_one_half_reports_its_oracle_levels(capsys, argv):
+    # the wall term of the default grid's start underflows as L or Lcal nears
+    # -1/2; floored, the grid gives a finite matrix and the report is printed.
+    # The finite-difference levels may miss there, and then the report fails.
+    with pytest.warns(UserWarning, match="half-integer"):
+        code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == ""
+    assert code == (0 if payload["overall_pass"] else 1)
+    levels = payload["sections"]["oracle"] if argv[0] == "verify" else payload["levels"]
+    assert len(levels) == 2
+
+
 def test_reports_are_byte_stable(capsys):
     args = (
         "verify", "--family", "morse", "--A", "0.25", "--B", "0.25", "--nmax", "2"
@@ -381,6 +442,16 @@ def test_spectrum_negative_nmax_exits_2(capsys, family):
 def test_oracle_compare_nmax_capped_at_9(capsys):
     assert exit_code("oracle-compare", *HO, "--nmax", "10") == 2
     assert capsys.readouterr().out == ""
+
+
+def test_an_overflowing_grid_exits_2(capsys):
+    argv = ("--nmax", "1", "--grid-min", "1e-200", "--grid-max", "10")
+    assert exit_code("oracle-compare", *HO, *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the matrix overflows on the grid [1e-200, 10] of 4000 nodes"
+    ]
 
 
 @pytest.mark.parametrize("count", ["-3", "0"])

@@ -20,7 +20,8 @@ BATTERY = [
 
 
 def battery_matrix(spec):
-    """The matrix whose two lowest levels `verify` compares."""
+    """The matrix whose lowest levels `verify` compares: two, or the one that
+    a fixed Morse well of the battery holds."""
     return oracle.discretize(spec, 0, oracle.default_grid(spec, 0, k=2))
 
 
@@ -35,6 +36,37 @@ def count_sweeps(monkeypatch):
 
     monkeypatch.setattr(oracle, "_count_below", counted)
     return shifts
+
+
+def test_a_matrix_that_overflows_is_refused():
+    ho = systems.OscillatorSpec(1.0, 0.0)
+    # at 1e-200 the diagonal overflows, at 1e-100 the squared off-diagonal the sweep takes
+    for q_min in (1e-200, 1e-100):
+        grid = oracle.GridSpec(q_min, 10.0, 4000, np.geomspace)
+        with pytest.raises(ParameterError, match=rf"overflows on the grid \[{q_min:g}, 10\]"):
+            oracle.discretize(ho, 0, grid)
+    with pytest.raises(ParameterError, match=r"\[-400, 10\] of 4000 nodes"):
+        oracle.discretize(systems.MorseSpec(2.5, 1.0), 0, oracle.GridSpec(-400.0, 10.0, 4000))
+
+
+@pytest.mark.parametrize("power", [-0.499, -0.49, -0.48, -0.45])
+def test_default_grids_near_the_critical_power_give_finite_matrices(power):
+    # the start (TAIL/unit)^(1/(2m-1)) underflows as m = L + 1 or Lcal + 1 nears
+    # 1/2; floored, the matrix stays finite and the solve finishes
+    with pytest.warns(UserWarning, match="half-integer"):
+        specs = [systems.OscillatorSpec(1.0, power), systems.CoulombSpec(power, 1.0)]
+    for spec in specs:
+        grid = oracle.default_grid(spec, 0, k=2)
+        assert grid.q_min >= oracle._Q_FLOOR
+        assert len(oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), 2, 1e-9)) == 2
+
+
+def test_a_default_grid_start_above_the_floor_is_kept():
+    with pytest.warns(UserWarning, match="half-integer"):
+        spec = systems.OscillatorSpec(1.0, -0.45)
+    # (TAIL/unit)^(1/(2m-1)) = (2e-6)^10 in the level's length sqrt(2)
+    grid = oracle.default_grid(spec, 0, k=2)
+    assert grid.q_min == pytest.approx(math.sqrt(2.0) * 2e-6**10, rel=1e-12)
 
 
 def test_grid_validation():
@@ -234,6 +266,18 @@ def test_battery_solve_sweep_budget(monkeypatch, spec):
     shifts = count_sweeps(monkeypatch)
     oracle.lowest_eigenvalues(dh, 2, 1e-9)
     assert len(shifts) <= 13
+
+
+@pytest.mark.parametrize("spec", BATTERY[2:], ids=str)
+def test_each_hierarchy_member_holds_the_shared_energy_as_its_level_n(spec):
+    # the potential algebra: member n of a Morse or Coulomb hierarchy holds
+    # the hierarchy's one energy as its level n, on the matrix as in closed form
+    energy = systems.energy(spec, 0)
+    tol = cli.ORACLE_TOL_DEFORMED if spec.deformed else cli.ORACLE_TOL_CONSTANT
+    for n in range(6):
+        dh = oracle.discretize(spec, n, oracle.default_grid(spec, n, k=n + 1))
+        assert abs(dh.seeds[n] - energy) <= 1e-12
+        assert abs(oracle.lowest_eigenvalues(dh, n + 1, 1e-10)[n] - energy) <= tol
 
 
 def test_seeds_are_the_closed_form_levels():
