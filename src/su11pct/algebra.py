@@ -63,7 +63,13 @@ underflows below r of about 1.5e-154.
 Each operator is an ``operators.DiffOperator2`` whose ``coeffs(p, order)``
 returns derivative stacks: the zero generator's are the flux operator's
 times the gauge by Leibniz; the ladder core's c0 is affine in the stack
-of g/f.
+of g/f.  A realization builds each operator once, the zero generator and
+each (direction, n, scale) ladder core, and keeps it on its
+``GeneratorSet``, so the coefficient stacks an operator remembers serve
+every application on a grid: within one report, all its sections.  The
+coefficient closures hold the spec and numbers, never the set, so a set
+and what it built are freed as soon as the last caller lets go, with no
+cycle for the collector to find.
 
 Spectral-delta convention: delta is a square-root functional of the weight
 generator and is never applied as an operator root.  Acting on the bound
@@ -78,7 +84,7 @@ any singular factor is formed.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -129,6 +135,11 @@ class GeneratorSet:
         """pb and eps = alpha/w of the realization; eps = 0 at constant mass."""
         pb, w = self.invariants
         return pb, self.alpha / w
+
+    @cached_property
+    def _operators(self):
+        """The operators of ``_kept`` builders made so far, by (builder, arguments)."""
+        return {}
 
 
 def generator_set(spec):
@@ -207,6 +218,26 @@ def ladder_coefficient(gs, n, direction):
 # ---------------------------------------------------------------------------
 
 
+def _kept(build):
+    """build(gs, *args), made once per realization and kept on the GeneratorSet.
+
+    So the operator, and the coefficient stacks it remembers, serve every
+    section of a report.  An operator's coefficient closure holds the spec
+    and numbers, never the set: no reference cycle keeps a set alive.
+    """
+
+    @wraps(build)
+    def kept(gs, *args):
+        key = (build, *args)
+        op = gs._operators.get(key)
+        if op is None:
+            op = gs._operators[key] = build(gs, *args)
+        return op
+
+    return kept
+
+
+@_kept
 def _zero_operator(gs):
     """(2 g/(w g'^2)) (H - shift), H the flux operator with the member-free a1."""
     w = gs.w_const
@@ -233,10 +264,11 @@ def _sector(gs, n):
     return pb, w, 0.5 * (w + gs.alpha * (4.0 * n + 2.0 * pb + 1.0))
 
 
+@_kept
 def _ladder_core(gs, direction, n, scale=1.0):
     """b0 + b1 g/f - (g/g') d on the sector of psi_n, times scale (k_n in K+-)."""
     pb, w, d = _sector(gs, n)
-    a = gs.alpha
+    spec, a = gs.spec, gs.alpha
     sgn = 1.0 if direction == PLUS else -1.0
     fam = systems.FAMILIES[gs.family]
     s = 2.0 * n + pb + 1.0
@@ -245,7 +277,7 @@ def _ladder_core(gs, direction, n, scale=1.0):
     slope = -scale * (1.0 - fam.sigma)  # g g''/g'^2 = sigma, so g/g' is linear
 
     def coeffs(p, order):
-        systems.check_point(gs.spec, p)
+        systems.check_point(spec, p)
         c0, _ = systems.g_over_f(a, fam.g(p)[: order + 1], order, scale * b1)
         c0[0] = c0[0] + scale * b0
         return (c0, (-scale * fam.g_ratio(p), slope))
@@ -264,7 +296,7 @@ def apply_generator_fn(gs, which, fn, n):
     sgn, a = (1.0 if which == PLUS else -1.0), gs.alpha
     _, w, d = _sector(gs, n)
     k = sgn * (2.0 / w) * (d + sgn * a) * math.sqrt((d + 2.0 * sgn * a) / d)
-    return _ladder_core(gs, which, n, scale=k).apply(fn)
+    return _ladder_core(gs, which, n, k).apply(fn)
 
 
 def apply_generator(gs, which, state):
@@ -299,10 +331,11 @@ def casimir_apply(gs, state, points):
     frozen to the sector of the input it meets.
     """
     n = state.n
-    minus_out = apply_generator(gs, MINUS, state)
-    pm = apply_generator_fn(gs, PLUS, minus_out, n - 1)(points) if n else 0.0
+    # K0 K0 first: it asks the state for order 4, whose stack then serves K+ K-
     zero_out = apply_generator(gs, ZERO, state)
     zz = apply_generator_fn(gs, ZERO, zero_out, n)(points)
+    minus_out = apply_generator(gs, MINUS, state)
+    pm = apply_generator_fn(gs, PLUS, minus_out, n - 1)(points) if n else 0.0
     z = zero_out(points)
     v = state(points)
     pb, eps = gs.pb_eps

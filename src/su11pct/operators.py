@@ -18,7 +18,10 @@ first-order ``DiffOperator2`` a = f d + f'/2, (pi fn) = -i a(fn).
 
 An operator's output is a ``SmoothFunction``, which remembers its stacks
 on its last few points arrays by the rule of the ``systems`` module
-docstring, so a composed operator evaluates its input once per grid.
+docstring, so a composed operator evaluates its input once per grid.  The
+operator remembers its own coefficient stacks by the same rule, so all
+its outputs on one grid share them.  ``support`` keeps each interval on
+the state it scanned.
 """
 
 import numpy as np
@@ -69,7 +72,7 @@ def _vanishing_far_out(stack, compute):
     return tuple(np.where(zero & ~(np.abs(v) > 0.0), 0.0, v) for v in values)
 
 
-class DiffOperator2:
+class DiffOperator2(systems.Remembered):
     """Operator c0(p) + c1(p) d/dp [+ c2(p) d^2/dp^2] with smooth coefficients.
 
     ``coeffs(p, order)`` returns c0, ..., c_k (k = ``self.order``, 1 or 2)
@@ -77,11 +80,19 @@ class DiffOperator2:
     may stop early where the rest of its derivatives vanish.  The
     output of ``apply`` carries the derivatives sum_i leibniz(c_i, d^i fn)
     (``systems.leibniz``), so operators compose twice on bound states.
+    ``apply`` reads the coefficients through the operator's memo (the
+    ``systems`` module docstring).
     """
 
     def __init__(self, coeffs, order=2):
         self.coeffs = coeffs
         self.order = order  # 1 for first-order operators (no c2)
+
+    def _compute(self, p, order):
+        return self.coeffs(p, order)
+
+    def _prefix(self, stacks, order):
+        return tuple(c[: order + 1] for c in stacks)
 
     def apply(self, fn):
         out_max = min(2, fn.max_order - self.order)
@@ -95,9 +106,9 @@ class DiffOperator2:
         def combine(point, order, d):
             terms = [
                 systems.leibniz(c, d[i:], order)
-                for i, c in enumerate(self.coeffs(point, order))
+                for i, c in enumerate(self._remembered(point, order))
             ]
-            return tuple(sum(column) for column in zip(*terms))
+            return tuple(systems._sum(column) for column in zip(*terms))
 
         return SmoothFunction(derivs_fn, max_order=out_max)
 
@@ -191,15 +202,20 @@ def support(spec, n, rel_floor, weight=None):
     The family's probe interval is scanned on PROBE_COUNT points, spaced
     like its grids; kept are the points where |psi_n|, or
     weight * psi_n^2 when a measure weight is given, reaches rel_floor of
-    its peak.
+    its peak.  The state keeps the interval, keyed by (rel_floor, weight),
+    for as long as it lives.
     """
-    probe = _PROBES[spec.family]
-    with np.errstate(over="ignore"):
-        v = systems.bound_state(spec, n)(probe)
-        v = np.abs(v) if weight is None else weight(probe) * v**2
-    v = np.where(np.isfinite(v), v, 0.0)
-    keep = np.nonzero(v >= rel_floor * np.max(v))[0]
-    return probe[keep[0]], probe[keep[-1]]
+    state = systems.bound_state(spec, n)
+    key = (rel_floor, weight)
+    if key not in state._supports:
+        probe = _PROBES[spec.family]
+        with np.errstate(over="ignore"):
+            v = state(probe)
+            v = np.abs(v) if weight is None else weight(probe) * v**2
+        v = np.where(np.isfinite(v), v, 0.0)
+        keep = np.nonzero(v >= rel_floor * np.max(v))[0]
+        state._supports[key] = probe[keep[0]], probe[keep[-1]]
+    return state._supports[key]
 
 
 def support_grid(spec, n, count, rel_floor, weight=None):

@@ -45,13 +45,17 @@ from . import systems
 from .errors import ConvergenceError, ParameterError
 
 TAIL = 1e-6  # height, relative to its scale, where a power-law tail is cut
-# Lowest start of a half-line default grid.  The matrix entries grow as
-# 1/(h q)^2, and the Sturm sweep squares the off-diagonal ones, which
-# overflow below q ~ 1e-77/h; as L or Lcal nears -1/2 the wall term's start
-# underflows far below that.  In a scan of 792 default grids (L and Lcal
-# in [-0.499, -0.4]) the floor gave all 322 that overflowed finite matrices
-# and moved 6 of the 470 that solved, those that started just below it.
+# Lowest start of a half-line default grid, q_min >= max(_Q_FLOOR, _HQ_FLOOR/h)
+# in its log step h.  The matrix entries grow as 1/(h q)^2, and the Sturm
+# sweep squares the off-diagonal ones, which overflow below q ~ 1e-77/h; as
+# L or Lcal nears -1/2 the wall term's start underflows far below that.  In
+# a scan of 792 default grids (L and Lcal in [-0.499, -0.4]) _Q_FLOOR gave
+# all 322 that overflowed finite matrices and moved 6 of the 470 that
+# solved, those that started just below it.  It fits the step of COUNT
+# nodes; _HQ_FLOOR/h stays below it there and floors the finer steps of
+# grids whose count grows with the energy unit.
 _Q_FLOOR = 1e-74
+_HQ_FLOOR = 4e-76
 PAD = 2.0  # outer padding of the half-line grids
 COUNT = 4000  # default node count
 MORSE_STEP = 0.05  # largest default step on the Morse line
@@ -348,7 +352,8 @@ def default_grid(spec, member_n=0, count=None, k=3):
     half-line grids are geometric: they start where psi ~ (q/l)^m at the
     origin falls to TAIL and a hard wall there shifts the deepest level by
     less than TAIL, with l that level's length (1/sqrt(lam) for the
-    oscillator, 1/(2 kappa_0) for Coulomb), but not below _Q_FLOOR, reach
+    oscillator, 1/(2 kappa_0) for Coulomb), but not below _Q_FLOOR or
+    _HQ_FLOOR over the log step, reach
     several decay lengths, or the deformed power-law tails r^-(pa+3/2)
     (oscillator) and R^-(kappa/alpha+1/2) (Coulomb) down to TAIL, and are
     padded by PAD, since a log grid pays only ln(q_max/q_min) for reach.
@@ -411,4 +416,7 @@ def default_grid(spec, member_n=0, count=None, k=3):
         count = max(COUNT, math.ceil(COUNT * math.sqrt(unit / LOG_UNIT[spec.family])))
         if len(levels) > 3:  # a level's error grows with its energy
             count = math.ceil(count * max(1.0, levels[-1][1] / levels[2][1]))
-    return GridSpec(max(length * y_min, _Q_FLOOR), PAD * r_max, count, np.geomspace)
+    q_min, q_max = max(length * y_min, _Q_FLOOR), PAD * r_max
+    for _ in range(2):  # a higher start shortens the step a little; twice settles it
+        q_min = max(q_min, _HQ_FLOOR * (count - 1) / math.log(q_max / q_min))
+    return GridSpec(q_min, q_max, count, np.geomspace)

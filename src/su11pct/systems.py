@@ -89,21 +89,28 @@ Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
 
 Remembered stacks.  Every function with analytic derivatives, a
 ``BoundState`` or an ``operators.SmoothFunction`` (a generator output, a
-mapped state), is a ``Differentiable``.  It remembers the stacks it
-computed on its last MEMO_SIZE = 4 points arrays, each at the highest
-order asked, keyed by the array's shape and bytes, and serves a lower
-order as a prefix of that stack.  So a report that composes K0, K+-, the
-Casimir and the maps on the same few states evaluates each state once per
-grid.  A scalar point is evaluated as a one-point array and returns
-floats; nothing is remembered for it, also by the functions its
-evaluation calls.  The arrays handed out are read-only; copy one to
-modify it.  The key is a copy of the points, so changing the caller's
-array in place after a call gives the new points' values.  The memo is
-a tuple replaced whole, never changed in place: threads racing on one
-function can only drop an entry and compute a stack again, never serve a
-stack for other points or a shorter one than asked.  ``bound_state``
-shares the live state of an equal (spec, n) instead of caching states:
-nothing is kept once the last caller lets a state go.
+mapped state), is a ``Differentiable``, and it and every
+``operators.DiffOperator2`` are ``Remembered``: one memo, for the
+derivative stacks of a function and the coefficient stacks of an
+operator alike.  It remembers the stacks it computed on its last
+MEMO_SIZE = 4 points arrays, each at the highest order asked, keyed by
+the array's shape and bytes, and serves a lower order as a prefix of
+that stack, which has the same bits as a stack computed at that order.
+So a report that composes K0, K+-, the Casimir and the maps on the same
+few states evaluates each state, and each operator's coefficients, once
+per grid when it asks the highest order first.  A scalar point is
+evaluated as a one-point array and returns floats; nothing is remembered
+for it, also by the functions and operators its evaluation calls.  The
+function stacks handed out are read-only arrays; copy one to modify it.
+The key is a copy of the points, so changing the caller's array in place
+after a call gives the new points' values.  The memo is a tuple replaced
+whole, never changed in place: threads racing on one function can only
+drop an entry and compute a stack again, never serve a stack for other
+points or a shorter one than asked.  Outputs are not remembered on the
+operator that made them: an output holds its operator, so that would
+close a reference cycle.  ``bound_state`` shares the live state of an
+equal (spec, n) instead of caching states: nothing is kept once the last
+caller lets a state go.
 
 Blocks.  A ``BoundState`` evaluates a points array of more than
 BLOCK = 16,384 points block by block, and writes each block's stack into
@@ -116,8 +123,10 @@ smaller arrays, and so scalars, are one block.
 """
 
 import contextvars
+import functools
 import math
 import numbers
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -469,7 +478,8 @@ def check_point(spec, point):
     """Raise DomainError if any evaluation point is NaN or leaves the open domain."""
     lo, hi = FAMILIES[spec.family].domain
     p = np.asarray(point, dtype=float)
-    if not np.all((p > lo) & (p < hi)):
+    # a NaN point makes min and max NaN, which fails both comparisons
+    if not (p.size == 0 or (lo < p.min() and p.max() < hi)):
         shown = float(p[0]) if _scalar.get() else point
         raise DomainError(f"point {shown!r} outside open domain ({lo}, {hi})")
 
@@ -491,7 +501,8 @@ def member_coupling(spec, n):
             2.0 * spec.B**2 + a * spec.B + a * lam * (n + 1.0)
         ) / (2.0 * spec.B * lam)
     if spec.family == "coulomb":
-        base = spec.Z0 * (n + spec.Lcal + 1.0) / (spec.Lcal + 1.0)
+        # member 0 is the spec's own Z0, which the quotient can miss in the last bit
+        base = spec.Z0 * (n + spec.Lcal + 1.0) / (spec.Lcal + 1.0) if n else spec.Z0
         return base + 0.5 * spec.alpha * n * (n + 2.0 * spec.Lcal + 1.0)
     raise ParameterError("oscillator family has a single Hamiltonian, no coupling")
 
@@ -567,9 +578,14 @@ def leibniz(a, b, order):
     early, and its derivatives past the end are taken as 0.
     """
     return [
-        sum((a[j] if c == 1 else c * a[j]) * b[k - j] for j, c in enumerate(_BINOM[k][: len(a)]))
+        _sum((a[j] if c == 1 else c * a[j]) * b[k - j] for j, c in enumerate(_BINOM[k][: len(a)]))
         for k in range(order + 1)
     ]
+
+
+def _sum(terms):
+    """The sum of arrays or numbers from the first term on; ``sum`` would add it to 0."""
+    return functools.reduce(operator.add, terms)
 
 
 def chain(outer, inner, order):
@@ -625,6 +641,23 @@ def g_over_f(alpha, g, order, scale=1.0):
     return chain([v0] + dv, g, order), inv
 
 
+def _exp_ratios(h, order):
+    """(d/dq)^k e^h / e^h for k = 1..order: ``chain`` with all outer entries 1,
+    written out without its products by 1.0, in the same order of operations."""
+    out = []
+    if order >= 1:
+        h1 = h[1]
+        out.append(h1)
+    if order >= 2:
+        s = h1 * h1
+        out.append(h[2] + s)
+    if order >= 3:
+        out.append(h[3] + 3.0 * h1 * h[2] + s * h1)
+    if order >= 4:
+        out.append(h[4] + (4.0 * h1 * h[3] + 3.0 * h[2] * h[2]) + 6.0 * s * h[2] + s * s)
+    return out
+
+
 # points arrays whose stacks a function remembers; see the module docstring
 MEMO_SIZE = 4
 
@@ -633,15 +666,45 @@ BLOCK = 16_384
 
 
 def _where(mask, if_true, if_false):
-    """np.where(mask, if_true(), if_false()), forming only a side some entry takes."""
-    if mask.all():
+    """np.where(mask, if_true(), if_false()); mask is True or False where every entry
+    takes one side, and then only that side is formed."""
+    if mask is True:
         return if_true()
-    if not mask.any():
+    if mask is False:
         return if_false()
     return np.where(mask, if_true(), if_false())
 
 
-class Differentiable:
+class Remembered:
+    """What ``_compute(points, order)`` returned on the last MEMO_SIZE points arrays.
+
+    The rule of the module docstring, for every kind of stack: a bound
+    state's or a function's (value, d1, ..., d_order), and an
+    ``operators.DiffOperator2``'s coefficient stacks.  ``_prefix(result,
+    order)`` cuts a result remembered at a higher order down to ``order``.
+    """
+
+    _memo = ()  # ((points shape, points bytes), (order, result)), oldest first
+
+    def _prefix(self, result, order):
+        return result[: order + 1]
+
+    def _remembered(self, p, order):
+        """``_compute(p, order)`` on the float array p, or its remembered prefix."""
+        if _scalar.get():  # called while a scalar is evaluated: remember nothing
+            return self._compute(p, order)
+        key = (p.shape, p.tobytes())
+        memo = self._memo
+        for known, (top, result) in memo:
+            if top >= order and known == key:
+                return self._prefix(result, order)
+        result = self._compute(p, order)
+        kept = tuple(entry for entry in memo if entry[0] != key)[1 - MEMO_SIZE :]
+        self._memo = kept + ((key, (order, result)),)
+        return result
+
+
+class Differentiable(Remembered):
     """A function with analytic derivatives up to ``max_order``.
 
     ``derivs(point, order)`` returns ``(value, d1, ..., d_order)``;
@@ -651,8 +714,6 @@ class Differentiable:
     scalar as a one-point array and remembers stacks, both by the rule of
     the module docstring.
     """
-
-    _memo = ()  # ((points shape, points bytes), stack), oldest first
 
     def derivs(self, point, order=2):
         """(value, d1, ..., d_order) at a point: floats at a scalar, else read-only arrays."""
@@ -667,18 +728,12 @@ class Differentiable:
                 return tuple(float(a[0]) for a in self._stack(p.reshape(1), order))
             finally:
                 _scalar.reset(token)
-        if _scalar.get():  # called while a scalar is evaluated: remember nothing
-            return self._stack(p, order)
-        key = (p.shape, p.tobytes())
-        memo = self._memo
-        for known, stack in memo:
-            if len(stack) > order and known == key:
-                return stack[: order + 1]
+        return self._remembered(p, order)
+
+    def _compute(self, p, order):
         stack = tuple(np.asarray(a) for a in self._stack(p, order))
         for a in stack:
             a.flags.writeable = False
-        kept = tuple(entry for entry in memo if entry[0] != key)[1 - MEMO_SIZE :]
-        self._memo = kept + ((key, stack),)
         return stack
 
     def evaluator(self, point):
@@ -734,6 +789,7 @@ class BoundState(Differentiable):
         # the coefficient of L_n = (-1)^n Q_n at constant mass
         sign = -1.0 if a == 0 and n % 2 else 1.0
         self.norm_coeff = sign * math.exp(self.log_norm)
+        self._supports = {}  # (rel_floor, weight) -> ``operators.support`` interval
 
     def h_and_y(self, p, order):
         """Derivatives 0..order of the exponent h and the polynomial argument y."""
@@ -787,11 +843,12 @@ class BoundState(Differentiable):
                 # where p > 1 the power p^m joins the exponent, so that a huge
                 # p^m never meets an underflowed e^h
                 big = p > 1.0
+                big = True if big.all() else big if big.any() else False
                 lead = _where(big, lambda: lead + m * np.log(p), lambda: lead)
             u0 = np.exp(lead)
             dead = ~(u0 > 0.0)
             poly = specfun.jacobi_derivs(self.n, *self.params, y[0], order)
-            u = [u0] + [u0 * b for b in chain((1.0,) * 5, h, order)[1:]]
+            u = [u0] + [u0 * b for b in _exp_ratios(h, order)]
             # smooth part G = u * Q(y)
             out = leibniz(u, chain(poly, y, order), order)
             if m != 0.0:

@@ -235,3 +235,46 @@ def test_apply_needs_the_operator_order_of_derivatives():
     first_order = operators.SmoothFunction(lambda p, order: (p, np.ones_like(p))[: order + 1], 1)
     with pytest.raises(ParameterError, match="lacks the required derivatives"):
         op.apply(first_order)
+
+
+def _coefficient_bytes(stacks, order):
+    return [[np.asarray(c).tobytes() for c in stack[: order + 1]] for stack in stacks]
+
+
+def test_remembered_coefficient_stacks_equal_a_fresh_operators(family_spec):
+    slots = systems.FAMILIES[family_spec.family].slots(family_spec, 1)
+
+    def operators_of(gs):
+        return (
+            algebra._zero_operator(gs),
+            algebra._ladder_core(gs, algebra.PLUS, 2, 0.75),
+            algebra._ladder_core(gs, algebra.MINUS, 1),
+            operators.flux_operator(family_spec, slots, 0.5),
+            operators._pi_operator(family_spec),
+        )
+
+    pts = algebra.pointwise_grid(family_spec, 2)
+    others = [pts * (1.0 + 0.01 * j) for j in range(1, systems.MEMO_SIZE + 1)]
+    # served as prefixes of the order-2 stack, after other arrays, and computed again
+    # once the other arrays have pushed it out
+    asks = [(pts, 2), (pts, 1), (others[0], 0), (pts, 0)] + [(p, 1) for p in others] + [(pts, 0)]
+    held = operators_of(algebra.generator_set(family_spec))
+    for index, op in enumerate(held):
+        for p, order in asks:
+            fresh = operators_of(algebra.GeneratorSet(family_spec))[index]
+            want = _coefficient_bytes(fresh._remembered(p, order), order)
+            assert _coefficient_bytes(op._remembered(p, order), order) == want
+
+
+def test_a_long_lived_generator_set_keeps_at_most_memo_size_stacks_per_operator():
+    spec = systems.MorseSpec(1.0, 0.75, 0.3)
+    gs = algebra.generator_set(spec)
+    state = systems.bound_state(spec, 2)
+    for j in range(50):
+        pts = np.linspace(-1.0, 3.0 + 0.01 * j, 40)
+        for which in (algebra.ZERO, algebra.PLUS, algebra.MINUS):
+            algebra.apply_generator(gs, which, state)(pts)
+    assert len(gs._operators) == 3
+    for op in gs._operators.values():
+        assert len(op._memo) == systems.MEMO_SIZE
+    assert len(state._memo) == systems.MEMO_SIZE

@@ -61,6 +61,29 @@ def test_default_grids_near_the_critical_power_give_finite_matrices(power):
         assert len(oracle.lowest_eigenvalues(oracle.discretize(spec, 0, grid), 2, 1e-9)) == 2
 
 
+@pytest.mark.parametrize(
+    "omega, power", [(1e4, -0.49), (1e4, -0.499), (1e4, -0.45), (1e5, -0.49)]
+)
+def test_fine_default_grids_near_the_critical_power_give_finite_matrices(omega, power):
+    # a high energy unit gives a grid of 230,941 or 730,297 nodes; its start
+    # is floored at _HQ_FLOOR over its log step, since 1e-74 fits COUNT nodes only
+    with pytest.warns(UserWarning, match="half-integer"):
+        spec = systems.OscillatorSpec(omega, power)
+    grid = oracle.default_grid(spec, 0, k=2)
+    assert grid.count > 200_000
+    assert grid.q_min * grid.step >= 0.99 * oracle._HQ_FLOOR
+    dh = oracle.discretize(spec, 0, grid)
+    assert np.isfinite(dh.diag).all() and np.isfinite(dh.offdiag**2).all()
+
+
+def test_the_step_floor_leaves_count_node_grids_at_the_fixed_floor():
+    with pytest.warns(UserWarning, match="half-integer"):
+        specs = [systems.OscillatorSpec(1.0, -0.499), systems.CoulombSpec(-0.499, 1.0)]
+    for spec in specs:
+        grid = oracle.default_grid(spec, 0, k=2)
+        assert (grid.count, grid.q_min) == (oracle.COUNT, oracle._Q_FLOOR)
+
+
 def test_a_default_grid_start_above_the_floor_is_kept():
     with pytest.warns(UserWarning, match="half-integer"):
         spec = systems.OscillatorSpec(1.0, -0.45)

@@ -3,23 +3,31 @@ and on the memory of one large derivative stack.
 
 Counts polynomial derivative stacks (``specfun.jacobi_derivs``, one per
 state evaluation that the remembered stacks of ``systems`` do not serve),
-the degree recurrences of one stack (``specfun._value``) and Sturm sweeps
-of the finite-difference oracle (``oracle._count_below``).
+operator coefficient stacks (``operators.DiffOperator2._compute``, one per
+evaluation the operators' remembered stacks do not serve), the degree
+recurrences of one stack (``specfun._value``) and Sturm sweeps of the
+finite-difference oracle (``oracle._count_below``).
 A change that defeats the memo or grows the oracle fails here, on any
 host, not only in the benchmark.  The memory guard reads ``tracemalloc``,
 which numpy reports its array buffers to, so a stack that stops working
 in blocks of ``systems.BLOCK`` points fails here too.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 
-from su11pct import cli, oracle, specfun, systems
+from su11pct import algebra, cli, operators, oracle, specfun, systems
 
-# 726 stacks before states shared their remembered stacks, 284 after; the bound
-# is the measured count, so a change that adds report rows raises it explicitly
-MAX_POLYNOMIAL_STACKS = 284
+# 726 stacks before states shared their remembered stacks, 284 after, 232 when
+# the report asks for high orders first and each state keeps its supports; the
+# bound is the measured count, so a change that adds report rows raises it explicitly
+MAX_POLYNOMIAL_STACKS = 232
+# 370 coefficient evaluations while every application built its operator anew,
+# 250 with the operators built once per report and their stacks remembered
+MAX_COEFFICIENT_STACKS = 250
 # 115 sweeps when every level started from its Gershgorin bracket, 52 from its
 # seed, 33 when the fixed Morse wells solve only the one level they hold
 MAX_STURM_SWEEPS = 33
@@ -29,23 +37,51 @@ MAX_STACK_PEAK_BYTES = 6e6
 
 
 def test_verify_all_reports_stay_within_their_work_counts(monkeypatch):
-    counts = {"stacks": 0, "sweeps": 0}
-    stacks, sweep = specfun.jacobi_derivs, oracle._count_below
+    counts = {"stacks": 0, "coefficients": 0, "sweeps": 0}
+    stacks, coefficients = specfun.jacobi_derivs, operators.DiffOperator2._compute
+    sweep = oracle._count_below
 
     def counted_stacks(*args):
         counts["stacks"] += 1
         return stacks(*args)
+
+    def counted_coefficients(*args):
+        counts["coefficients"] += 1
+        return coefficients(*args)
 
     def counted_sweep(*args):
         counts["sweeps"] += 1
         return sweep(*args)
 
     monkeypatch.setattr(specfun, "jacobi_derivs", counted_stacks)
+    monkeypatch.setattr(operators.DiffOperator2, "_compute", counted_coefficients)
     monkeypatch.setattr(oracle, "_count_below", counted_sweep)
     for family, params in cli.VERIFY_ALL_SPECS:
         assert cli.build_report(cli._FAMILY_ARGS[family][0](**params)).overall_pass
     assert counts["stacks"] <= MAX_POLYNOMIAL_STACKS
+    assert counts["coefficients"] <= MAX_COEFFICIENT_STACKS
     assert counts["sweeps"] <= MAX_STURM_SWEEPS
+
+
+def test_a_report_leaves_nothing_alive_without_the_cycle_collector(monkeypatch):
+    # what a report builds is freed by reference counts alone: no generator
+    # set, operator or output sits in a cycle that keeps it or a state alive
+    sets = []
+    make = algebra.generator_set
+    monkeypatch.setattr(algebra, "generator_set", lambda spec: sets.append(make(spec)) or sets[-1])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for family, params in cli.VERIFY_ALL_SPECS:
+            cli.build_report(cli._FAMILY_ARGS[family][0](**params))
+            made = [weakref.ref(gs) for gs in sets]
+            sets.clear()
+            assert made and all(ref() is None for ref in made), family
+            assert len(systems._LIVE) == 0, family
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_large_stack_stays_within_its_memory():

@@ -298,6 +298,20 @@ def test_member_couplings():
         systems.member_coupling(systems.OscillatorSpec(1.0, 0.0), 1)
 
 
+@settings(max_examples=300)
+@given(
+    st.floats(-0.49, 5.0),
+    st.floats(0.01, 50.0),
+    st.floats(0.0, 1.0),
+)
+def test_coulomb_member_zero_is_the_spec_charge(lcal, z0, share):
+    # Z0 (0 + Lcal + 1)/(Lcal + 1) misses Z0 in the last bit for about one spec in eleven
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spec = systems.CoulombSpec(lcal, z0, 0.9 * share * z0 / (lcal + 1.0))
+    assert systems.member_coupling(spec, 0) == spec.Z0
+
+
 def test_fixed_spectrum_morse_constant():
     levels = systems.spectrum_fixed_potential("morse", (2.5, 1.0), 0.0, 10)
     assert [e for _, e in levels] == pytest.approx([-6.25, -2.25, -0.25], abs=1e-14)
