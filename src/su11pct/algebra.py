@@ -306,7 +306,7 @@ def apply_generator(gs, which, state):
     return apply_generator_fn(gs, which, state, state.n)
 
 
-def matrix_element_numeric(gs, n, direction, rtol=1e-10):
+def matrix_element_numeric(gs, n, direction):
     """<state_{n+-1}, (generator) state_n> under the family measure.
 
     For the minus direction at n = 0 there is no target state; the norm of
@@ -317,9 +317,9 @@ def matrix_element_numeric(gs, n, direction, rtol=1e-10):
     state = systems.bound_state(gs.spec, n)
     out = apply_generator(gs, direction, state)
     if direction == MINUS and n == 0:
-        return measures.norm(meas, out, rtol)
+        return measures.norm(meas, out)
     target = systems.bound_state(gs.spec, n + (1 if direction == PLUS else -1))
-    return measures.inner_product(meas, target, out, rtol)
+    return measures.inner_product(meas, target, out)
 
 
 def casimir_apply(gs, state, points):
@@ -434,7 +434,7 @@ def commutator_residuals(gs, n_max, pointwise_n_max=2):
     return recs
 
 
-def annihilation_residual(gs, rtol=1e-10):
+def annihilation_residual(gs):
     """Norm ratio ||minus core on the lowest state|| / ||lowest state||.
 
     The core is applied without its factor k_0, because the public minus
@@ -444,4 +444,4 @@ def annihilation_residual(gs, rtol=1e-10):
     meas = measures.family_measure(gs.family)
     state = systems.bound_state(gs.spec, 0)
     out = _ladder_core(gs, MINUS, 0).apply(state)
-    return measures.norm(meas, out, rtol) / measures.norm(meas, state, rtol)
+    return measures.norm(meas, out) / measures.norm(meas, state)

@@ -10,12 +10,11 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 2 invalid arguments.
 
 ``verify`` prints the report of ``build_report``: the sections listed in
-print order in ``_SECTIONS``.  They run in the order of ``_RUN_ORDER``,
-which puts a section that asks a shared array for a high derivative order
-before one that asks it for a low order, so the remembered stacks serve
-the low one, and the oracle last.  Each section is a function of the
-generator set and the held states 0..n_max that yields
-(entry name, value, tolerance key) rows:
+print order in ``_SECTIONS``, each with its run position.  A section that
+asks a shared array for a high derivative order runs before one that asks
+it for a low order, so the remembered stacks serve the low one, and the
+oracle runs last.  Each section is a function of the generator set and the
+held states 0..n_max that yields (entry name, value, tolerance key) rows:
 
     eigen_residuals  H psi_n - E_n psi_n, n <= n_max       eigen_residuals
     orthonormality   Gram matrix of the states n <= 5      orthonormality
@@ -38,8 +37,11 @@ with no image family.
 
 ``oracle-compare`` takes ``--nmax`` in [0, oracle.MAX_LEVELS - 1] and
 compares levels 0..nmax, or as many as the member-0 well holds, each
-against the matrix's seed.  The oracle rows and ``oracle-compare`` solve
-exactly the levels they print.
+against the matrix's seed.  The oracle rows and ``oracle-compare`` make
+that comparison in one helper, ``_seeded_levels``, and solve exactly the
+levels they print.
+
+``VERIFY_ALL_SPECS`` holds the six spec objects of ``verify --all``.
 """
 
 import argparse
@@ -208,47 +210,40 @@ def _mapping(gs, held):
         yield f"generator_conjugation[{which}]", float(np.max(np.abs(lhs - rhs))), "conjugation"
 
 
+def _seeded_levels(dh, count):
+    """(seed, oracle level) pairs for the lowest count levels that dh has seeds for."""
+    closed = dh.seeds[:count]
+    return zip(closed, oracle.lowest_eigenvalues(dh, len(closed), 1e-9))
+
+
 def _oracle(gs, held):
     dh = oracle.discretize(gs.spec, 0, oracle.default_grid(gs.spec, 0, k=2))
-    closed = dh.seeds[:2]
-    levels = oracle.lowest_eigenvalues(dh, len(closed), 1e-9)
-    for i, (num, cf) in enumerate(zip(levels, closed)):
+    for i, (cf, num) in enumerate(_seeded_levels(dh, 2)):
         yield f"oracle_level[{i}]", num - cf, "oracle_"
 
 
-# the report's sections in order: (section name, rows of (name, value, tolerance key))
-_SECTIONS = (
-    ("eigen_residuals", _eigen_residuals),
-    ("orthonormality", _orthonormality),
-    ("ladder", _ladder),
-    ("commutators", _commutators),
-    ("casimir", _casimir),
-    ("mapping", _mapping),
-    ("oracle", _oracle),
-)
-
-
-# The order the sections run in.  A stack remembered at some order serves
+# The report's sections in print order: (section name, run position, rows of
+# (name, value, tolerance key)).  A stack remembered at some order serves
 # every lower one on the same points, so where two sections evaluate a state
 # or an operator on the same array, the one asking the higher order runs
 # first: ladder (order 1 on the quadrature nodes) before orthonormality
 # (order 0), casimir (order 4 on the pointwise grids) before commutators.
 # The oracle runs last: the benchmark reads the report's last solve.
-_RUN_ORDER = (
-    "eigen_residuals",
-    "ladder",
-    "orthonormality",
-    "casimir",
-    "commutators",
-    "mapping",
-    "oracle",
+_SECTIONS = (
+    ("eigen_residuals", 0, _eigen_residuals),
+    ("orthonormality", 2, _orthonormality),
+    ("ladder", 1, _ladder),
+    ("commutators", 4, _commutators),
+    ("casimir", 3, _casimir),
+    ("mapping", 5, _mapping),
+    ("oracle", 6, _oracle),
 )
 
 
 def build_report(spec, n_max=5, tol=None):
     """Run every verification section against one family spec.
 
-    The sections run in ``_RUN_ORDER`` and are added in ``_SECTIONS`` order.
+    The sections run by their run position and are added in ``_SECTIONS`` order.
     """
     systems._check_index(n_max, "n_max must be at least 1", 1)
     if tol is not None:
@@ -257,21 +252,20 @@ def build_report(spec, n_max=5, tol=None):
     gs = algebra.generator_set(spec)
     # held for the whole report, so every section shares their remembered stacks
     held = [systems.bound_state(spec, n) for n in range(n_max + 1)]
-    sections = dict(_SECTIONS)
-    rows = {section: list(sections[section](gs, held)) for section in _RUN_ORDER}
-    for section, _ in _SECTIONS:
+    rows = {name: list(run(gs, held)) for name, _, run in sorted(_SECTIONS, key=lambda s: s[1])}
+    for section, _, _ in _SECTIONS:
         for name, value, key in rows[section]:
             report.add(section, name, value, _tolerance(key, spec, tol))
     return report
 
 
 VERIFY_ALL_SPECS = (
-    ("ho", dict(omega=1.0, L=0.0, alpha=0.0)),
-    ("ho", dict(omega=2.0, L=0.0, alpha=1.0)),
-    ("morse", dict(A0=0.25, B=0.25, alpha=0.0)),
-    ("morse", dict(A0=1.0, B=0.75, alpha=0.3)),
-    ("coulomb", dict(Z0=1.0, Lcal=0.0, alpha=0.0)),
-    ("coulomb", dict(Z0=1.0, Lcal=0.0, alpha=0.1)),
+    systems.OscillatorSpec(omega=1.0, L=0.0, alpha=0.0),
+    systems.OscillatorSpec(omega=2.0, L=0.0, alpha=1.0),
+    systems.MorseSpec(A0=0.25, B=0.25, alpha=0.0),
+    systems.MorseSpec(A0=1.0, B=0.75, alpha=0.3),
+    systems.CoulombSpec(Z0=1.0, Lcal=0.0, alpha=0.0),
+    systems.CoulombSpec(Z0=1.0, Lcal=0.0, alpha=0.1),
 )
 
 
@@ -433,10 +427,7 @@ def _dispatch(parser, args):
 
     if args.command == "verify":
         if args.all:
-            reports = [
-                build_report(_FAMILY_ARGS[f][0](**prm), n_max=args.nmax, tol=args.tol)
-                for f, prm in VERIFY_ALL_SPECS
-            ]
+            reports = [build_report(s, n_max=args.nmax, tol=args.tol) for s in VERIFY_ALL_SPECS]
             payload = {
                 "command": "verify",
                 "reports": [r.to_dict() for r in reports],
@@ -495,10 +486,8 @@ def _dispatch(parser, args):
     else:
         grid = oracle.default_grid(spec, 0, count=args.grid_count, k=args.nmax + 1)
     dh = oracle.discretize(spec, 0, grid)
-    closed = dh.seeds[: args.nmax + 1]
-    levels = oracle.lowest_eigenvalues(dh, len(closed), 1e-9)
     entries = []
-    for n, (cf, num) in enumerate(zip(closed, levels)):
+    for n, (cf, num) in enumerate(_seeded_levels(dh, args.nmax + 1)):
         diff = abs(num - cf)
         entries.append(
             {"n": n, "closed_form": cf, "oracle": num, "abs_diff": diff, "pass": diff <= tol}

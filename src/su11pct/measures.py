@@ -19,7 +19,9 @@ double-exponential x = sinh(u) on u in [-5, 5].  Level l has the
 are exactly the odd-index nodes of level l + 1.  Integrands built from
 bound states vanish to double precision at the transformed endpoints, so
 refining the level converges at spectral rate and the truncation bias sits
-far below the 1e-10 accuracy target.
+far below ``RTOL``, the one tolerance every product converges to.  The
+transform follows from the family's domain in ``systems.FAMILIES``, so a
+``Measure`` is a family and a weight.
 
 Because the levels nest, one escalation serves ``inner_product``, ``norm``
 and ``gram_matrix``: every distinct function is evaluated once on the
@@ -50,23 +52,23 @@ SINH_SPAN = 5.0
 BASE_NODES = 64
 MAX_LEVEL = 12
 START_LEVEL = 4  # first level evaluated; its odd nodes give level 3
+RTOL = 1e-10  # a product settles when two levels agree within this; see _products
 
-# transform id -> (span of u, node map q(u), jacobian dq/du)
-_TRANSFORMS = {"log": (LOG_SPAN, np.exp, np.exp), "sinh": (SINH_SPAN, np.sinh, np.cosh)}
+# lower end of the family's domain -> (span of u, node map q(u), jacobian dq/du):
+# the log stretch on a half-line, sinh on the line
+_TRANSFORMS = {0.0: (LOG_SPAN, np.exp, np.exp), -math.inf: (SINH_SPAN, np.sinh, np.cosh)}
 
 
 @dataclass(frozen=True)
 class Measure:
-    """Integration domain and weight defining a family scalar product."""
+    """A weight on a family's coordinate domain, defining its scalar product."""
 
     family: str
-    domain: tuple
     weight: object = field(repr=False)
-    transform_id: str = "log"
 
     def __post_init__(self):
-        if self.transform_id not in _TRANSFORMS:
-            raise ParameterError(f"transform_id must be 'log' or 'sinh', got {self.transform_id!r}")
+        if self.family not in systems.FAMILIES:
+            raise ParameterError(f"unknown family {self.family!r}")
 
 
 def _weight(family):
@@ -81,15 +83,7 @@ def _weight(family):
 
 
 # one Measure per family, so its quadrature rules are built once
-_MEASURES = {
-    family: Measure(
-        family,
-        fam.domain,
-        _weight(family),
-        "sinh" if fam.domain[0] == -math.inf else "log",
-    )
-    for family, fam in systems.FAMILIES.items()
-}
+_MEASURES = {family: Measure(family, _weight(family)) for family in systems.FAMILIES}
 
 
 def family_measure(family):
@@ -118,7 +112,7 @@ def quadrature_rule(measure, level):
     """Trapezoid rule with 64 * 2^level nodes on the transformed variable."""
     if not 1 <= level <= MAX_LEVEL:
         raise ParameterError(f"level must be in [1, {MAX_LEVEL}], got {level}")
-    span, node, jac = _TRANSFORMS[measure.transform_id]
+    span, node, jac = _TRANSFORMS[systems.FAMILIES[measure.family].domain[0]]
     count = BASE_NODES * 2**level
     # h halves exactly per level, so j h repeats bit for bit at 2j (h/2)
     h = 2.0 * span / count
@@ -127,16 +121,15 @@ def quadrature_rule(measure, level):
     return QuadratureRule(nodes, h * jac(u) * measure.weight(nodes))
 
 
-def _products(measure, fns, pairs, rtol):
+def _products(measure, fns, pairs):
     """{(i, j): <fns[i], fns[j]>} for the index pairs, by nested level escalation.
 
     A pair settles once its estimate at a level and at the level below
-    agree within rtol * max(1, |estimate|); the absolute floor keeps
+    agree within RTOL * max(1, |estimate|); the absolute floor keeps
     orthogonality integrals (true value 0) convergent.  Summation is
     numpy's pairwise reduction in fixed node order, so a pair's value does
     not depend on which other pairs are computed with it.
     """
-    systems._check_tol(rtol, "rtol")
     values = {}
     settled = {}
     last = {}
@@ -158,7 +151,7 @@ def _products(measure, fns, pairs, rtol):
                 contrib = values[i] * values[j] * rule.weights
                 est = float(np.sum(contrib))
                 prev = 2.0 * float(np.sum(contrib[1::2]))
-                if abs(est - prev) <= rtol * max(1.0, abs(est), abs(prev)):
+                if abs(est - prev) <= RTOL * max(1.0, abs(est), abs(prev)):
                     settled[i, j] = est
                 else:
                     unsettled.append((i, j))
@@ -174,19 +167,19 @@ def _products(measure, fns, pairs, rtol):
     )
 
 
-def inner_product(measure, f, g, rtol=1e-10):
+def inner_product(measure, f, g):
     """<f, g> under the measure, by nested level escalation until agreement."""
     if f is g:
-        return _products(measure, [f], [(0, 0)], rtol)[0, 0]
-    return _products(measure, [f, g], [(0, 1)], rtol)[0, 1]
+        return _products(measure, [f], [(0, 0)])[0, 0]
+    return _products(measure, [f, g], [(0, 1)])[0, 1]
 
 
-def norm(measure, f, rtol=1e-10):
+def norm(measure, f):
     """sqrt(<f, f>) under the measure."""
-    return math.sqrt(max(inner_product(measure, f, f, rtol), 0.0))
+    return math.sqrt(max(inner_product(measure, f, f), 0.0))
 
 
-def gram_matrix(measure, states, rtol=1e-10):
+def gram_matrix(measure, states):
     """Matrix of pairwise inner products of a list of states.
 
     Each state is evaluated once per level, only while one of its pairs
@@ -194,7 +187,7 @@ def gram_matrix(measure, states, rtol=1e-10):
     """
     k = len(states)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    products = _products(measure, states, pairs, rtol)
+    products = _products(measure, states, pairs)
     out = np.empty((k, k))
     for (i, j), value in products.items():
         out[i, j] = out[j, i] = value

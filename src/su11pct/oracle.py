@@ -262,7 +262,7 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= MAX_LEVELS):
         raise ParameterError(f"k must be between 1 and {MAX_LEVELS}")
-    systems._check_tol(tol, "tol")
+    systems._check_tol(tol)
     diag = dh.diag
     bound = np.abs(dh.offdiag)
     # Gershgorin discs of the similar matrix J^(-1/2) T J^(1/2), i.e. of the

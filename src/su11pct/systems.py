@@ -159,18 +159,18 @@ def _check_index(n, message, lowest=0):
         raise ParameterError(message)
 
 
-def _check_tol(value, name):
+def _check_tol(value):
     """Raise ParameterError unless value is a real number in [1e-12, inf).
 
-    A non-number or NaN would fail inside the solve, and inf would end an
-    oracle solve or a quadrature before its first step.
+    It checks the oracle's ``tol``: a non-number or NaN would fail inside
+    the solve, and inf would end it before its first step.
     """
     if not isinstance(value, numbers.Real) or math.isnan(value):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
+        raise ParameterError(f"tol must be a number, got {value!r}")
     if value < 1e-12:
-        raise ParameterError(f"{name} below 1e-12 is not supported")
+        raise ParameterError("tol below 1e-12 is not supported")
     if value == math.inf:
-        raise ParameterError(f"{name} must be finite, got inf")
+        raise ParameterError("tol must be finite, got inf")
 
 
 def _warn_if_not_half_integer(value, name):
@@ -699,8 +699,8 @@ class Remembered:
             if top >= order and known == key:
                 return self._prefix(result, order)
         result = self._compute(p, order)
-        kept = tuple(entry for entry in memo if entry[0] != key)[1 - MEMO_SIZE :]
-        self._memo = kept + ((key, (order, result)),)
+        kept = tuple(entry for entry in memo if entry[0] != key)
+        self._memo = kept[max(len(kept) + 1 - MEMO_SIZE, 0) :] + ((key, (order, result)),)
         return result
 
 

@@ -163,13 +163,13 @@ def test_ladder_sections_pass_at_L_minus_half():
         assert all(e["pass"] for e in sections[name]), name
 
 
-def _expected_layout(family, params):
+def _expected_layout(spec):
     """(section, name, tolerance) of each entry of a default battery report, in order.
 
     Written out from the stated tolerances, not from cli's tables: the second of
     each pair is the deformed-mass one.
     """
-    kind = int(params["alpha"] > 0)
+    kind = int(spec.alpha > 0)
     rows = [("eigen_residuals", f"eigen_residual[n={n}]", 1e-9) for n in range(6)]
     rows.append(("orthonormality", "gram_deviation[6x6]", 1e-7))
     rows += [("ladder", f"ladder_{d}[n={n}]", 1e-7) for n in range(6) for d in ("plus", "minus")]
@@ -183,22 +183,22 @@ def _expected_layout(family, params):
         for pair in ("zero_plus", "zero_minus", "plus_minus"):
             rows.append(("commutators", f"comm_{pair}_pointwise[n={n}]", commutator))
     rows += [("casimir", f"casimir_action[n={n}]", 1e-7) for n in range(4)]
-    target = {"ho": "morse", "morse": "coulomb"}.get(family)
+    target = {"ho": "morse", "morse": "coulomb"}.get(spec.family)
     if target is not None:
         mapped = (1e-12, 1e-9)[kind]
         rows += [("mapping", f"mapped_state[{target},n={n}]", mapped) for n in range(4)]
         for which in ("zero", "plus", "minus"):
             rows.append(("mapping", f"generator_conjugation[{which}]", 1e-9))
-    levels = 1 if family == "morse" else 2  # each battery Morse well holds one level
+    levels = 1 if spec.family == "morse" else 2  # each battery Morse well holds one level
     rows += [("oracle", f"oracle_level[{i}]", (5e-4, 2e-3)[kind]) for i in range(levels)]
     return rows
 
 
 def test_battery_reports_list_their_entries_and_tolerances():
-    for family, params in cli.VERIFY_ALL_SPECS:
-        report = cli.build_report(cli._FAMILY_ARGS[family][0](**params))
+    for spec in cli.VERIFY_ALL_SPECS:
+        report = cli.build_report(spec)
         layout = [(s, e["name"], e["tolerance"]) for s, es in report.sections.items() for e in es]
-        assert layout == _expected_layout(family, params), (family, params)
+        assert layout == _expected_layout(spec), spec
 
 
 def test_an_error_in_the_mapping_rows_propagates(monkeypatch):
@@ -219,6 +219,32 @@ def test_an_oscillator_without_a_morse_image_reports_no_mapping():
     report = cli.build_report(spec, n_max=2)
     assert "mapping" not in report.sections
     assert report.overall_pass
+
+
+@pytest.mark.parametrize(
+    "spec, mapped",
+    [
+        (cli.VERIFY_ALL_SPECS[1], True),
+        (cli.VERIFY_ALL_SPECS[4], False),
+        (systems.OscillatorSpec(1.0, 0.0, 1.0), False),  # no Morse image
+    ],
+    ids=("ho-deformed", "coulomb", "ho-no-morse-image"),
+)
+def test_each_section_runs_once_in_run_position_order(monkeypatch, spec, mapped):
+    calls = []
+
+    def recorded(name, run):
+        return lambda gs, held: calls.append(name) or run(gs, held)
+
+    table = [(name, position, recorded(name, run)) for name, position, run in cli._SECTIONS]
+    monkeypatch.setattr(cli, "_SECTIONS", tuple(table))
+    report = cli.build_report(spec, n_max=2)
+    positions = [position for _, position, _ in table]
+    assert sorted(positions) == list(range(len(table)))
+    assert calls == [name for name, _, _ in sorted(table, key=lambda row: row[1])]
+    assert calls[-1] == "oracle"  # the benchmark reads the report's last solve
+    # printed in table order; a section that yields no rows is left out
+    assert list(report.sections) == [name for name, _, _ in table if mapped or name != "mapping"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -311,11 +337,11 @@ def test_oracle_rows_solve_only_the_levels_they_report(monkeypatch):
         return solve(dh, k, tol)
 
     monkeypatch.setattr(oracle, "lowest_eigenvalues", recorded)
-    for family, params in cli.VERIFY_ALL_SPECS:
+    for spec in cli.VERIFY_ALL_SPECS:
         ks.clear()
-        report = cli.build_report(cli._FAMILY_ARGS[family][0](**params))
+        report = cli.build_report(spec)
         # the fixed Morse wells hold one level, every other member-0 well two or more
-        assert ks == [len(report.sections["oracle"])], (family, params)
+        assert ks == [len(report.sections["oracle"])], spec
 
 
 @pytest.mark.parametrize(

@@ -129,7 +129,7 @@ def test_hamiltonian_hermitian_under_plain_measure(family_spec):
     # H is symmetric in the flat L2 sense (dr, dx, dR); the weighted family
     # products make the gauged zero generator, not H itself, symmetric
     meas = measures.family_measure(family_spec.family)
-    flat = measures.Measure(family_spec.family, meas.domain, lambda p: np.ones_like(p), meas.transform_id)
+    flat = measures.Measure(family_spec.family, lambda p: np.ones_like(p))
     for m, n in [(0, 1), (1, 3), (2, 2)]:
         sm = systems.bound_state(family_spec, m)
         sn = systems.bound_state(family_spec, n)
@@ -278,3 +278,19 @@ def test_a_long_lived_generator_set_keeps_at_most_memo_size_stacks_per_operator(
     for op in gs._operators.values():
         assert len(op._memo) == systems.MEMO_SIZE
     assert len(state._memo) == systems.MEMO_SIZE
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_the_memo_keeps_memo_size_stacks_at_any_size(monkeypatch, size):
+    # at MEMO_SIZE = 1 the memo once kept every entry
+    monkeypatch.setattr(systems, "MEMO_SIZE", size)
+    spec = systems.MorseSpec(1.0, 0.75, 0.3)
+    state = systems.BoundState(spec, 2)
+    op = algebra._zero_operator(algebra.GeneratorSet(spec))
+    for j in range(10):
+        pts = np.linspace(-1.0, 3.0 + 0.01 * j, 40)
+        state(pts)
+        op._remembered(pts, 2)
+    for memo in (state._memo, op._memo):
+        assert len(memo) == size
+        assert memo[-1][0] == (pts.shape, pts.tobytes())

@@ -9,14 +9,7 @@ from su11pct import algebra, cli, operators, oracle, systems
 from su11pct.errors import ConvergenceError, ParameterError
 
 # the six specs of `su11pct verify --all`
-BATTERY = [
-    systems.OscillatorSpec(1.0, 0.0),
-    systems.OscillatorSpec(2.0, 0.0, 1.0),
-    systems.MorseSpec(0.25, 0.25),
-    systems.MorseSpec(1.0, 0.75, 0.3),
-    systems.CoulombSpec(0.0, 1.0),
-    systems.CoulombSpec(0.0, 1.0, 0.1),
-]
+BATTERY = cli.VERIFY_ALL_SPECS
 
 
 def battery_matrix(spec):

@@ -56,8 +56,8 @@ def test_verify_all_reports_stay_within_their_work_counts(monkeypatch):
     monkeypatch.setattr(specfun, "jacobi_derivs", counted_stacks)
     monkeypatch.setattr(operators.DiffOperator2, "_compute", counted_coefficients)
     monkeypatch.setattr(oracle, "_count_below", counted_sweep)
-    for family, params in cli.VERIFY_ALL_SPECS:
-        assert cli.build_report(cli._FAMILY_ARGS[family][0](**params)).overall_pass
+    for spec in cli.VERIFY_ALL_SPECS:
+        assert cli.build_report(spec).overall_pass
     assert counts["stacks"] <= MAX_POLYNOMIAL_STACKS
     assert counts["coefficients"] <= MAX_COEFFICIENT_STACKS
     assert counts["sweeps"] <= MAX_STURM_SWEEPS
@@ -73,12 +73,12 @@ def test_a_report_leaves_nothing_alive_without_the_cycle_collector(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        for family, params in cli.VERIFY_ALL_SPECS:
-            cli.build_report(cli._FAMILY_ARGS[family][0](**params))
+        for spec in cli.VERIFY_ALL_SPECS:
+            cli.build_report(spec)
             made = [weakref.ref(gs) for gs in sets]
             sets.clear()
-            assert made and all(ref() is None for ref in made), family
-            assert len(systems._LIVE) == 0, family
+            assert made and all(ref() is None for ref in made), spec
+            assert len(systems._LIVE) == 0, spec
     finally:
         if enabled:
             gc.enable()

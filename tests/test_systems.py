@@ -552,8 +552,8 @@ def test_derivative_stack_is_continuous_at_alpha_zero(spec):
             assert np.max(np.abs(d1 - d0)) <= 1e-9 * np.max(np.abs(d0)), (n, k)
 
 
-# the six specs of ``su11pct verify --all``, built as the command builds them
-BATTERY = [cli._FAMILY_ARGS[family][0](**params) for family, params in cli.VERIFY_ALL_SPECS]
+# the six specs of ``su11pct verify --all``
+BATTERY = cli.VERIFY_ALL_SPECS
 
 
 @pytest.mark.parametrize("spec", BATTERY, ids=lambda s: f"{s.family}-a{s.alpha}")
