@@ -202,11 +202,9 @@ def _mapping(gs, held):
     state = held[min(len(held) - 1, 2)]
     mapped = pct.map_state(mapping, state)
     pts = algebra.pointwise_grid(target, state.n)
-    src_pts = mapping.coord_map(pts)
-    inv_pref = mapping.inv_prefactor_derivs(pts)[0]
     for which in (algebra.ZERO, algebra.PLUS, algebra.MINUS):
         lhs = algebra.apply_generator_fn(tgt_gs, which, mapped, state.n)(pts)
-        rhs = inv_pref * algebra.apply_generator(gs, which, state)(src_pts)
+        rhs = pct.map_state(mapping, algebra.apply_generator(gs, which, state))(pts)
         yield f"generator_conjugation[{which}]", float(np.max(np.abs(lhs - rhs))), "conjugation"
 
 

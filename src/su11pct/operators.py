@@ -27,7 +27,7 @@ the state it scanned.
 import numpy as np
 
 from . import systems
-from .errors import ParameterError
+from .errors import NotApplicableError, ParameterError
 
 
 class SmoothFunction(systems.Differentiable):
@@ -203,7 +203,9 @@ def support(spec, n, rel_floor, weight=None):
     like its grids; kept are the points where |psi_n|, or
     weight * psi_n^2 when a measure weight is given, reaches rel_floor of
     its peak.  The state keeps the interval, keyed by (rel_floor, weight),
-    for as long as it lives.
+    for as long as it lives.  Raises NotApplicableError when the scanned
+    values peak at the first or last probe point, where the state may
+    carry weight beyond the probe.
     """
     state = systems.bound_state(spec, n)
     key = (rel_floor, weight)
@@ -213,7 +215,13 @@ def support(spec, n, rel_floor, weight=None):
             v = state(probe)
             v = np.abs(v) if weight is None else weight(probe) * v**2
         v = np.where(np.isfinite(v), v, 0.0)
-        keep = np.nonzero(v >= rel_floor * np.max(v))[0]
+        peak = int(np.argmax(v))
+        if peak in (0, v.size - 1):  # the state may carry weight past the probe
+            raise NotApplicableError(
+                f"state {n} peaks at {probe[peak]:g}, an end of the probe interval "
+                f"[{probe[0]:g}, {probe[-1]:g}], so its support would be clipped"
+            )
+        keep = np.nonzero(v >= rel_floor * v[peak])[0]
         state._supports[key] = probe[keep[0]], probe[keep[-1]]
     return state._supports[key]
 

@@ -22,9 +22,9 @@ levels 1..c below x and the rest at or above it, so each level starts
 from the tightest bracket the earlier sweeps left.  The LDL^T sweep that
 counts also sums G(x) = sum_j 1/(x - lambda_j), the log-derivative of
 det(T - x).  A bracket is bisected, geometrically while its ends differ
-in scale, until counts isolate one level in it; then the pole of
-G ~ 1/(x - lambda) + R through its ends, with the levels already found
-deflated, converges superlinearly.  Before that, ``discretize`` keeps the
+in scale, until counts isolate one level in it; then the Newton step
+x - 1/G from its end nearer the level, with the levels already found
+deflated, converges quadratically.  Before that, ``discretize`` keeps the
 member Hamiltonian's closed-form levels on the matrix as seeds: a level's
 first sweep is made at its seed, and its second at the Newton step from
 that sweep, so a level the closed form and the matrix share takes three
@@ -58,6 +58,7 @@ _Q_FLOOR = 1e-74
 _HQ_FLOOR = 4e-76
 PAD = 2.0  # outer padding of the half-line grids
 COUNT = 4000  # default node count
+MAX_COUNT = 2**20  # most nodes of a grid: 8 MB per float array over it
 MORSE_STEP = 0.05  # largest default step on the Morse line
 SCALE = 2.0  # ratio of bracket ends past which bisection turns geometric
 MAX_LEVELS = 10  # most levels one solve returns
@@ -89,6 +90,10 @@ class GridSpec:
         if not self.q_min < self.q_max:
             raise ParameterError("q_min must be below q_max")
         systems._check_index(self.count, "grid needs at least 100 points", 100)
+        if self.count > MAX_COUNT:
+            raise ParameterError(
+                f"a grid of {self.count} nodes is above the limit of {MAX_COUNT}"
+            )
         if self.spacing not in _COORDINATES:
             raise ParameterError("spacing must be np.linspace or np.geomspace")
         if self.spacing is np.geomspace and not self.q_min > 0.0:
@@ -127,7 +132,6 @@ class DiscreteHamiltonian:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    grid: GridSpec
     seeds: tuple = ()
 
 
@@ -159,7 +163,7 @@ def discretize(spec, member_n, grid):
             f"the matrix overflows on the grid [{grid.q_min:g}, {grid.q_max:g}] "
             f"of {grid.count} nodes"
         )
-    return DiscreteHamiltonian(diag, off, grid, seeds)
+    return DiscreteHamiltonian(diag, off, seeds)
 
 
 def _count_below(diag, off2, x):
@@ -214,76 +218,60 @@ def _deflated(sweep, found):
     return x, g - sum(1.0 / (x - lam) for lam in found)
 
 
-def _pole(lower, upper, found):
-    """Estimate of the one level between the sweeps lower and upper.
+def _newton(lower, upper, found):
+    """Newton step x - 1/G from the swept end of (lower, upper) nearer the level.
 
-    Each end is an (x, count, G) sweep, and G at the Gershgorin end, never
-    swept, is nan.  With the found levels deflated, G ~ 1/(x - lam) + R
-    near lam, R the smooth sum over the levels above.  The model through
-    both ends has two roots in the bracket; the one nearer the Newton step
-    from the end nearer the pole (the larger |G|) is taken, or that Newton
-    step alone when the model has no root.
+    Each end is an (x, count, G) sweep, and G at a start bound, never
+    swept, is nan.  With the found levels deflated, the end nearer the
+    level is the one with the larger |G|; nan when neither end is swept.
     """
-    (x1, g1), (x2, g2) = _deflated(lower, found), _deflated(upper, found)
-    newton = x1 - 1.0 / g1 if abs(g1) > abs(g2) else x2 - 1.0 / g2
-    dx = x2 - x1
-    if not g1 < g2:  # the model needs G lower below the pole than above it
-        return newton
-    disc = dx * dx + 4.0 * dx / (g1 - g2)  # a = x1 - lam solves a (a + dx) = dx/(g1 - g2)
-    if disc < 0.0:
-        return newton
-    mid, half = 0.5 * (x1 + x2), 0.5 * math.sqrt(disc)
-    return min((mid - half, mid + half), key=lambda lam: abs(lam - newton))
+    ends = (_deflated(lower, found), _deflated(upper, found))
+    x, g = max(ends, key=lambda e: -1.0 if math.isnan(e[1]) else abs(e[1]))
+    return x - 1.0 / g
 
 
 def lowest_eigenvalues(dh, k, tol=1e-10):
     """The k smallest eigenvalues, each bracketed to width below tol.
 
-    Brackets start from the Gershgorin interval of the grid's unscaled
-    rows, capped above by interlacing, and every sweep's count narrows
-    those of all k levels.  Level j's first shift is ``dh.seeds[j]`` when
-    that lies inside its bracket, and its second the Newton step
-    x - 1/G from that sweep, found levels deflated.  Otherwise, until the
-    counts at its ends, j and j + 1, isolate level j, its bracket is split
-    by ``_split``; from then on the shift is the ``_pole`` estimate.  Both
-    estimates are moved a quarter of tol toward the far end so that the
-    last two sweeps close the bracket.  An estimate that is not finite or
-    leaves the bracket, or a pole estimate that lies more than half as far
-    from the last shift as that lay from the one before, falls back to
+    Brackets start from the Gershgorin interval of the matrix, and every
+    sweep's count narrows those of all k levels.  Level j's first shift is
+    ``dh.seeds[j]`` when that lies inside its bracket, and its second the
+    Newton step x - 1/G from that sweep, found levels deflated.  Otherwise
+    its bracket is split by ``_split`` until counts isolate level j: j at
+    the lower end and j + 1 at the upper, or, for a seeded level, j at the
+    lower end while the upper one is still the unswept Gershgorin bound.
+    From then on the shift is the ``_newton`` step.  Both estimates are
+    moved a quarter of tol toward the far end so that the last two sweeps
+    close the bracket.  An estimate that is not finite or leaves the
+    bracket, or a ``_newton`` step that lies more than half as far from
+    the last shift as that lay from the one before, falls back to
     ``_split``.  A seed only chooses where a sweep is made, so a wrong one
     costs sweeps, never a level.  On the six battery matrices (about 4,000
     rows, k = 2, tol = 1e-9) this takes 6 to 13 sweeps, 52 in all: 3 or 4
     for a level the seed and the matrix share, 9 for the Morse box level
-    above a fixed well's one bound level, which has no seed.  Unseeded it
-    takes 16 to 23, and bisection alone 68 to 89.  The budget is
-    bisection's, max_iter sweeps per level.  Raises
-    ConvergenceError carrying the open brackets of the levels still wider
-    than tol when it is spent, or when no float is left between the ends.
+    above a fixed well's one bound level, which has no seed.  At k = 5 it
+    takes 16 to 39, 158 in all.  Unseeded, k = 2 takes 18 to 31, and
+    bisection alone 58 to 78.  The budget is bisection's, max_iter sweeps
+    per level.  Raises ConvergenceError carrying the open brackets of the
+    levels still wider than tol when it is spent, or when no float is
+    left between the ends.
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= MAX_LEVELS):
         raise ParameterError(f"k must be between 1 and {MAX_LEVELS}")
     systems._check_tol(tol)
     diag = dh.diag
-    bound = np.abs(dh.offdiag)
-    # Gershgorin discs of the similar matrix J^(-1/2) T J^(1/2), i.e. of the
-    # unscaled rows; any positive scaling gives valid bounds, and this one
-    # keeps the lower bound near min V_eff on a log grid.
-    d = np.sqrt(_COORDINATES[dh.grid.spacing][2](dh.grid.u_nodes()[1:-1]))
     radius = np.zeros_like(diag)
-    radius[:-1] += bound * (d[1:] / d[:-1])
-    radius[1:] += bound * (d[:-1] / d[1:])
+    radius[:-1] += np.abs(dh.offdiag)
+    radius[1:] += np.abs(dh.offdiag)
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
-    even = diag[::2]  # pairwise non-adjacent rows: a diagonal principal submatrix
-    if k <= even.size:  # so by interlacing level k lies below its k-th smallest entry
-        hi = min(hi, float(np.partition(even, k - 1)[k - 1]))
     dlist = diag.tolist()
     off2 = (dh.offdiag * dh.offdiag).tolist()
     max_iter = max(64, int(math.ceil(math.log2(max((hi - lo) / tol, 2.0)))) + 8)
     # level i lies between the sweeps lower[i] and upper[i], each kept as
     # (x, count, G); counts i and i + 1 at its ends isolate level i.  The
-    # starting ends are not swept: the count at the interlacing bound is
-    # only known to be at least k.
+    # Gershgorin ends are not swept: G is nan there, and the count at the
+    # upper one is None.
     lower = [(lo, 0, math.nan)] * k
     upper = [(hi, None, math.nan)] * k
     last = math.inf  # the last shift
@@ -292,7 +280,8 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
     stalled = []
     for j in range(k):
         step = math.inf  # distance of the last shift from the one before
-        seed = dh.seeds[j] if j < len(dh.seeds) else math.nan
+        seeded = j < len(dh.seeds)
+        seed = dh.seeds[j] if seeded else math.nan
         for _ in range(max_iter):
             (lo, below, _), (hi, above, _) = lower[j], upper[j]
             if hi - lo < tol:
@@ -302,8 +291,8 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
                 if sweep[0] == seed:  # the Newton step from the seed's sweep, unguarded
                     x0, g0 = _deflated(sweep, out)
                     lam, step = x0 - 1.0 / g0, math.inf
-                elif below == j and above == j + 1:
-                    lam = _pole(lower[j], upper[j], out)
+                elif below == j and (above == j + 1 or seeded and above is None):
+                    lam = _newton(lower[j], upper[j], out)
             except ZeroDivisionError:
                 pass
             if lo < seed < hi:  # the level's first shift

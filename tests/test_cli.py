@@ -480,6 +480,29 @@ def test_an_overflowing_grid_exits_2(capsys):
     ]
 
 
+def test_a_grid_above_the_node_limit_exits_2(capsys):
+    # numpy refused the 800 GB grid only when discretize allocated it
+    assert exit_code("oracle-compare", *HO, "--grid-count", "100000000000") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: a grid of 100000000000 nodes is above the limit of {oracle.MAX_COUNT}"
+    ]
+
+
+@pytest.mark.parametrize("omega, end", [("1e-14", "1e+06"), ("1e14", "1e-06")])
+def test_a_state_peaking_past_its_probe_exits_2(capsys, omega, end):
+    # psi_0 peaks at sqrt(2/omega): 1.4e7 and 1.4e-7, outside [1e-6, 1e6]; the
+    # reports ran on a clipped support (1e-14) or a 172 GiB oracle grid (1e14)
+    assert exit_code("verify", "--family", "ho", "--omega", omega, "--L", "0") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: state 0 peaks at {end}, an end of the probe interval "
+        "[1e-06, 1e+06], so its support would be clipped"
+    ]
+
+
 @pytest.mark.parametrize("count", ["-3", "0"])
 def test_state_nonpositive_grid_count_exits_2(capsys, count):
     morse = ("--family", "morse", "--A", "1", "--B", "1")

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from su11pct import algebra, measures, operators, systems
-from su11pct.errors import DomainError, ParameterError
+from su11pct.errors import DomainError, NotApplicableError, ParameterError
 
 from conftest import gaussian_bump
 
@@ -294,3 +295,16 @@ def test_the_memo_keeps_memo_size_stacks_at_any_size(monkeypatch, size):
     for memo in (state._memo, op._memo):
         assert len(memo) == size
         assert memo[-1][0] == (pts.shape, pts.tobytes())
+
+
+@pytest.mark.parametrize("omega, end", [(1e-14, "upper"), (1e14, "lower")])
+def test_a_state_peaking_at_a_probe_end_has_no_support(omega, end):
+    # psi_0 peaks at sqrt(2/omega), past the probe's 1e6 or below its 1e-6;
+    # scanned, it gave [10, 1e6] and (1e-6, 1.21e-6) without a word
+    spec = systems.OscillatorSpec(omega, 0.0)
+    probe = operators._PROBES["ho"]
+    at = probe[-1] if end == "upper" else probe[0]
+    with pytest.raises(NotApplicableError, match=re.escape(f"state 0 peaks at {at:g}, an end of")):
+        operators.support(spec, 0, operators.RESIDUAL_FLOOR)
+    with pytest.raises(NotApplicableError):
+        algebra.pointwise_grid(spec, 0)

@@ -92,6 +92,19 @@ def test_grid_validation():
         oracle.GridSpec(0.0, 1.0, 50)
 
 
+def test_grids_above_the_node_limit_are_refused_before_any_array():
+    # numpy refused these only when discretize allocated the grid: 23e9 nodes
+    # (172 GiB) for the default grid of omega = 1e14
+    limit = rf"^a grid of \d+ nodes is above the limit of {oracle.MAX_COUNT}$"
+    with pytest.raises(ParameterError, match=limit):
+        oracle.default_grid(systems.OscillatorSpec(1e14, 0.0))
+    with pytest.raises(ParameterError, match=limit):
+        oracle.GridSpec(0.1, 5.0, 10**11)
+    with pytest.raises(ParameterError, match=limit):
+        oracle.GridSpec(0.1, 5.0, oracle.MAX_COUNT + 1)
+    assert oracle.GridSpec(0.1, 5.0, oracle.MAX_COUNT).count == oracle.MAX_COUNT
+
+
 def test_constant_mass_stencil():
     spec = systems.OscillatorSpec(1.0, 0.0)
     grid = oracle.GridSpec(1e-4, 20.0, 200)
@@ -284,6 +297,37 @@ def test_battery_solve_sweep_budget(monkeypatch, spec):
     assert len(shifts) <= 13
 
 
+# measured sweeps of each unseeded k = 2 battery solve, in BATTERY order
+UNSEEDED_SWEEPS = (22, 21, 18, 22, 31, 21)
+
+
+@pytest.mark.parametrize("spec, budget", zip(BATTERY, UNSEEDED_SWEEPS), ids=str)
+def test_unseeded_battery_solve_sweep_budget(monkeypatch, spec, budget):
+    # without seeds every level bisects from the Gershgorin interval until
+    # counts isolate it, then takes Newton steps
+    dh = dataclasses.replace(battery_matrix(spec), seeds=())
+    shifts = count_sweeps(monkeypatch)
+    oracle.lowest_eigenvalues(dh, 2, 1e-9)
+    assert len(shifts) <= budget
+
+
+def test_a_hand_built_matrix_solves_to_lapack_within_tol():
+    # no seeds and no grid: the solve reads the two diagonals only
+    rng = np.random.default_rng(7)
+    diag = np.cumsum(rng.uniform(0.0, 2.0, 600)) - 300.0
+    off = -rng.uniform(0.1, 3.0, 599)
+    coulomb = battery_matrix(BATTERY[4])  # graded: Gershgorin from -2.9e12 to 7e17
+    matrices = [
+        oracle.DiscreteHamiltonian(diag, off),
+        oracle.DiscreteHamiltonian(coulomb.diag, coulomb.offdiag),
+    ]
+    tol = 1e-9
+    for dh in matrices:
+        mine = oracle.lowest_eigenvalues(dh, 5, tol)
+        ref = eigvalsh_tridiagonal(dh.diag, dh.offdiag, select="i", select_range=(0, 4), tol=1e-12)
+        assert np.max(np.abs(np.asarray(mine) - ref)) < tol
+
+
 @pytest.mark.parametrize("spec", BATTERY[2:], ids=str)
 def test_each_hierarchy_member_holds_the_shared_energy_as_its_level_n(spec):
     # the potential algebra: member n of a Morse or Coulomb hierarchy holds
@@ -304,7 +348,7 @@ def test_seeds_are_the_closed_form_levels():
     # the fixed Morse wells hold one level, the deformed Coulomb well four
     assert [len(dh.seeds) for dh in matrices] == [10, 10, 1, 1, 10, 4]
     dh = matrices[0]
-    assert oracle.DiscreteHamiltonian(dh.diag, dh.offdiag, dh.grid).seeds == ()
+    assert oracle.DiscreteHamiltonian(dh.diag, dh.offdiag).seeds == ()
 
 
 @pytest.mark.parametrize("spec", BATTERY, ids=str)

@@ -31,6 +31,10 @@ MAX_COEFFICIENT_STACKS = 250
 # 115 sweeps when every level started from its Gershgorin bracket, 52 from its
 # seed, 33 when the fixed Morse wells solve only the one level they hold
 MAX_STURM_SWEEPS = 33
+# seeded k = 5 solves of the six battery matrices: 197 sweeps while a seeded
+# level waited for a count at both bracket ends, 158 once it steps from its
+# lower end
+MAX_SEEDED_SWEEPS = 158
 # bytes a 100,000-point order-2 stack allocates beyond the arrays it returns:
 # 17.0e6 on the whole array at once, 4.1e6 block by block
 MAX_STACK_PEAK_BYTES = 6e6
@@ -61,6 +65,25 @@ def test_verify_all_reports_stay_within_their_work_counts(monkeypatch):
     assert counts["stacks"] <= MAX_POLYNOMIAL_STACKS
     assert counts["coefficients"] <= MAX_COEFFICIENT_STACKS
     assert counts["sweeps"] <= MAX_STURM_SWEEPS
+
+
+def test_seeded_battery_solves_stay_within_their_sweeps(monkeypatch):
+    sweeps = []
+    sweep = oracle._count_below
+
+    def counted_sweep(*args):
+        sweeps[-1] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(oracle, "_count_below", counted_sweep)
+    for spec in cli.VERIFY_ALL_SPECS:
+        dh = oracle.discretize(spec, 0, oracle.default_grid(spec, 0, k=2))
+        sweeps.append(0)
+        oracle.lowest_eigenvalues(dh, 5, 1e-9)
+    assert sum(sweeps) <= MAX_SEEDED_SWEEPS, sweeps
+    # level 4 of CoulombSpec(0, 1), seed and Newton step both below it, took
+    # 32 of its matrix's 44 sweeps while the upper end was unswept
+    assert sweeps[4] <= 16, sweeps
 
 
 def test_a_report_leaves_nothing_alive_without_the_cycle_collector(monkeypatch):
