@@ -4,7 +4,7 @@ Three realizations exist per mass kind: the oscillator triple (spectrum
 generating, ladder steps change the energy) and the Morse and Coulomb
 triples (potential algebras, ladder steps move along the hierarchy at
 fixed energy).  The zero generator is a gauged second-order differential
-operator proportional to (H - shift); the ladder generators are one
+operator proportional to (H - E); the ladder generators are one
 first-order core dressed with a scalar factor, at both mass kinds.
 
 The three realizations are one algebra, and so are the two mass kinds:
@@ -23,11 +23,12 @@ Only the deformed delta spectrum delta_n = 2n + pa + pb + 1 reads pa itself.
 The operators are formulas in the coordinate function g of
 ``systems.FAMILIES`` (r^2, e^-x or R) and sigma = g g''/g'^2, which is
 constant (1/2, 1 or 0) and is the family's measure exponent.
-The zero generator is (2 g/(w g'^2)) (H - shift), w = ``w_const`` and H
-the ``operators.flux_operator`` of the slots with a1 set to the member-free
+The zero generator is (2 g/(w g'^2)) (H - E), w = ``w_const`` and H - E
+the ``operators.flux_operator`` of member 0's ``systems.slots_at_energy``
+with a1, the oscillator's energy slot, set to the member-free
 gamma = alpha (k - k^2/2 - 5/8), k = 1 - sigma.  On psi_n it is
-(2/w)(gamma - a1(n)), so a member's slot is a1(n) = gamma - (w/2) mu_n:
-E_n = 2 w mu_n for the oscillator.
+(2/w)(gamma - a1(n)), so a1(n) = gamma - (w/2) mu_n: E_n = 2 w mu_n for
+the oscillator.
 
 The ladder generators, at either mass kind, are one first-order core on
 the sector of psi_n, written in (pb, w, alpha):
@@ -124,11 +125,6 @@ class GeneratorSet:
     def w_const(self):
         """Structure-relation denominator: alpha (2pa + 1), or 2c at constant mass."""
         return self.invariants[1]
-
-    @cached_property
-    def shift(self):
-        """Fixed energy of the Morse/Coulomb hierarchy; 0 for the oscillator."""
-        return 0.0 if self.family == "ho" else systems.energy(self.spec, 0)
 
     @cached_property
     def pb_eps(self):
@@ -239,13 +235,13 @@ def _kept(build):
 
 @_kept
 def _zero_operator(gs):
-    """(2 g/(w g'^2)) (H - shift), H the flux operator with the member-free a1."""
+    """(2 g/(w g'^2)) (H - E), H - E member 0's flux operator with the member-free a1."""
     w = gs.w_const
     fam = systems.FAMILIES[gs.family]
     k = 1.0 - fam.sigma
-    a0, _, a2 = fam.slots(gs.spec, 0)
+    a0, _, a2 = systems.slots_at_energy(gs.spec, 0)
     gamma = gs.alpha * (k - 0.5 * k * k - 0.625)
-    flux = operators.flux_operator(gs.spec, (a0, gamma, a2), gs.shift).coeffs
+    flux = operators.flux_operator(gs.spec, (a0, gamma, a2)).coeffs
     slope = 2.0 * (1.0 - 2.0 * fam.sigma) / w
 
     def coeffs(p, order):

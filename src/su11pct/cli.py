@@ -116,18 +116,6 @@ def _spec_echo(spec):
     return {"family": spec.family, "alpha": spec.alpha, **_fields(spec)}
 
 
-def _closed_levels(spec, count):
-    """The lowest closed-form levels as (n, energy) pairs.
-
-    The oscillator's own spectrum, or that of the fixed Morse/Coulomb
-    potential, which may hold fewer than count levels.
-    """
-    if spec.family == "ho":
-        return [(n, systems.energy(spec, n)) for n in range(count)]
-    params = tuple(_fields(spec).values())
-    return systems.spectrum_fixed_potential(spec.family, params, spec.alpha, count)
-
-
 def _check_tol(tol):
     """A tolerance override must be finite and positive: NaN would fail every check
     and print invalid JSON, inf would pass every one."""
@@ -393,7 +381,7 @@ def _dispatch(parser, args):
     if args.command == "spectrum":
         spec = _spec_from_args(parser, args.family, args)
         _check_nmax(parser, args.nmax, specfun.MAX_DEGREE)  # one level per state degree
-        levels = [{"n": n, "energy": e} for n, e in _closed_levels(spec, args.nmax + 1)]
+        levels = [{"n": n, "energy": e} for n, e in systems.member_levels(spec, 0, args.nmax + 1)]
         payload = {"command": "spectrum", "spec": _spec_echo(spec), "levels": levels}
         _emit(payload, args.format, levels)
         return 0

@@ -10,8 +10,8 @@ The deformed kinetic term is used in its expanded real form
 
 which follows from squaring pi = -i sqrt(f) (d/dq) sqrt(f).  With the raw
 member potential it is the flux form -d f^2 d + v, and ``flux_operator``
--f^2 d^2 - 2 f f' d + v - shift is every Hamiltonian and, gauged, the
-zero generator.
+-f^2 d^2 - 2 f f' d + v is every Hamiltonian, H - E_n at the slots of
+``systems.slots_at_energy``, and, gauged, the zero generator.
 
 The imaginary unit is never materialized: pi is reported through the real
 first-order ``DiffOperator2`` a = f d + f'/2, (pi fn) = -i a(fn).
@@ -139,13 +139,12 @@ def apply_pi_squared(spec, fn, point):
     return -op.apply(op.apply(fn))(point)
 
 
-def flux_operator(spec, slots, shift=0.0):
-    """-f^2 d^2 - 2 f f' d + v - shift, with v = ``systems.potential`` of the slots."""
+def flux_operator(spec, slots):
+    """-f^2 d^2 - 2 f f' d + v, with v = ``systems.potential`` of the slots."""
 
     def coeffs(p, order):
         f = systems.deforming(spec, p)
         c0 = systems.potential(spec, slots, p, order)
-        c0[0] = c0[0] - shift
         c1 = [-2.0 * c for c in systems.leibniz(f, f[1:], order)]
         return (c0, c1, [-c for c in systems.leibniz(f, f, order)])
 
@@ -158,15 +157,13 @@ def apply_hamiltonian(spec, member_n, fn, point):
 
 
 def eigen_residual(spec, n, grid):
-    """sup over the grid of |H psi_n - E_n psi_n| / max |psi_n|."""
+    """sup over the grid of |(H - E_n) psi_n| / max |psi_n|, H - E_n one flux operator."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("residual grid must not be empty")
     state = systems.bound_state(spec, n)
-    h = apply_hamiltonian(spec, n, state, grid)
-    v = state(grid)
-    scale = np.max(np.abs(v))
-    return float(np.max(np.abs(h - state.energy * v)) / scale)
+    residual = flux_operator(spec, systems.slots_at_energy(spec, n)).apply(state)(grid)
+    return float(np.max(np.abs(residual)) / np.max(np.abs(state(grid))))
 
 
 # a residual grid covers where |psi_n| reaches this share of its peak
@@ -204,8 +201,9 @@ def support(spec, n, rel_floor, weight=None):
     weight * psi_n^2 when a measure weight is given, reaches rel_floor of
     its peak.  The state keeps the interval, keyed by (rel_floor, weight),
     for as long as it lives.  Raises NotApplicableError when the scanned
-    values peak at the first or last probe point, where the state may
-    carry weight beyond the probe.
+    values peak at the first or last probe point, or keep rel_floor of
+    the peak at the last, where the state may carry weight beyond the
+    probe; residual grids stop at the first point by design.
     """
     state = systems.bound_state(spec, n)
     key = (rel_floor, weight)
@@ -216,12 +214,13 @@ def support(spec, n, rel_floor, weight=None):
             v = np.abs(v) if weight is None else weight(probe) * v**2
         v = np.where(np.isfinite(v), v, 0.0)
         peak = int(np.argmax(v))
-        if peak in (0, v.size - 1):  # the state may carry weight past the probe
+        keep = np.nonzero(v >= rel_floor * v[peak])[0]
+        if peak == 0 or keep[-1] == v.size - 1:  # the state may carry weight past the probe
+            end = f"keeps {rel_floor:g} of it at the far end" if 0 < peak < v.size - 1 else "an end"
             raise NotApplicableError(
-                f"state {n} peaks at {probe[peak]:g}, an end of the probe interval "
+                f"state {n} peaks at {probe[peak]:g}, {end} of the probe interval "
                 f"[{probe[0]:g}, {probe[-1]:g}], so its support would be clipped"
             )
-        keep = np.nonzero(v >= rel_floor * v[peak])[0]
         state._supports[key] = probe[keep[0]], probe[keep[-1]]
     return state._supports[key]
 

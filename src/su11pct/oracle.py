@@ -145,8 +145,7 @@ def discretize(spec, member_n, grid):
     the square of an off-diagonal one that the Sturm sweep takes, is not
     finite on the grid.
     """
-    slots = systems.FAMILIES[spec.family].slots(spec, member_n)
-    seeds = tuple(e for _, e in systems.levels(spec.family, slots, spec.alpha, MAX_LEVELS))
+    seeds = tuple(e for _, e in systems.member_levels(spec, member_n, MAX_LEVELS))
     _, q_of_u, jac = _COORDINATES[grid.spacing]
     u = grid.u_nodes()
     h = grid.step
@@ -358,11 +357,11 @@ def default_grid(spec, member_n=0, count=None, k=3):
     """
     systems._check_index(k, "k must be at least 1", 1)
     a = spec.alpha
-    slots = systems.FAMILIES[spec.family].slots(spec, member_n)
     # never empty: a valid spec's member-n well holds its level n, so its level 0
-    levels = systems.levels(spec.family, slots, a, k)
+    levels = systems.member_levels(spec, member_n, k)
     if spec.family == "morse":
         e_deep, e_shallow = levels[0][1], levels[-1][1]
+        slots = systems.FAMILIES["morse"].slots(spec, member_n)
         b2, c = slots[2], -slots[1]
         depth = c * c / (4.0 * max(b2, 1e-12))
         wall = 200.0 * max(abs(e_deep), depth)

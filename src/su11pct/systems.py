@@ -908,6 +908,20 @@ def levels(family, slots, alpha, count):
     return out
 
 
+def slots_at_energy(spec, n):
+    """Member n's slots of H - E_n: slot j holds a_j - c E_n, (j, c) = ``energy_slot``."""
+    fam = FAMILIES[spec.family]
+    j, c = fam.energy_slot
+    slots = list(fam.slots(spec, n))
+    slots[j] -= c * energy(spec, n)
+    return tuple(slots)
+
+
+def member_levels(spec, n, count):
+    """``levels`` of member n's potential: at most count pairs (k, E_k)."""
+    return levels(spec.family, FAMILIES[spec.family].slots(spec, n), spec.alpha, count)
+
+
 def spectrum_fixed_potential(family, params, alpha, max_count):
     """Bound spectrum of one fixed Morse or Coulomb potential.
 

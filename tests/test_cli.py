@@ -37,6 +37,21 @@ def test_spectrum_json_default(capsys):
     assert [lev["energy"] for lev in payload["levels"]] == [-6.25, -2.25, -0.25]
 
 
+def test_spectrum_lists_the_member_0_levels_without_a_warning(capsys):
+    # the deformation keeps 2 of the 3 constant-mass Morse levels; the command
+    # prints the levels the spec's well holds and warns about no spectrum it
+    # was not asked for
+    argv = ("spectrum", "--family", "morse", "--A", "2.5", "--B", "1", "--alpha", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    levels = [(lev["n"], lev["energy"]) for lev in json.loads(out)["levels"]]
+    spec = systems.MorseSpec(A0=2.5, B=1.0, alpha=1.0)
+    assert levels == systems.member_levels(spec, 0, 16) and len(levels) == 2
+
+
 def test_spectrum_ho(capsys):
     code, out = run_cli(
         capsys, "spectrum", "--family", "ho", "--omega", "1", "--L", "0", "--nmax", "2"
@@ -500,6 +515,25 @@ def test_a_state_peaking_past_its_probe_exits_2(capsys, omega, end):
     assert err.splitlines() == [
         f"error: state 0 peaks at {end}, an end of the probe interval "
         "[1e-06, 1e+06], so its support would be clipped"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, peak, interval",
+    [
+        (("ho", "--omega", "1e-11", "--L", "0"), "446684", "[1e-06, 1e+06]"),
+        (("morse", "--A", "0.03", "--B", "0.25"), "2.14333", "[-80, 300]"),
+    ],
+)
+def test_a_state_reaching_the_far_probe_end_exits_2(capsys, argv, peak, interval):
+    # the peaks lie inside the probes, but |psi_0| is still 0.30 of its peak at
+    # r = 1e6 for the oscillator; both reports ran on supports cut at the far end
+    assert exit_code("verify", "--family", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: state 0 peaks at {peak}, keeps 1e-05 of it at the far end of the probe "
+        f"interval {interval}, so its support would be clipped"
     ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -340,11 +341,20 @@ def test_each_hierarchy_member_holds_the_shared_energy_as_its_level_n(spec):
         assert abs(oracle.lowest_eigenvalues(dh, n + 1, 1e-10)[n] - energy) <= tol
 
 
-def test_seeds_are_the_closed_form_levels():
-    # the levels the report compares against, as many as the well holds
+def spectrum_energies(capsys, spec):
+    """The energies `su11pct spectrum` prints for spec, at most MAX_LEVELS."""
+    flags = cli._FAMILY_ARGS[spec.family][2]
+    params = [x for flag, v in zip(flags, cli._fields(spec).values()) for x in (flag, repr(v))]
+    argv = ["spectrum", "--family", spec.family, *params, "--alpha", repr(spec.alpha)]
+    assert cli.main([*argv, "--nmax", str(oracle.MAX_LEVELS - 1)]) == 0
+    return tuple(lev["energy"] for lev in json.loads(capsys.readouterr().out)["levels"])
+
+
+def test_seeds_are_the_closed_form_levels(capsys):
+    # the levels the spectrum command prints, as many as the well holds
     matrices = [battery_matrix(spec) for spec in BATTERY]
     for spec, dh in zip(BATTERY, matrices):
-        assert dh.seeds == tuple(e for _, e in cli._closed_levels(spec, oracle.MAX_LEVELS))
+        assert dh.seeds == spectrum_energies(capsys, spec)
     # the fixed Morse wells hold one level, the deformed Coulomb well four
     assert [len(dh.seeds) for dh in matrices] == [10, 10, 1, 1, 10, 4]
     dh = matrices[0]
