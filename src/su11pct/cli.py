@@ -287,10 +287,15 @@ def _spec_from_args(parser, family, args):
 
 
 def _grid_bounds(parser, args):
-    """(grid_min, grid_max) when both are given, None when neither is."""
+    """(grid_min, grid_max) when both are given and finite, None when neither is."""
     if (args.grid_min is None) != (args.grid_max is None):
         parser.error("--grid-min and --grid-max must be given together")
-    return None if args.grid_min is None else (args.grid_min, args.grid_max)
+    if args.grid_min is None:
+        return None
+    for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{flag} must be finite, got {value}")
+    return args.grid_min, args.grid_max
 
 
 def _check_nmax(parser, nmax, top):
@@ -464,11 +469,8 @@ def _dispatch(parser, args):
     tol = _tolerance("oracle_", spec) if args.tol is None else _check_tol(args.tol)
     bounds = _grid_bounds(parser, args)
     if bounds is not None:
-        grid = oracle.GridSpec(
-            *bounds,
-            oracle.COUNT if args.grid_count is None else args.grid_count,
-            systems.FAMILIES[spec.family].spacing,
-        )
+        count = oracle.COUNT if args.grid_count is None else args.grid_count
+        grid = oracle.GridSpec(*bounds, count)
     else:
         grid = oracle.default_grid(spec, 0, count=args.grid_count, k=args.nmax + 1)
     dh = oracle.discretize(spec, 0, grid)
@@ -485,7 +487,7 @@ def _dispatch(parser, args):
             "q_min": grid.q_min,
             "q_max": grid.q_max,
             "count": grid.count,
-            "spacing": grid.spacing.__name__,
+            "spacing": systems.FAMILIES[spec.family].spacing.__name__,
         },
         "tolerance": tol,
         "levels": entries,

@@ -157,13 +157,19 @@ def apply_hamiltonian(spec, member_n, fn, point):
 
 
 def eigen_residual(spec, n, grid):
-    """sup over the grid of |(H - E_n) psi_n| / max |psi_n|, H - E_n one flux operator."""
+    """sup over the grid of |(H - E_n) psi_n| / max |psi_n|, H - E_n one flux operator.
+
+    Raises NotApplicableError when psi_n is 0 on the whole grid.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("residual grid must not be empty")
     state = systems.bound_state(spec, n)
     residual = flux_operator(spec, systems.slots_at_energy(spec, n)).apply(state)(grid)
-    return float(np.max(np.abs(residual)) / np.max(np.abs(state(grid))))
+    peak = np.max(np.abs(state(grid)))
+    if peak == 0.0:
+        raise NotApplicableError(f"psi_{n} is 0 on the whole residual grid")
+    return float(np.max(np.abs(residual)) / peak)
 
 
 # a residual grid covers where |psi_n| reaches this share of its peak

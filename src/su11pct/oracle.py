@@ -1,19 +1,20 @@
 """Independent finite-difference eigensolver for the six Hamiltonians.
 
 The Hermitian form -d/dq (1/M) d/dq + V_eff is discretized on a grid that
-is uniform in a coordinate u, with q = q(u) and J = dq/du.  On a linear
-grid u = q and J = 1; on a log grid u = ln q and J = q, which is the
-paper's oscillator -> Morse coordinate r = e^(-x/2) up to scale, so the
-half-line states, which span decades, need only a few thousand nodes.  In
-u the eigenproblem reads -d/du (w/J) d/du psi + V_eff J psi = E J psi with
-w = 1/M.  The second-order flux scheme takes w/J at the u midpoints over
-h_u^2 and V_eff J on the diagonal, with the mass matrix diag(J); scaling
-symmetrically by J^(-1/2) gives a symmetric tridiagonal matrix,
+is uniform in the paper's Morse coordinate x = -ln g(q), with q = q(x) and
+J = |dq/dx| = |rho| from ``systems.FAMILIES``: on the Morse line x = q and
+J = 1; on the half-lines r = e^(-x/2) and R = e^-x, so the grid is uniform
+in ln q and the states, which span decades, need only a few thousand
+nodes.  In x the eigenproblem reads -d/dx (w/J) d/dx psi + V_eff J psi =
+E J psi with w = 1/M.  The second-order flux scheme takes w/J at the x
+midpoints over h^2 and V_eff J on the diagonal, with the mass matrix
+diag(J); scaling symmetrically by J^(-1/2) gives a symmetric tridiagonal
+matrix,
 
-    diag_i = ((w/J)_(i-1/2) + (w/J)_(i+1/2)) / (h_u^2 J_i) + V_eff(q_i)
-    off_i  = -(w/J)_(i+1/2) / (h_u^2 sqrt(J_i J_(i+1))),
+    diag_i = ((w/J)_(i-1/2) + (w/J)_(i+1/2)) / (h^2 J_i) + V_eff(q_i)
+    off_i  = -(w/J)_(i+1/2) / (h^2 sqrt(J_i J_(i+1))),
 
-which on a linear grid is exactly the uniform flux scheme.  Its lowest
+which on the Morse line is exactly the uniform flux scheme.  Its lowest
 eigenvalues are bracketed by the Sturm-sequence count (Barth, Martin &
 Wilkinson, Numer. Math. 9, 1967) and located by a root finder on the same
 sweep (as in Li & Zeng, SIAM J. Sci. Comput. 15, 1994).  As in LAPACK's
@@ -66,27 +67,24 @@ MAX_LEVELS = 10  # most levels one solve returns
 # COUNT log nodes hold the constant-mass levels to about 0.4 of 5e-4
 LOG_UNIT = {"ho": 1.5, "coulomb": 200.0}
 
-# u <-> q maps of the two spacings: (u of q, q of u, J = dq/du of u)
-_COORDINATES = {
-    np.linspace: (lambda q: q, lambda u: u, np.ones_like),
-    np.geomspace: (math.log, np.exp, np.exp),
-}
-
 
 @dataclass(frozen=True)
 class GridSpec:
     """Dirichlet grid on [q_min, q_max] with ``count`` nodes.
 
-    ``spacing`` is np.linspace (uniform in q) or np.geomspace (uniform in
-    u = ln q, for q_min > 0), as in ``systems.FAMILIES``.
+    ``discretize`` spaces the nodes evenly in the Morse coordinate
+    x = -ln g(q) of the spec's family: in q on the Morse line, in ln q on
+    a half-line, where q_min must be above 0.
     """
 
     q_min: float
     q_max: float
     count: int
-    spacing: object = np.linspace
 
     def __post_init__(self):
+        for name, value in (("q_min", self.q_min), ("q_max", self.q_max)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not self.q_min < self.q_max:
             raise ParameterError("q_min must be below q_max")
         systems._check_index(self.count, "grid needs at least 100 points", 100)
@@ -94,32 +92,6 @@ class GridSpec:
             raise ParameterError(
                 f"a grid of {self.count} nodes is above the limit of {MAX_COUNT}"
             )
-        if self.spacing not in _COORDINATES:
-            raise ParameterError("spacing must be np.linspace or np.geomspace")
-        if self.spacing is np.geomspace and not self.q_min > 0.0:
-            raise ParameterError("a geometric grid needs q_min > 0")
-
-    @property
-    def u_range(self):
-        """End points of the uniform coordinate u."""
-        u_of_q = _COORDINATES[self.spacing][0]
-        return u_of_q(self.q_min), u_of_q(self.q_max)
-
-    def u_nodes(self):
-        """All count nodes in the uniform coordinate u."""
-        return np.linspace(*self.u_range, self.count)
-
-    @property
-    def step(self):
-        """Step h_u of the uniform coordinate."""
-        u_lo, u_hi = self.u_range
-        return (u_hi - u_lo) / (self.count - 1)
-
-    def refined(self, factor=2):
-        """Same interval and spacing with the step divided by ``factor``."""
-        return GridSpec(
-            self.q_min, self.q_max, (self.count - 1) * factor + 1, self.spacing
-        )
 
 
 @dataclass(frozen=True)
@@ -141,19 +113,23 @@ def discretize(spec, member_n, grid):
     See the module docstring for the matrix; it is symmetric by
     construction with non-positive off-diagonals.  The seeds are the
     Hamiltonian's closed-form levels, up to MAX_LEVELS of them, or fewer
-    where its well holds fewer.  Raises ParameterError when an entry, or
+    where its well holds fewer.  Raises DomainError when a grid bound
+    leaves the family's open domain, and ParameterError when an entry, or
     the square of an off-diagonal one that the Sturm sweep takes, is not
     finite on the grid.
     """
+    systems.check_point(spec, (grid.q_min, grid.q_max))
     seeds = tuple(e for _, e in systems.member_levels(spec, member_n, MAX_LEVELS))
-    _, q_of_u, jac = _COORDINATES[grid.spacing]
-    u = grid.u_nodes()
-    h = grid.step
-    u_mid = 0.5 * (u[:-1] + u[1:])
+    fam = systems.FAMILIES[spec.family]
+    x_lo, x_hi = fam.x_of_q(grid.q_min), fam.x_of_q(grid.q_max)
+    x = np.linspace(x_lo, x_hi, grid.count)
+    h = (x_hi - x_lo) / (grid.count - 1)
     with np.errstate(all="ignore"):
-        w_j = 1.0 / systems.mass_and_potential(spec, member_n, q_of_u(u_mid))[0] / jac(u_mid)
-        v = systems.mass_and_potential(spec, member_n, q_of_u(u[1:-1]))[1]
-        j = jac(u[1:-1])
+        q, dq, _ = fam.from_x(0.5 * (x[:-1] + x[1:]))
+        w_j = 1.0 / systems.mass_and_potential(spec, member_n, q)[0] / np.abs(dq)
+        q, dq, _ = fam.from_x(x[1:-1])
+        v = systems.mass_and_potential(spec, member_n, q)[1]
+        j = np.broadcast_to(np.abs(dq), q.shape)  # J is the number 1 on the Morse line
         diag = (w_j[:-1] + w_j[1:]) / (h * h) / j + v
         off = -w_j[1:-1] / (h * h) / np.sqrt(j[:-1] * j[1:])
         finite = np.isfinite(diag).all() and np.isfinite(off * off).all()
@@ -332,17 +308,16 @@ def lowest_eigenvalues(dh, k, tol=1e-10):
 def default_grid(spec, member_n=0, count=None, k=3):
     """A grid wide enough for the lowest k levels of the member Hamiltonian.
 
-    Built from the analytic level list and the classically relevant region,
-    spaced like the family's grids.  On the Morse line (uniform) the wall
-    side stops where V_eff reaches 200x the deepest level, or, with a
-    deformed mass, where the wall-side tail e^(m x) falls to TAIL; the soft
-    side extends several decay lengths of the shallowest level kept.  The
-    half-line grids are geometric: they start where psi ~ (q/l)^m at the
+    Built from the analytic level list and the classically relevant region.
+    On the Morse line the wall side stops where V_eff reaches 200x the
+    deepest level, or, with a deformed mass, where the wall-side tail
+    e^(m x) falls to TAIL; the soft side extends several decay lengths of the shallowest level kept.  The
+    half-line grids, uniform in ln q, start where psi ~ (q/l)^m at the
     origin falls to TAIL and a hard wall there shifts the deepest level by
     less than TAIL, with l that level's length (1/sqrt(lam) for the
     oscillator, 1/(2 kappa_0) for Coulomb), but not below _Q_FLOOR or
-    _HQ_FLOOR over the log step, reach
-    several decay lengths, or the deformed power-law tails r^-(pa+3/2)
+    _HQ_FLOOR over the log step, reach several decay lengths, or the
+    deformed power-law tails r^-(pa+3/2)
     (oscillator) and R^-(kappa/alpha+1/2) (Coulomb) down to TAIL, and are
     padded by PAD, since a log grid pays only ln(q_max/q_min) for reach.
     ``count`` defaults to COUNT nodes.  A long Morse grid gets as many more
@@ -407,4 +382,4 @@ def default_grid(spec, member_n=0, count=None, k=3):
     q_min, q_max = max(length * y_min, _Q_FLOOR), PAD * r_max
     for _ in range(2):  # a higher start shortens the step a little; twice settles it
         q_min = max(q_min, _HQ_FLOOR * (count - 1) / math.log(q_max / q_min))
-    return GridSpec(q_min, q_max, count, np.geomspace)
+    return GridSpec(q_min, q_max, count)

@@ -249,10 +249,9 @@ def test_criterion_8_oracle_richardson():
     ratios = []
     ok = True
     for spec, base in cases:
-        es = [
-            oracle.lowest_eigenvalues(oracle.discretize(spec, 0, g), 1, 1e-11)[0]
-            for g in (base, base.refined(2), base.refined(4))
-        ]
+        q_min, q_max, count = base.q_min, base.q_max, base.count
+        grids = [oracle.GridSpec(q_min, q_max, (count - 1) * k + 1) for k in (1, 2, 4)]
+        es = [oracle.lowest_eigenvalues(oracle.discretize(spec, 0, g), 1, 1e-11)[0] for g in grids]
         ratio = (es[0] - es[1]) / (es[1] - es[2])
         ratios.append(f"{spec.family}(a={spec.alpha}): {ratio:.2f}")
         ok &= 3.5 <= ratio <= 4.5

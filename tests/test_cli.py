@@ -627,14 +627,42 @@ def test_a_convergence_error_exits_1(capsys, monkeypatch):
     assert err.splitlines() == ["error: no convergence"]
 
 
-def test_module_entry_point_prints_csv():
+def run_module(*argv):
+    """`python -m su11pct.cli` with these arguments, in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    argv = ["spectrum", "--family", "morse", "--A", "2.5", "--B", "1", "--format", "csv"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "su11pct.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point_prints_csv():
+    done = run_module("spectrum", "--family", "morse", "--A", "2.5", "--B", "1", "--format", "csv")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["0,-6.25", "1,-2.25", "2,-0.25"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--grid-min", "--grid-max"])
+@pytest.mark.parametrize("command", ["state", "oracle-compare"])
+def test_a_non_finite_grid_bound_is_one_error_line(command, flag, value):
+    # inf leaked numpy's RuntimeWarning and dumped the grid array; nan read
+    # as "q_min must be below q_max"
+    bounds = {"--grid-min": "-6", "--grid-max": "25", flag: value}  # "=" passes "-inf"
+    done = run_module(
+        command, "--family", "morse", "--A", "2.5", "--B", "1",
+        *(f"{k}={v}" for k, v in bounds.items()),
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [f"error: {flag} must be finite, got {float(value)}"]
+
+
+def test_a_half_line_grid_from_zero_is_one_error_line(capsys):
+    code = exit_code("oracle-compare", *HO, "--grid-min", "0", "--grid-max", "10")
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: point (0.0, 10.0) outside open domain (0.0, inf)"]

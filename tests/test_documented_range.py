@@ -6,7 +6,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from su11pct import oracle, specfun, systems
@@ -114,7 +113,7 @@ BOUNDS = {
         (specfun.MAX_DEGREE + 1, "quantum number 201 exceeds the maximum 200"),
     ),
     "oracle nodes": (
-        lambda count: oracle.GridSpec(1e-3, 10.0, count, np.geomspace),
+        lambda count: oracle.GridSpec(1e-3, 10.0, count),
         "at most `2^20` nodes (`oracle.MAX_COUNT`)",
         (NODES, None),
         (NODES - 1, None),

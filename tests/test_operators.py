@@ -127,6 +127,19 @@ def test_eigen_residual_empty_grid():
         operators.eigen_residual(systems.OscillatorSpec(1.0, 0.0), 0, [])
 
 
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (systems.OscillatorSpec(1.0, 0.0), [1e3, 2e3]),
+        (systems.MorseSpec(1.0, 0.5), [-200.0, -150.0]),
+    ],
+)
+def test_eigen_residual_on_a_grid_where_the_state_is_zero(spec, grid):
+    # psi_0 underflows to 0 at every point: 0/0 returned a silent nan
+    with pytest.raises(NotApplicableError, match="^psi_0 is 0 on the whole residual grid$"):
+        operators.eigen_residual(spec, 0, grid)
+
+
 def test_domain_error_on_outside_point():
     spec = systems.CoulombSpec(0.0, 1.0)
     st = systems.bound_state(spec, 0)

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from su11pct import algebra, cli, operators, oracle, systems
-from su11pct.errors import ConvergenceError, ParameterError
+from su11pct.errors import ConvergenceError, DomainError, ParameterError
 
 # the six specs of `su11pct verify --all`
 BATTERY = cli.VERIFY_ALL_SPECS
@@ -36,7 +36,7 @@ def test_a_matrix_that_overflows_is_refused():
     ho = systems.OscillatorSpec(1.0, 0.0)
     # at 1e-200 the diagonal overflows, at 1e-100 the squared off-diagonal the sweep takes
     for q_min in (1e-200, 1e-100):
-        grid = oracle.GridSpec(q_min, 10.0, 4000, np.geomspace)
+        grid = oracle.GridSpec(q_min, 10.0, 4000)
         with pytest.raises(ParameterError, match=rf"overflows on the grid \[{q_min:g}, 10\]"):
             oracle.discretize(ho, 0, grid)
     with pytest.raises(ParameterError, match=r"\[-400, 10\] of 4000 nodes"):
@@ -65,7 +65,8 @@ def test_fine_default_grids_near_the_critical_power_give_finite_matrices(omega, 
         spec = systems.OscillatorSpec(omega, power)
     grid = oracle.default_grid(spec, 0, k=2)
     assert grid.count > 200_000
-    assert grid.q_min * grid.step >= 0.99 * oracle._HQ_FLOOR
+    log_step = math.log(grid.q_max / grid.q_min) / (grid.count - 1)
+    assert grid.q_min * log_step >= 0.99 * oracle._HQ_FLOOR
     dh = oracle.discretize(spec, 0, grid)
     assert np.isfinite(dh.diag).all() and np.isfinite(dh.offdiag**2).all()
 
@@ -91,6 +92,74 @@ def test_grid_validation():
         oracle.GridSpec(1.0, 0.5, 500)
     with pytest.raises(ParameterError):
         oracle.GridSpec(0.0, 1.0, 50)
+    # nan read as "q_min must be below q_max"; inf reached numpy's linspace
+    for bounds, message in (
+        ((math.nan, 1.0), "q_min must be finite, got nan"),
+        ((0.1, math.inf), "q_max must be finite, got inf"),
+        ((-math.inf, 1.0), "q_min must be finite, got -inf"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            oracle.GridSpec(*bounds, 500)
+
+
+def _matrix(w_over_j, v, j, h):
+    """The flux-form matrix of the module docstring from (w/J) at the midpoints,
+    V_eff and J at the interior nodes and the step h."""
+    diag = (w_over_j[:-1] + w_over_j[1:]) / (h * h) / j + v
+    return diag, -w_over_j[1:-1] / (h * h) / np.sqrt(j[:-1] * j[1:])
+
+
+# each family's x = -ln g(q), and q and J = |dq/dx| as functions of x
+X_FRAME = {
+    "ho": (lambda r: -2.0 * math.log(r), lambda x: (np.exp(-0.5 * x), 0.5 * np.exp(-0.5 * x))),
+    "morse": (lambda x: x, lambda x: (x, np.ones_like(x))),
+    "coulomb": (lambda R: -math.log(R), lambda x: (np.exp(-x), np.exp(-x))),
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        systems.OscillatorSpec(2.0, 0.5, 1.0),
+        systems.MorseSpec(1.0, 0.75, 0.3),
+        systems.CoulombSpec(0.5, 2.0, 0.1),
+    ],
+    ids=str,
+)
+def test_discretize_is_the_flux_scheme_in_the_morse_coordinate(spec):
+    grid = oracle.default_grid(spec, 0, k=2)
+    x_of_q, frame = X_FRAME[spec.family]
+    x_lo, x_hi = x_of_q(grid.q_min), x_of_q(grid.q_max)
+    x = np.linspace(x_lo, x_hi, grid.count)
+    h = (x_hi - x_lo) / (grid.count - 1)
+    q_mid, j_mid = frame(0.5 * (x[:-1] + x[1:]))
+    q, j = frame(x[1:-1])
+    mass = systems.mass_and_potential(spec, 0, q_mid)[0]
+    diag, off = _matrix(1.0 / mass / j_mid, systems.mass_and_potential(spec, 0, q)[1], j, h)
+    dh = oracle.discretize(spec, 0, grid)
+    assert np.max(np.abs(dh.diag - diag) / np.abs(diag)) < 1e-13
+    assert np.max(np.abs(dh.offdiag - off) / np.abs(off)) < 1e-13
+
+
+@pytest.mark.parametrize("spec", BATTERY, ids=str)
+def test_discretize_is_bit_identical_to_the_log_coordinate_form(spec):
+    # the grid in x = -2 ln r or -ln R is the one in u = ln q scaled by a
+    # power of 2, and so is every entry's factor: the matrix of the u form
+    grid = oracle.default_grid(spec, 0, k=2)
+    if spec.family == "morse":
+        u = np.linspace(grid.q_min, grid.q_max, grid.count)
+        q_of_u, jac = (lambda u: u), np.ones_like
+    else:
+        u = np.linspace(math.log(grid.q_min), math.log(grid.q_max), grid.count)
+        q_of_u, jac = np.exp, np.exp
+    h = (u[-1] - u[0]) / (grid.count - 1)
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    w_j = 1.0 / systems.mass_and_potential(spec, 0, q_of_u(u_mid))[0] / jac(u_mid)
+    v = systems.mass_and_potential(spec, 0, q_of_u(u[1:-1]))[1]
+    diag, off = _matrix(w_j, v, jac(u[1:-1]), h)
+    dh = oracle.discretize(spec, 0, grid)
+    assert dh.diag.tobytes() == diag.tobytes()
+    assert dh.offdiag.tobytes() == off.tobytes()
 
 
 def test_grids_above_the_node_limit_are_refused_before_any_array():
@@ -107,24 +176,26 @@ def test_grids_above_the_node_limit_are_refused_before_any_array():
 
 
 def test_constant_mass_stencil():
-    spec = systems.OscillatorSpec(1.0, 0.0)
-    grid = oracle.GridSpec(1e-4, 20.0, 200)
+    # the Morse line is its own coordinate x: the plain uniform scheme
+    spec = systems.MorseSpec(2.5, 1.0)
+    grid = oracle.GridSpec(-5.0, 20.0, 200)
     dh = oracle.discretize(spec, 0, grid)
-    h = grid.step
-    q = np.linspace(grid.q_min, grid.q_max, grid.count)[1:-1]
-    v = 0.25 * q * q
+    h = (grid.q_max - grid.q_min) / (grid.count - 1)
+    x = np.linspace(grid.q_min, grid.q_max, grid.count)[1:-1]
+    v = np.exp(-2.0 * x) - 6.0 * np.exp(-x)  # B^2 e^-2x - B(2A + 1) e^-x
     assert np.max(np.abs(dh.diag - (2.0 / h**2 + v))) < 1e-9
     assert np.max(np.abs(dh.offdiag + 1.0 / h**2)) < 1e-9
 
 
 def test_pdm_midpoint_masses():
-    spec = systems.OscillatorSpec(1.0, 0.0, 0.3)
-    grid = oracle.GridSpec(0.1, 5.0, 150)
+    spec = systems.MorseSpec(2.5, 1.0, 0.3)
+    grid = oracle.GridSpec(-2.0, 5.0, 150)
     dh = oracle.discretize(spec, 0, grid)
-    q = np.linspace(grid.q_min, grid.q_max, grid.count)
-    mid = 0.5 * (q[:-1] + q[1:])
-    f2 = (1.0 + 0.3 * mid**2) ** 2
-    assert np.max(np.abs(dh.offdiag + f2[1:-1] / grid.step**2)) < 1e-9
+    h = (grid.q_max - grid.q_min) / (grid.count - 1)
+    x = np.linspace(grid.q_min, grid.q_max, grid.count)
+    mid = 0.5 * (x[:-1] + x[1:])
+    f2 = (1.0 + 0.3 * np.exp(-mid)) ** 2
+    assert np.max(np.abs(dh.offdiag + f2[1:-1] / h**2)) < 1e-9
     assert np.all(dh.offdiag <= 0)
 
 
@@ -186,20 +257,17 @@ def test_eigenvalue_parameter_validation():
 
 
 def test_richardson_consistency():
-    # halving h shrinks the eigenvalue error by about 4 (second order); on a
-    # log grid h is the step in u = ln q
+    # halving h shrinks the eigenvalue error by about 4 (second order); h
+    # is the step in the Morse coordinate x, so in ln q on a half-line
     cases = [
-        (systems.OscillatorSpec(1.0, 0.0), oracle.GridSpec(1e-4, 20.0, 1000)),
-        (systems.OscillatorSpec(1.0, 0.0), oracle.GridSpec(1e-6, 20.0, 1000, np.geomspace)),
-        (systems.OscillatorSpec(2.0, 0.0, 1.0), oracle.GridSpec(1e-6, 2000.0, 1000, np.geomspace)),
-        (systems.CoulombSpec(0.0, 1.0), oracle.GridSpec(1e-6, 80.0, 1000, np.geomspace)),
-        (systems.CoulombSpec(0.0, 1.0, 0.1), oracle.GridSpec(1e-6, 400.0, 1000, np.geomspace)),
+        (systems.OscillatorSpec(1.0, 0.0), 20.0),
+        (systems.OscillatorSpec(2.0, 0.0, 1.0), 2000.0),
+        (systems.CoulombSpec(0.0, 1.0), 80.0),
+        (systems.CoulombSpec(0.0, 1.0, 0.1), 400.0),
     ]
-    for spec, base in cases:
-        es = [
-            oracle.lowest_eigenvalues(oracle.discretize(spec, 0, g), 1, 1e-11)[0]
-            for g in (base, base.refined(2), base.refined(4))
-        ]
+    for spec, q_max in cases:
+        grids = [oracle.GridSpec(1e-6, q_max, (1000 - 1) * k + 1) for k in (1, 2, 4)]
+        es = [oracle.lowest_eigenvalues(oracle.discretize(spec, 0, g), 1, 1e-11)[0] for g in grids]
         ratio = (es[0] - es[1]) / (es[1] - es[2])
         assert 3.5 <= ratio <= 4.5
 
@@ -430,10 +498,10 @@ def test_sweep_counts_an_interior_zero_pivot():
 
 
 def test_grid_spacing_and_count_validation():
-    with pytest.raises(ParameterError, match="spacing must be"):
-        oracle.GridSpec(0.1, 5.0, 500, np.logspace)
-    with pytest.raises(ParameterError, match="q_min > 0"):
-        oracle.GridSpec(0.0, 5.0, 500, np.geomspace)
+    # a half-line grid is uniform in ln q, so it starts above 0
+    grid = oracle.GridSpec(0.0, 5.0, 500)
+    with pytest.raises(DomainError, match=r"^point \(0.0, 5.0\) outside open domain"):
+        oracle.discretize(systems.OscillatorSpec(1.0, 0.0), 0, grid)
     # a non-integer count ended in a bare TypeError inside discretize
     with pytest.raises(ParameterError, match="^grid needs at least 100 points$"):
         oracle.GridSpec(0.1, 5.0, 150.5)
