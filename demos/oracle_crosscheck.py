@@ -18,8 +18,7 @@ from su11pct import oracle, systems
 def compare(label, spec, closed, grid, k):
     dh = oracle.discretize(spec, 0, grid)
     numeric = oracle.lowest_eigenvalues(dh, k, 1e-9)
-    spacing = systems.FAMILIES[spec.family].spacing.__name__
-    print(f"== {label}: {grid.count} nodes, {spacing} ==")
+    print(f"== {label}: {grid.count} nodes on [{grid.q_min:g}, {grid.q_max:g}] ==")
     for n, (num, ref) in enumerate(zip(numeric, closed)):
         print(f"  level {n}: closed {ref:+.6f}, grid {num:+.6f}, diff {abs(num - ref):.1e}")
 

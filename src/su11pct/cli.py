@@ -362,8 +362,8 @@ def main(argv=None):
     p.add_argument(
         "--grid-min",
         type=float,
-        help="grid start; spaced like the family's grids, so on the half-line "
-        "(ho, coulomb) the grid is geometric and needs --grid-min > 0",
+        help="grid start; the grid is even in the Morse coordinate x, so on a "
+        "half-line (ho, coulomb) it is geometric and needs --grid-min > 0",
     )
     p.add_argument("--grid-max", type=float)
     p.add_argument(
@@ -487,7 +487,6 @@ def _dispatch(parser, args):
             "q_min": grid.q_min,
             "q_max": grid.q_max,
             "count": grid.count,
-            "spacing": systems.FAMILIES[spec.family].spacing.__name__,
         },
         "tolerance": tol,
         "levels": entries,

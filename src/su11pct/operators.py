@@ -179,7 +179,7 @@ PROBE_COUNT = 6001
 
 
 def _probe(fam):
-    p = fam.spacing(*fam.probe, PROBE_COUNT)
+    p = fam.q_of_x(fam.x_nodes(*fam.probe, PROBE_COUNT))
     p.flags.writeable = False
     return p
 
@@ -191,10 +191,11 @@ _PROBES = {family: _probe(fam) for family, fam in systems.FAMILIES.items()}
 def default_residual_grid(spec, n, count=200):
     """Interior grid covering where |psi_n| is at least RESIDUAL_FLOOR of its peak.
 
-    Half-line families get geometric spacing (their states live over several
-    decades), the Morse line a uniform one.  The floor keeps the grid away
-    from the extreme edges where high-order derivative assembly of composed
-    operators loses digits to cancellation.
+    The grid is evenly spaced in the Morse coordinate x: geometric on a
+    half-line (its states live over several decades), uniform on the Morse
+    line.  The floor keeps the grid away from the extreme edges where
+    high-order derivative assembly of composed operators loses digits to
+    cancellation.
     """
     return support_grid(spec, n, count, RESIDUAL_FLOOR)
 
@@ -202,8 +203,8 @@ def default_residual_grid(spec, n, count=200):
 def support(spec, n, rel_floor, weight=None):
     """Probe interval (lo, hi) where the n-th state carries its weight.
 
-    The family's probe interval is scanned on PROBE_COUNT points, spaced
-    like its grids; kept are the points where |psi_n|, or
+    The family's probe interval is scanned on PROBE_COUNT points evenly
+    spaced in x, like its grids; kept are the points where |psi_n|, or
     weight * psi_n^2 when a measure weight is given, reaches rel_floor of
     its peak.  The state keeps the interval, keyed by (rel_floor, weight),
     for as long as it lives.  Raises NotApplicableError when the scanned
@@ -232,6 +233,7 @@ def support(spec, n, rel_floor, weight=None):
 
 
 def support_grid(spec, n, count, rel_floor, weight=None):
-    """count points over the support interval, spaced like the family's grids."""
+    """count points over the support interval, evenly spaced in x."""
     systems._check_index(count, "count must be at least 1", 1)
-    return systems.FAMILIES[spec.family].spacing(*support(spec, n, rel_floor, weight), count)
+    fam = systems.FAMILIES[spec.family]
+    return fam.q_of_x(fam.x_nodes(*support(spec, n, rel_floor, weight), count))

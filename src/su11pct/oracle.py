@@ -121,9 +121,8 @@ def discretize(spec, member_n, grid):
     systems.check_point(spec, (grid.q_min, grid.q_max))
     seeds = tuple(e for _, e in systems.member_levels(spec, member_n, MAX_LEVELS))
     fam = systems.FAMILIES[spec.family]
-    x_lo, x_hi = fam.x_of_q(grid.q_min), fam.x_of_q(grid.q_max)
-    x = np.linspace(x_lo, x_hi, grid.count)
-    h = (x_hi - x_lo) / (grid.count - 1)
+    x = fam.x_nodes(grid.q_min, grid.q_max, grid.count)
+    h = (x[-1] - x[0]) / (grid.count - 1)
     with np.errstate(all="ignore"):
         q, dq, _ = fam.from_x(0.5 * (x[:-1] + x[1:]))
         w_j = 1.0 / systems.mass_and_potential(spec, member_n, q)[0] / np.abs(dq)

@@ -14,12 +14,14 @@ psi_t, with sigma the exponent of the family measure (1/2) g^(sigma-1) dg
 (1/2, 1, 0).  That prefactor makes each map unitary between the two
 family measures.
 
-A single source Hamiltonian maps onto a hierarchy of target Hamiltonians
-sharing one fixed energy: the source quantum number n turns into the
-member index of the hierarchy.  The parameter maps keep alpha and the
-pair (pb, w) of ``systems.invariants``, so each step ho -> morse ->
-coulomb is FAMILIES[target].spec_of(pb, w, alpha).  Reverse maps invert
-the coordinate and function change only; the paper uses the forward
+``mapping`` offers this map between every ordered pair of distinct
+families, the reverse directions included.  A single source Hamiltonian
+maps onto a hierarchy of target Hamiltonians sharing one fixed energy:
+the source quantum number n turns into the member index of the
+hierarchy.  The parameter maps keep alpha and the pair (pb, w) of
+``systems.invariants``, so each step ho -> morse -> coulomb is
+FAMILIES[target].spec_of(pb, w, alpha).  Reverse maps invert the
+coordinate and function change only; the paper uses the forward
 direction throughout, so no parameter inversion is provided.
 """
 
@@ -54,22 +56,12 @@ class MappingSpec:
         return self.coord_derivs(point)[0]
 
 
-# the forward chain of the parameter maps
+# every family, in the forward order of the parameter maps
 _FORWARD = ("ho", "morse", "coulomb")
-
-# the five offered pairs: the forward maps ho -> morse -> coulomb, their
-# composition and the inverses of the two elementary steps
-_PAIRS = (
-    ("ho", "morse"),
-    ("morse", "coulomb"),
-    ("ho", "coulomb"),
-    ("morse", "ho"),
-    ("coulomb", "morse"),
-)
 
 
 def mapping(source_family, target_family):
-    """MappingSpec between two families (see module docstring for the list).
+    """MappingSpec between two distinct families of ``systems.FAMILIES``.
 
     Built from the two rows of ``systems.FAMILIES``: the coordinate map
     c = g_s^-1 . g_t runs through the Morse coordinate x = -ln g_t, so no
@@ -77,10 +69,12 @@ def mapping(source_family, target_family):
     g_t^((sigma_s - sigma_t)/2) = e^(-(sigma_s - sigma_t) x/2) makes the map
     unitary between the two family measures.
     """
-    if (source_family, target_family) not in _PAIRS:
+    # tuple membership compares, so an unhashable name is refused as well
+    if source_family == target_family or not (
+        source_family in _FORWARD and target_family in _FORWARD
+    ):
         raise ParameterError(f"no mapping from {source_family!r} to {target_family!r}")
-    source = systems.FAMILIES[source_family]
-    target = systems.FAMILIES[target_family]
+    source, target = systems.FAMILIES[source_family], systems.FAMILIES[target_family]
     k = 0.5 * (source.sigma - target.sigma)
 
     def coord_derivs(point):

@@ -339,10 +339,9 @@ def _coulomb_of(pb, w, alpha):
 
 @dataclass(frozen=True)
 class Family:
-    """What differs between the three families; see the module docstring."""
+    """What differs between the three families (see the module docstring); grids are even in x."""
 
     domain: tuple  # open coordinate interval
-    spacing: object  # np.linspace on the line, np.geomspace on a half-line
     probe: tuple  # interval scanned for where a state lives
     g: object  # q -> (g, g', g'', g''', g''''), constants as numbers; f = 1 + alpha g
     sigma: float  # measure (1/2) g^(sigma-1) dg; equals g g''/g'^2
@@ -354,6 +353,10 @@ class Family:
     slots: object  # (spec, n) -> (a0, a1, a2) of the member-n potential
     energy_slot: tuple  # (j, c): an energy E enters slot a_j as a_j - c E
     spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
+
+    def x_nodes(self, q_lo, q_hi, count):
+        """count x evenly spaced from x(q_lo) to x(q_hi), the rule of every grid."""
+        return np.linspace(self.x_of_q(q_lo), self.x_of_q(q_hi), count)
 
     def from_x(self, x):
         """(q, dq/dx, d2q/dx2) at the Morse coordinate x: dq/dx = -rho, rho' = 1 - sigma."""
@@ -370,7 +373,6 @@ class Family:
 FAMILIES = {
     "ho": Family(
         domain=(0.0, math.inf),
-        spacing=np.geomspace,
         probe=(1e-6, 1e6),
         g=lambda r: (r * r, 2.0 * r, 2.0, 0.0, 0.0),
         sigma=0.5,
@@ -384,7 +386,6 @@ FAMILIES = {
     ),
     "morse": Family(
         domain=(-math.inf, math.inf),
-        spacing=np.linspace,
         probe=(-80.0, 300.0),
         g=_g_morse,
         sigma=1.0,
@@ -399,7 +400,6 @@ FAMILIES = {
     ),
     "coulomb": Family(
         domain=(0.0, math.inf),
-        spacing=np.geomspace,
         probe=(1e-6, 1e6),
         g=lambda R: (R, 1.0, 0.0, 0.0, 0.0),
         sigma=0.0,
@@ -475,13 +475,14 @@ def invariants(spec):
 
 
 def check_point(spec, point):
-    """Raise DomainError if any evaluation point is NaN or leaves the open domain."""
+    """Raise DomainError naming the first point that is NaN or outside the open domain."""
     lo, hi = FAMILIES[spec.family].domain
     p = np.asarray(point, dtype=float)
     # a NaN point makes min and max NaN, which fails both comparisons
     if not (p.size == 0 or (lo < p.min() and p.max() < hi)):
-        shown = float(p[0]) if _scalar.get() else point
-        raise DomainError(f"point {shown!r} outside open domain ({lo}, {hi})")
+        i = int(np.argmin((lo < p) & (p < hi)))
+        where = "" if p.ndim == 0 or _scalar.get() else f" (entry {i} of {p.size})"
+        raise DomainError(f"point {float(p.flat[i])!r}{where} outside open domain ({lo}, {hi})")
 
 
 def member_coupling(spec, n):

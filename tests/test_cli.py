@@ -311,7 +311,7 @@ def test_oracle_compare_deformed_ho_default_grid(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["overall_pass"] is True
-    assert payload["grid"]["spacing"] == "geomspace"
+    assert list(payload["grid"]) == ["q_min", "q_max", "count"]
 
 
 @pytest.mark.parametrize("args", [("--L", "0", "--alpha", "0"), ("--L", "1", "--alpha", "0.3")])
@@ -660,9 +660,18 @@ def test_a_non_finite_grid_bound_is_one_error_line(command, flag, value):
     assert done.stderr.splitlines() == [f"error: {flag} must be finite, got {float(value)}"]
 
 
+def test_a_grid_outside_the_domain_names_one_point(capsys):
+    # the whole 21-point grid was dumped into stderr over two lines
+    code = exit_code("state", *HO, "--grid-min", "-1", "--grid-max", "3")
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: point -1.0 (entry 0 of 21) outside open domain (0.0, inf)"]
+
+
 def test_a_half_line_grid_from_zero_is_one_error_line(capsys):
     code = exit_code("oracle-compare", *HO, "--grid-min", "0", "--grid-max", "10")
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == ["error: point (0.0, 10.0) outside open domain (0.0, inf)"]
+    assert err.splitlines() == ["error: point 0.0 (entry 0 of 2) outside open domain (0.0, inf)"]

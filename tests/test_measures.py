@@ -1,3 +1,4 @@
+import itertools
 
 import numpy as np
 import pytest
@@ -99,14 +100,8 @@ def test_coulomb_measure_integrable_near_half_angular():
 
 
 def test_pushforward_preserves_inner_products():
-    # every offered map is unitary between the two family measures
-    pairs = [
-        ("ho", "morse"),
-        ("morse", "coulomb"),
-        ("ho", "coulomb"),
-        ("morse", "ho"),
-        ("coulomb", "morse"),
-    ]
+    # the map between any two distinct families is unitary between their measures
+    pairs = list(itertools.permutations(("ho", "morse", "coulomb"), 2))
     for alpha in (0.0, 0.3):
         ho = systems.OscillatorSpec(1.0, 0.0, alpha)
         mo, _ = pct.map_parameters(ho, 0, "morse")

@@ -497,10 +497,35 @@ def test_sweep_counts_an_interior_zero_pivot():
     assert math.isfinite(g)
 
 
+def test_a_seed_where_g_is_zero_takes_no_newton_step():
+    # the levels of [[0, 1], [1, 2]] are 1 -+ sqrt(2); at the seed 1 they
+    # cancel in G = sum 1/(x - lambda_j), so the Newton step divides by 0
+    dh = oracle.DiscreteHamiltonian(np.array([0.0, 2.0]), np.ones(1), seeds=(1.0,))
+    assert oracle._count_below(list(dh.diag), [1.0], 1.0) == (1, 0.0)
+    (level,) = oracle.lowest_eigenvalues(dh, 1, 1e-9)
+    assert abs(level - (1.0 - math.sqrt(2.0))) <= 1e-9
+
+
+def test_a_nudge_that_rounds_onto_the_bracket_end_sweeps_at_the_estimate(monkeypatch):
+    # floats in [4096, 8192) are 2^-40 apart: a bracket of two steps is not
+    # below tol = 2^-39, and a quarter of tol past its middle rounds onto its
+    # end, where a sweep would only repeat the one that set it
+    shifts = []
+    count_below = oracle._count_below
+    monkeypatch.setattr(
+        oracle, "_count_below", lambda d, o, x: shifts.append(x) or count_below(d, o, x)
+    )
+    dh = oracle.DiscreteHamiltonian(np.array([5000.0, 5500.0]), np.array([500.0]))
+    (level,) = oracle.lowest_eigenvalues(dh, 1, 2.0**-39)
+    assert abs(level - (5250.0 - math.sqrt(312500.0))) <= 2.0**-39
+    assert len(set(shifts)) == len(shifts)
+
+
 def test_grid_spacing_and_count_validation():
     # a half-line grid is uniform in ln q, so it starts above 0
     grid = oracle.GridSpec(0.0, 5.0, 500)
-    with pytest.raises(DomainError, match=r"^point \(0.0, 5.0\) outside open domain"):
+    want = r"^point 0\.0 \(entry 0 of 2\) outside open domain \(0\.0, inf\)$"
+    with pytest.raises(DomainError, match=want):
         oracle.discretize(systems.OscillatorSpec(1.0, 0.0), 0, grid)
     # a non-integer count ended in a bare TypeError inside discretize
     with pytest.raises(ParameterError, match="^grid needs at least 100 points$"):

@@ -75,8 +75,10 @@ def test_deformed_map_rejects_large_alpha():
 
 
 def test_unknown_mapping_rejected():
-    with pytest.raises(ParameterError):
-        pct.mapping("coulomb", "ho")
+    pairs = (("ho", "ho"), ("ho", "square_well"), ("square_well", "morse"), (["ho"], "morse"))
+    for source, target in pairs:
+        with pytest.raises(ParameterError, match="^no mapping from"):
+            pct.mapping(source, target)
     with pytest.raises(ParameterError):
         pct.map_parameters(systems.CoulombSpec(0.0, 1.0), 0, "morse")
 
@@ -121,6 +123,29 @@ def test_reverse_maps_invert_forward_maps():
         pct.mapping("coulomb", "morse"), pct.map_state(pct.mapping("morse", "coulomb"), stm)
     )
     assert np.max(np.abs(back_m(x) - stm(x))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_coulomb_to_ho_inverts_the_forward_map(alpha):
+    # the one formula through x serves the pair no elementary step names
+    ho = systems.OscillatorSpec(1.0, 0.0, alpha)
+    co, _ = pct.map_parameters(ho, 0, "coulomb")
+    back = pct.mapping("coulomb", "ho")
+    r_grid = np.geomspace(0.02, 40.0, 100)
+    for n in range(4):
+        st = systems.bound_state(ho, n)
+        round_trip = pct.map_state(back, pct.map_state(pct.mapping("ho", "coulomb"), st))
+        assert np.max(np.abs(round_trip(r_grid) - st(r_grid))) < 1e-12
+        # member n of the Coulomb hierarchy maps back onto oscillator state n
+        member = pct.map_state(back, systems.bound_state(co, n))
+        assert np.max(np.abs(member(r_grid) - st(r_grid))) < 1e-12
+
+
+def test_coord_map_is_the_value_of_coord_derivs():
+    m = pct.mapping("ho", "morse")
+    x = np.linspace(-6.0, 20.0, 50)
+    assert np.array_equal(m.coord_map(x), m.coord_derivs(x)[0])
+    assert np.allclose(m.coord_map(x), np.exp(-0.5 * x), rtol=1e-15, atol=0.0)  # r = e^(-x/2)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])

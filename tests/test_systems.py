@@ -390,6 +390,20 @@ def test_states_normalized_under_family_measures(family_spec):
         assert measures.inner_product(meas, st, st) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("family", sorted(systems.FAMILIES))
+def test_x_nodes_are_even_in_x(family):
+    # on the line x = q; on a half-line even steps in x are a constant ratio in q
+    fam = systems.FAMILIES[family]
+    for lo, hi in (fam.probe, (-5.0, 20.0) if family == "morse" else (1e-3, 50.0)):
+        q = fam.q_of_x(fam.x_nodes(lo, hi, 200))
+        assert abs(q[0] - lo) <= 1e-15 * abs(lo) and abs(q[-1] - hi) <= 1e-15 * abs(hi)
+        if family == "morse":
+            assert np.array_equal(q, np.linspace(lo, hi, 200))
+        else:
+            ratio = q[1:] / q[:-1]
+            assert np.allclose(ratio, ratio[0], rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "family,lo,hi", [("ho", 1e-3, 50.0), ("morse", -5.0, 20.0), ("coulomb", 1e-3, 50.0)]
 )
@@ -397,7 +411,7 @@ def test_family_coordinate_rows(family, lo, hi):
     # from_x and to_x are inverse maps to the Morse coordinate x = -ln g,
     # and sigma equals the constant g g''/g'^2
     fam = systems.FAMILIES[family]
-    q = fam.spacing(lo, hi, 40)
+    q = fam.q_of_x(fam.x_nodes(lo, hi, 40))
     x, x1, x2 = fam.to_x(q)
     g = tuple(fam.g(q))
     assert np.allclose(x, -np.log(g[0]), rtol=1e-14, atol=1e-14)
@@ -612,7 +626,7 @@ def test_derivs_order_must_be_an_integer_in_range(order):
 def test_remembered_stacks_equal_fresh_ones(family_spec):
     n = 3
     fam = systems.FAMILIES[family_spec.family]
-    probe = fam.spacing(*fam.probe, operators.PROBE_COUNT)
+    probe = fam.q_of_x(fam.x_nodes(*fam.probe, operators.PROBE_COUNT))
     grids = (operators.default_residual_grid(family_spec, n), probe)
     # served as prefixes of the order-4 stack, or computed again at a higher order
     for pts, orders in itertools.product(grids, ((4, 3, 2, 1, 0), (0, 2, 4))):
@@ -685,7 +699,20 @@ def test_a_scalar_point_outside_the_domain_is_named_as_the_scalar():
         assert str(err.value) == "point -1.0 outside open domain (0.0, inf)"
     with pytest.raises(DomainError) as err:
         st(np.array([-1.0]))
-    assert str(err.value) == "point array([-1.]) outside open domain (0.0, inf)"
+    assert str(err.value) == "point -1.0 (entry 0 of 1) outside open domain (0.0, inf)"
+
+
+def test_an_array_outside_the_domain_names_its_first_bad_entry():
+    # the whole array was printed, and numpy summarises a long one with "..."
+    spec = systems.OscillatorSpec(1.0, 0.0)
+    for pts, shown in (
+        (np.array([0.5, 2.0, -1.0, -2.0]), "-1.0 (entry 2 of 4)"),
+        (np.array([[0.5, math.nan], [0.0, 1.0]]), "nan (entry 1 of 4)"),
+        (np.linspace(3.0, -1.0, 5001), "0.0 (entry 3750 of 5001)"),
+    ):
+        with pytest.raises(DomainError) as err:
+            systems.check_point(spec, pts)
+        assert str(err.value) == f"point {shown} outside open domain (0.0, inf)"
 
 
 def test_points_changed_in_place_are_evaluated_anew():
@@ -737,7 +764,7 @@ def _block_grids(family):
     fam = systems.FAMILIES[family]
     count = 2 * systems.BLOCK + 7
     wide = (-700.0, 1500.0) if family == "morse" else (1e-300, 1e300)
-    return fam.spacing(*fam.probe, count), fam.spacing(*wide, count)
+    return fam.q_of_x(fam.x_nodes(*fam.probe, count)), fam.q_of_x(fam.x_nodes(*wide, count))
 
 
 def test_stacks_by_blocks_equal_the_one_shot_stacks(family_spec, monkeypatch):
@@ -779,7 +806,7 @@ def test_served_stacks_share_no_memory(family_spec):
     lo, hi = (-1.0, 3.0) if family_spec.family == "morse" else (0.5, 3.0)
     fam = systems.FAMILIES[family_spec.family]
     for count in (50, 2 * systems.BLOCK + 7):
-        pts = fam.spacing(lo, hi, count)
+        pts = fam.q_of_x(fam.x_nodes(lo, hi, count))
         stack = systems.BoundState(family_spec, 3).derivs(pts, 4)
         assert np.all(stack[0] != 0.0)
         for i, a in enumerate(stack):
