@@ -32,8 +32,9 @@ Every n runs up to n_max at most.  A key names an ``ANALYTIC_TOLS``
 entry, which ``--tol`` replaces, or ends in "_" and takes the spec's mass
 kind, "constant" or "deformed".  "oracle_constant" and "oracle_deformed"
 are ``ORACLE_TOL_CONSTANT`` and ``ORACLE_TOL_DEFORMED``, which ``--tol``
-never replaces.  The mapping section is empty for Coulomb and for a spec
-with no image family.
+never replaces.  The mapping section maps to the next family of
+``systems.FAMILIES``, cyclically, on the source states' own grids; a spec
+with no image there has none.
 
 ``oracle-compare`` takes ``--nmax`` in [0, oracle.MAX_LEVELS - 1] and
 compares levels 0..nmax, or as many as the member-0 well holds, each
@@ -171,25 +172,23 @@ def _casimir(gs, held):
 
 
 def _mapping(gs, held):
-    if gs.family not in ("ho", "morse"):
-        return
-    target_family = "morse" if gs.family == "ho" else "coulomb"
+    names = tuple(systems.FAMILIES)
+    target_family = names[(names.index(gs.family) + 1) % len(names)]
     try:
         target, _ = pct.map_parameters(gs.spec, 0, target_family)
     except ParameterError:
         return  # no image family (e.g. omega^2 <= 3 alpha^2); nothing to check
     mapping = pct.mapping(gs.family, target_family)
-    tgt_gs = algebra.generator_set(target)
-    # held for the whole section: the conjugation rows scan target state 2 again
-    targets = [systems.bound_state(target, n) for n in range(min(len(held), 4))]
-    for n, direct in enumerate(targets):
-        mapped = pct.map_state(mapping, held[n])
-        pts = algebra.pointwise_grid(target, n)
-        error = float(np.max(np.abs(mapped(pts) - direct(pts))))
-        yield f"mapped_state[{target_family},n={n}]", error, "mapping_"
+    src, tgt = systems.FAMILIES[gs.family], systems.FAMILIES[target_family]
+    # each source state's grid, which the casimir section scanned, carried through x
+    grids = [tgt.q_of_x(src.x_of_q(algebra.pointwise_grid(gs.spec, s.n))) for s in held[:4]]
+    for n, state in enumerate(held[:4]):
+        direct = systems.bound_state(target, n)
+        error = np.max(np.abs(pct.map_state(mapping, state)(grids[n]) - direct(grids[n])))
+        yield f"mapped_state[{target_family},n={n}]", float(error), "mapping_"
     state = held[min(len(held) - 1, 2)]
     mapped = pct.map_state(mapping, state)
-    pts = algebra.pointwise_grid(target, state.n)
+    tgt_gs, pts = algebra.generator_set(target), grids[state.n]
     for which in (algebra.ZERO, algebra.PLUS, algebra.MINUS):
         lhs = algebra.apply_generator_fn(tgt_gs, which, mapped, state.n)(pts)
         rhs = pct.map_state(mapping, algebra.apply_generator(gs, which, state))(pts)
@@ -343,13 +342,13 @@ def main(argv=None):
     p.add_argument("--tol", type=float, help="override analytic tolerances")
 
     p = sub.add_parser("map", help="map parameters between families")
-    p.add_argument("--from", dest="source", choices=("ho", "morse"), required=True)
+    p.add_argument("--from", dest="source", choices=tuple(systems.FAMILIES), required=True)
     p.add_argument("--to", dest="target", choices=("morse", "coulomb"), required=True)
     _add_param_args(p)
     p.add_argument("--n", type=int, default=0)
 
     p = sub.add_parser("hierarchy", help="hierarchy members a source maps onto")
-    p.add_argument("--from", dest="source", choices=("ho", "morse"), required=True)
+    p.add_argument("--from", dest="source", choices=tuple(systems.FAMILIES), required=True)
     p.add_argument("--to", dest="target", choices=("morse", "coulomb"), required=True)
     _add_param_args(p)
     p.add_argument("--nmax", type=int, default=5)

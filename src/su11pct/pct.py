@@ -14,15 +14,14 @@ psi_t, with sigma the exponent of the family measure (1/2) g^(sigma-1) dg
 (1/2, 1, 0).  That prefactor makes each map unitary between the two
 family measures.
 
-``mapping`` offers this map between every ordered pair of distinct
+``mapping`` and ``map_parameters`` serve every ordered pair of distinct
 families, the reverse directions included.  A single source Hamiltonian
 maps onto a hierarchy of target Hamiltonians sharing one fixed energy:
 the source quantum number n turns into the member index of the
 hierarchy.  The parameter maps keep alpha and the pair (pb, w) of
-``systems.invariants``, so each step ho -> morse -> coulomb is
-FAMILIES[target].spec_of(pb, w, alpha).  Reverse maps invert the
-coordinate and function change only; the paper uses the forward
-direction throughout, so no parameter inversion is provided.
+``systems.invariants``, so every map is FAMILIES[target].spec_of(pb, w,
+alpha), the table's inverse of the pair; a pair with no image spec
+raises ``ParameterError``.
 """
 
 from dataclasses import dataclass, field
@@ -56,8 +55,11 @@ class MappingSpec:
         return self.coord_derivs(point)[0]
 
 
-# every family, in the forward order of the parameter maps
-_FORWARD = ("ho", "morse", "coulomb")
+def _check_pair(source_family, target_family):
+    """Raise ParameterError unless the two names are distinct families."""
+    names = tuple(systems.FAMILIES)  # tuple membership compares, so it refuses an unhashable name
+    if source_family == target_family or not (source_family in names and target_family in names):
+        raise ParameterError(f"no mapping from {source_family!r} to {target_family!r}")
 
 
 def mapping(source_family, target_family):
@@ -69,11 +71,7 @@ def mapping(source_family, target_family):
     g_t^((sigma_s - sigma_t)/2) = e^(-(sigma_s - sigma_t) x/2) makes the map
     unitary between the two family measures.
     """
-    # tuple membership compares, so an unhashable name is refused as well
-    if source_family == target_family or not (
-        source_family in _FORWARD and target_family in _FORWARD
-    ):
-        raise ParameterError(f"no mapping from {source_family!r} to {target_family!r}")
+    _check_pair(source_family, target_family)
     source, target = systems.FAMILIES[source_family], systems.FAMILIES[target_family]
     k = 0.5 * (source.sigma - target.sigma)
 
@@ -92,18 +90,12 @@ def mapping(source_family, target_family):
 def map_parameters(source, n, target_family):
     """Map a source spec and quantum number to the target spec and member.
 
-    Forward parameter maps only: ho -> morse, morse -> coulomb and their
-    composition, each step keeping alpha and ``systems.invariants``.
-    Returns ``(target_spec, n)``; n becomes the hierarchy member index on
-    the target side.
+    Any two distinct families: the target's ``spec_of`` of the source's
+    ``systems.invariants`` and alpha.  Returns ``(target_spec, n)``; n
+    becomes the hierarchy member index on the target side.
     """
-    i = _FORWARD.index(source.family)
-    j = _FORWARD.index(target_family) if target_family in _FORWARD else -1
-    if j < i:
-        raise ParameterError(f"no parameter map from {source.family!r} to {target_family!r}")
-    spec = source
-    for family in _FORWARD[i + 1 : j + 1]:
-        spec = systems.FAMILIES[family].spec_of(*systems.invariants(spec), spec.alpha)
+    _check_pair(source.family, target_family)
+    spec = systems.FAMILIES[target_family].spec_of(*systems.invariants(source), source.alpha)
     systems._check_index(n, "member index must be non-negative")
     return spec, n
 

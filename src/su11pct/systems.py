@@ -81,9 +81,12 @@ algebras: member n's level n is the hierarchy's one energy).  A level of
 a fixed well exists while that root is positive, pb > 0 or w > alpha.
 
 The point canonical transformations keep alpha and ``invariants(spec)``
-= (pb, w).  With Lam = (w + alpha)/4, the table's ``spec_of`` inverts the
-pair: Morse B = sqrt(Lam (Lam - alpha)), A0 = pb/2 + (pb + 1)(Lam/B - 1)/2
-(while Lam > alpha), Coulomb Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.
+= (pb, w), and the table's ``spec_of`` inverts the pair: oscillator
+L = pb - 1/2, omega = sqrt(w (w - 2 alpha)) (every spec has w > 2 alpha);
+with Lam = (w + alpha)/4, Morse B = sqrt(Lam (Lam - alpha)),
+A0 = pb/2 + (pb + 1)(Lam/B - 1)/2 (while Lam > alpha); Coulomb
+Lcal = (pb - 1)/2, Z0 = (w + alpha)(pb + 1)/8.  A spec whose level 0 is
+not finite is refused.
 
 Units: hbar = 1 and particle mass 1/2, so kinetic terms carry no 1/2m.
 
@@ -153,6 +156,17 @@ def _check_finite(spec):
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+def _check_level(spec):
+    """Raise ParameterError unless level 0's (pb, w, E) is finite: at extreme
+    parameters the level law overflows, or divides by a B^2 that underflows."""
+    try:
+        finite = all(map(math.isfinite, _state_level(spec, 0)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ParameterError(f"level 0 of {spec!r} is not finite")
+
+
 def _check_index(n, message, lowest=0):
     """Raise ParameterError(message) unless n is an int of at least lowest; numpy integers pass."""
     if not isinstance(n, (int, np.integer)) or n < lowest:
@@ -217,6 +231,7 @@ class OscillatorSpec(_Spec):
             raise ParameterError(f"L must be >= -1/2, got {self.L}")
         if not self.alpha >= 0:
             raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
+        _check_level(self)
         _warn_if_not_half_integer(self.L, "L")
 
     family = "ho"
@@ -238,6 +253,7 @@ class MorseSpec(_Spec):
             raise ParameterError(f"B must be positive, got {self.B}")
         if not self.alpha >= 0:
             raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
+        _check_level(self)  # before the lowest-state check, which reads pb
         if self.deformed and not invariants(self)[0] > 0:
             raise ParameterError(
                 "no normalizable lowest state: (2*A0+1)*B must exceed "
@@ -274,6 +290,7 @@ class CoulombSpec(_Spec):
                 f"Z0 must exceed alpha*(Lcal+1) for a deformed Coulomb family, "
                 f"got Z0={self.Z0}, Lcal={self.Lcal}, alpha={self.alpha}"
             )
+        _check_level(self)
         _warn_if_not_half_integer(self.Lcal, "Lcal")
 
     family = "coulomb"
@@ -297,6 +314,11 @@ def _g_morse(x):
     e = np.exp(-x)
     d = -e
     return (e, d, e, d, e)
+
+
+def _ho_of(pb, w, alpha):
+    omega = math.sqrt(w * (w - 2.0 * alpha))  # w > 2 alpha for every spec
+    return _mapped_spec(OscillatorSpec, omega=omega, L=pb - 0.5, alpha=alpha)
 
 
 def _morse_of(pb, w, alpha):
@@ -352,7 +374,7 @@ class Family:
     linear: bool  # Morse: h carries -(pb/2) x
     slots: object  # (spec, n) -> (a0, a1, a2) of the member-n potential
     energy_slot: tuple  # (j, c): an energy E enters slot a_j as a_j - c E
-    spec_of: object = None  # (pb, w, alpha) -> spec, for the families a map ends in
+    spec_of: object  # (pb, w, alpha) -> spec, the inverse of ``invariants``
 
     def x_nodes(self, q_lo, q_hi, count):
         """count x evenly spaced from x(q_lo) to x(q_hi), the rule of every grid."""
@@ -383,6 +405,7 @@ FAMILIES = {
         linear=False,
         slots=lambda s, n: (s.L * (s.L + 1) / 4, -s.alpha / 4, s.omega**2 / 16 - s.alpha**2 / 2),
         energy_slot=(1, 0.25),
+        spec_of=_ho_of,
     ),
     "morse": Family(
         domain=(-math.inf, math.inf),
@@ -468,8 +491,7 @@ def invariants(spec):
     """The pair (pb, w) of the level law, which the parameter maps keep.
 
     Continuous in alpha >= 0, with w = alpha (2pa + 1).
-    ``FAMILIES[family].spec_of`` inverts it for the Morse and Coulomb
-    families.
+    ``FAMILIES[family].spec_of`` inverts it for every family.
     """
     return _state_level(spec, 0)[:2]
 

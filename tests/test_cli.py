@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -6,9 +7,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from su11pct import cli, operators, oracle, pct, specfun, systems
+from su11pct import algebra, cli, operators, oracle, pct, specfun, systems
 from su11pct.errors import ConvergenceError, ParameterError
 
 
@@ -198,12 +200,11 @@ def _expected_layout(spec):
         for pair in ("zero_plus", "zero_minus", "plus_minus"):
             rows.append(("commutators", f"comm_{pair}_pointwise[n={n}]", commutator))
     rows += [("casimir", f"casimir_action[n={n}]", 1e-7) for n in range(4)]
-    target = {"ho": "morse", "morse": "coulomb"}.get(spec.family)
-    if target is not None:
-        mapped = (1e-12, 1e-9)[kind]
-        rows += [("mapping", f"mapped_state[{target},n={n}]", mapped) for n in range(4)]
-        for which in ("zero", "plus", "minus"):
-            rows.append(("mapping", f"generator_conjugation[{which}]", 1e-9))
+    target = {"ho": "morse", "morse": "coulomb", "coulomb": "ho"}[spec.family]
+    mapped = (1e-12, 1e-9)[kind]
+    rows += [("mapping", f"mapped_state[{target},n={n}]", mapped) for n in range(4)]
+    for which in ("zero", "plus", "minus"):
+        rows.append(("mapping", f"generator_conjugation[{which}]", 1e-9))
     levels = 1 if spec.family == "morse" else 2  # each battery Morse well holds one level
     rows += [("oracle", f"oracle_level[{i}]", (5e-4, 2e-3)[kind]) for i in range(levels)]
     return rows
@@ -240,7 +241,7 @@ def test_an_oscillator_without_a_morse_image_reports_no_mapping():
     "spec, mapped",
     [
         (cli.VERIFY_ALL_SPECS[1], True),
-        (cli.VERIFY_ALL_SPECS[4], False),
+        (cli.VERIFY_ALL_SPECS[4], True),
         (systems.OscillatorSpec(1.0, 0.0, 1.0), False),  # no Morse image
     ],
     ids=("ho-deformed", "coulomb", "ho-no-morse-image"),
@@ -262,6 +263,66 @@ def test_each_section_runs_once_in_run_position_order(monkeypatch, spec, mapped)
     assert list(report.sections) == [name for name, _, _ in table if mapped or name != "mapping"]
 
 
+@pytest.mark.parametrize("spec", cli.VERIFY_ALL_SPECS, ids=lambda s: f"{s.family}-{s.alpha}")
+def test_mapping_rows_sit_on_the_source_states_grids(monkeypatch, spec):
+    # the rows evaluate on each source state's pointwise grid carried to the
+    # target coordinate, so the map sends their points back onto that grid
+    made, seen = [], {}
+    mapping = pct.mapping
+
+    def recorded(source_family, target_family):
+        made.append(mapping(source_family, target_family))
+
+        def coord_derivs(point):
+            seen.setdefault(point.tobytes(), np.array(point))
+            return made[0].coord_derivs(point)
+
+        return dataclasses.replace(made[0], coord_derivs=coord_derivs)
+
+    monkeypatch.setattr(pct, "mapping", recorded)
+    assert len(cli.build_report(spec).sections["mapping"]) == 7
+    assert len(made) == 1 and len(seen) == 4
+    for n, points in enumerate(seen.values()):
+        grid = algebra.pointwise_grid(spec, n)
+        assert np.max(np.abs(made[0].coord_map(points) - grid)) <= 1e-15 * np.max(np.abs(grid))
+
+
+def _failing_rows():
+    """The names of the failing rows of each battery report."""
+    return [
+        [e["name"] for es in cli.build_report(spec).sections.values() for e in es if not e["pass"]]
+        for spec in cli.VERIFY_ALL_SPECS
+    ]
+
+
+def test_a_scaled_map_fails_the_mapped_state_rows_of_every_report(monkeypatch):
+    # a map off by 1e-6 scales both sides of the conjugation rows alike
+    map_state = pct.map_state
+
+    def scaled(mapping, state):
+        mapped = map_state(mapping, state)
+        return operators.SmoothFunction(
+            lambda p, k: tuple((1 + 1e-6) * d for d in mapped.derivs(p, k))
+        )
+
+    monkeypatch.setattr(pct, "map_state", scaled)
+    targets = ("morse", "morse", "coulomb", "coulomb", "ho", "ho")
+    assert _failing_rows() == [[f"mapped_state[{t},n={n}]" for n in range(4)] for t in targets]
+
+
+def test_an_oscillator_image_off_in_omega_fails_both_coulomb_reports(monkeypatch):
+    ho = systems.FAMILIES["ho"]
+
+    def off(pb, w, alpha):
+        spec = ho.spec_of(pb, w, alpha)
+        return dataclasses.replace(spec, omega=spec.omega * (1 + 1e-6))
+
+    monkeypatch.setitem(systems.FAMILIES, "ho", dataclasses.replace(ho, spec_of=off))
+    mapping = [f"mapped_state[ho,n={n}]" for n in range(4)]
+    mapping += [f"generator_conjugation[{which}]" for which in ("zero", "plus", "minus")]
+    assert _failing_rows() == [[]] * 4 + [mapping] * 2
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -280,7 +341,7 @@ def _readme_commands():
 
 def test_readme_command_lines_run(capsys):
     commands = _readme_commands()
-    assert len(commands) == 7
+    assert len(commands) == 8
     for argv, shown in commands:
         code, out = run_cli(capsys, *argv)
         assert code == 0, argv
@@ -427,6 +488,36 @@ def exit_code(*argv):
         return cli.main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        # E = -pb^2/4 overflowed to -Infinity, which is not JSON
+        ("spectrum --family morse --A 1e300 --B 1", "MorseSpec(A0=1e+300, B=1.0, alpha=0.0)"),
+        # float ** raised OverflowError
+        ("verify --family coulomb --Z 1e300 --Lcal 0",
+         "CoulombSpec(Lcal=0.0, Z0=1e+300, alpha=0.0)"),
+        ("map --from ho --to coulomb --omega 1e300 --L 0",
+         "OscillatorSpec(omega=1e+300, L=0.0, alpha=0.0)"),
+        # B^2 underflowed to 0 and the level law divided by w + q = 0
+        ("spectrum --family morse --A 1 --B 1e-170", "MorseSpec(A0=1.0, B=1e-170, alpha=0.0)"),
+        ("verify --family morse --A 1 --B 1e-200", "MorseSpec(A0=1.0, B=1e-200, alpha=0.0)"),
+    ],
+)
+def test_a_level_law_that_overflows_is_refused_like_any_spec(capsys, argv, spec):
+    assert exit_code(*argv.split()) == 2
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith("usage: su11pct ")
+    assert error == f"su11pct: error: level 0 of {spec} is not finite"
+
+
+def test_a_hierarchy_of_a_family_onto_itself_is_refused(capsys):
+    # it used to echo the source; README's command block runs coulomb -> morse
+    assert exit_code("hierarchy", "--from", "morse", "--to", "morse", "--A", "1", "--B", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no mapping from 'morse' to 'morse'\n"
 
 
 HO = ("--family", "ho", "--omega", "1", "--L", "0")

@@ -23,6 +23,8 @@ TINY = 5e-324  # the least positive float
 BELOW = math.nextafter(-0.5, -1.0)
 ABOVE = math.nextafter(-0.5, 0.0)
 NODES = oracle.MAX_COUNT
+OMEGA_MAX = math.sqrt(sys.float_info.max)  # the largest omega whose square is finite
+OMEGA_OVER = math.nextafter(OMEGA_MAX, math.inf)
 
 # name: (build one value into the checked object, the README phrase, then
 # (value, None when accepted or the exact ParameterError message) at the
@@ -32,8 +34,16 @@ BOUNDS = {
         lambda x: systems.OscillatorSpec(x, 0.0),
         "every spec parameter is finite",
         (math.inf, "omega must be finite, got inf"),
-        (sys.float_info.max, None),
+        (1e150, None),
         (math.nan, "omega must be finite, got nan"),
+    ),
+    "level 0": (
+        lambda x: systems.OscillatorSpec(x, 0.0),
+        "Level 0's `(pb, w, E)` from the level law must be finite",
+        (OMEGA_MAX, None),
+        (math.nextafter(OMEGA_MAX, 0.0), None),
+        (OMEGA_OVER, f"level 0 of OscillatorSpec(omega={OMEGA_OVER}, L=0.0, alpha=0.0) "
+         "is not finite"),
     ),
     "omega": (
         lambda x: systems.OscillatorSpec(x, 0.0),
@@ -60,7 +70,7 @@ BOUNDS = {
         lambda x: systems.MorseSpec(1.0, x),
         "`B > 0`",
         (0.0, "B must be positive, got 0.0"),
-        (TINY, None),
+        (1e-150, None),
         (-TINY, "B must be positive, got -5e-324"),
     ),
     "Lcal": (

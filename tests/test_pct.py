@@ -58,7 +58,7 @@ def test_maps_keep_invariants(omega, L, deformed, u):
     mo, _ = pct.map_parameters(ho, 0, "morse")
     co, _ = pct.map_parameters(mo, 0, "coulomb")
     pair = systems.invariants(ho)
-    for spec, names in ((mo, ("A0", "B")), (co, ("Lcal", "Z0"))):
+    for spec, names in ((ho, ("omega", "L")), (mo, ("A0", "B")), (co, ("Lcal", "Z0"))):
         assert systems.invariants(spec) == pytest.approx(pair, rel=1e-13)
         back = systems.FAMILIES[spec.family].spec_of(*systems.invariants(spec), alpha)
         assert back.alpha == alpha
@@ -67,6 +67,15 @@ def test_maps_keep_invariants(omega, L, deformed, u):
             assert getattr(back, name) == pytest.approx(
                 getattr(spec, name), rel=1e-13, abs=1e-13
             )
+    # every ordered pair, the reverse directions included, keeps the pair
+    for source in (ho, mo, co):
+        for target in systems.FAMILIES:
+            if target != source.family:
+                image, _ = pct.map_parameters(source, 0, target)
+                assert (image.family, image.alpha) == (target, alpha)
+                assert systems.invariants(image) == pytest.approx(
+                    systems.invariants(source), rel=1e-13
+                )
 
 
 def test_deformed_map_rejects_large_alpha():
@@ -79,8 +88,18 @@ def test_unknown_mapping_rejected():
     for source, target in pairs:
         with pytest.raises(ParameterError, match="^no mapping from"):
             pct.mapping(source, target)
-    with pytest.raises(ParameterError):
-        pct.map_parameters(systems.CoulombSpec(0.0, 1.0), 0, "morse")
+    # the parameter maps refuse the same pairs with the same check
+    ho = systems.OscillatorSpec(1.0, 0.0)
+    for target in ("ho", "square_well", ["morse"]):
+        with pytest.raises(ParameterError, match="^no mapping from 'ho' to"):
+            pct.map_parameters(ho, 0, target)
+
+
+def test_an_image_below_its_range_is_refused():
+    # Lcal = (pb - 1)/2 is exactly -1/2 at L = -1/2; the chain through Morse
+    # rounded it to -0.49999999999999994 and built a spec out of range
+    with pytest.raises(ParameterError, match=r"^Lcal must be > -1/2, got -0\.5$"):
+        pct.map_parameters(systems.OscillatorSpec(2.0, -0.5, 0.5), 0, "coulomb")
 
 
 @pytest.mark.parametrize("alpha,tol", [(0.0, 1e-12), (0.3, 1e-9)])

@@ -22,12 +22,15 @@ import numpy as np
 from su11pct import algebra, cli, operators, oracle, specfun, systems
 
 # 726 stacks before states shared their remembered stacks, 284 after, 232 when
-# the report asks for high orders first and each state keeps its supports; the
-# bound is the measured count, so a change that adds report rows raises it explicitly
-MAX_POLYNOMIAL_STACKS = 232
+# the report asks for high orders first and each state keeps its supports, 227
+# when the mapping rows evaluate on the source states' grids, which the casimir
+# rows scanned; the bound is the measured count, so a change that adds report
+# rows raises it explicitly
+MAX_POLYNOMIAL_STACKS = 227
 # 370 coefficient evaluations while every application built its operator anew,
-# 250 with the operators built once per report and their stacks remembered
-MAX_COEFFICIENT_STACKS = 250
+# 250 with the operators built once per report and their stacks remembered,
+# 259 once the two Coulomb reports map to the oscillator (7 rows each)
+MAX_COEFFICIENT_STACKS = 259
 # 115 sweeps when every level started from its Gershgorin bracket, 52 from its
 # seed, 33 when the fixed Morse wells solve only the one level they hold
 MAX_STURM_SWEEPS = 33
